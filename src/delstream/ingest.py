@@ -4,6 +4,13 @@ Day boundaries are UTC midnight. Account-days below the inclusion threshold
 are dropped, not zero-filled: downstream estimators treat the resulting holes
 as gap intervals. Aggregation output is deterministic regardless of input
 order, so sharded runs merge reproducibly.
+
+``aggregate_events`` reads an event file once and builds both the daily
+deletion records and the unlike records from the validated fields of each
+line, without building notice objects. ``aggregate_daily`` and
+``aggregate_unlikes`` take notices from ``read_notices`` and give the same
+results; all of them, and ``aggregate_daily_sharded``, threshold their
+groups through one builder.
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ from .records import (
     SNOWFLAKE_EPOCH_MS,
     AccountSnapshot,
     AccountStatus,
+    CANONICAL_TIMESTAMP,
     ComplianceNotice,
     NoticeKind,
     RecordParseError,
+    parse_observed_at,
+    read_notice_fields,
     snapshot_from_dict,
     snapshot_to_dict,
 )
@@ -117,19 +127,15 @@ class AccountTimeline:
         return self.snapshots[-1].status if self.snapshots else None
 
 
-def aggregate_daily(
-    notices: Iterable[ComplianceNotice],
-    threshold: int = DEFAULT_INCLUSION_THRESHOLD,
-) -> list[DailyDeletionRecord]:
-    """Group deletion notices by (account, UTC day), keeping days >= threshold.
-
-    Tweet ages are measured in whole days from the start of the deletion day
-    to the ID-encoded creation time, clamped at zero; undecodable IDs
-    contribute to the count but not to the age multiset. Output is sorted by
-    (account_id, day) and independent of input order.
-    """
+def _check_threshold(threshold: int) -> None:
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
+
+
+def _group_deletions(
+    notices: Iterable[ComplianceNotice],
+) -> dict[tuple[int, int], list[int]]:
+    """Deleted tweet IDs by (account, UTC day ordinal), before any threshold."""
     groups: dict[tuple[int, int], list[int]] = {}
     tweet_delete = NoticeKind.TWEET_DELETE
     for notice in notices:
@@ -141,7 +147,16 @@ def aggregate_daily(
             groups[key] = [notice.object_id]
         else:
             ids.append(notice.object_id)
+    return groups
 
+
+def _daily_records(
+    groups: dict[tuple[int, int], list[int]], threshold: int
+) -> list[DailyDeletionRecord]:
+    """Records for the groups of at least ``threshold`` deletions, sorted.
+
+    Sorts the ID lists of the kept groups in place.
+    """
     records = []
     for (account_id, ordinal), ids in groups.items():
         if len(ids) < threshold:
@@ -168,9 +183,26 @@ def aggregate_daily(
     return records
 
 
-def _aggregate_shard(args) -> list[DailyDeletionRecord]:
-    source, threshold = args
-    return aggregate_daily(source(), threshold)
+def _unlike_records(counts: dict[tuple[int, int], int]) -> list[UnlikeRecord]:
+    return [
+        UnlikeRecord(liker_id, tweet_id, count)
+        for (liker_id, tweet_id), count in sorted(counts.items())
+    ]
+
+
+def aggregate_daily(
+    notices: Iterable[ComplianceNotice],
+    threshold: int = DEFAULT_INCLUSION_THRESHOLD,
+) -> list[DailyDeletionRecord]:
+    """Group deletion notices by (account, UTC day), keeping days >= threshold.
+
+    Tweet ages are measured in whole days from the start of the deletion day
+    to the ID-encoded creation time, clamped at zero; undecodable IDs
+    contribute to the count but not to the age multiset. Output is sorted by
+    (account_id, day) and independent of input order.
+    """
+    _check_threshold(threshold)
+    return _daily_records(_group_deletions(notices), threshold)
 
 
 def aggregate_daily_sharded(
@@ -178,36 +210,50 @@ def aggregate_daily_sharded(
     threshold: int = DEFAULT_INCLUSION_THRESHOLD,
     processes: int | None = None,
 ) -> list[DailyDeletionRecord]:
-    """Aggregate account-disjoint shards in worker processes and merge.
+    """Group account-disjoint shards in worker processes, merge, then threshold.
 
     Each source is a picklable zero-argument callable returning an iterable
-    of notices. All notices for a given account must come from a single
-    source (shard by account_id hash); violations are detected and raised.
+    of notices. All notices for a given account-day must come from a single
+    source (shard by account_id hash). Workers return their groups before
+    any threshold is applied, so the parent sees every account-day of every
+    shard: one found in more than one shard raises ValueError, whatever its
+    counts. The result equals ``aggregate_daily`` over all the notices.
     """
     from multiprocessing import get_context
 
+    _check_threshold(threshold)
     sources = list(shard_sources)
     if not sources:
         return []
     if processes is None:
         processes = min(len(sources), os.cpu_count() or 1)
     if processes <= 1 or len(sources) == 1:
-        parts = [_aggregate_shard((src, threshold)) for src in sources]
+        groups = _merge_disjoint(map(_group_shard, sources))
     else:
-        # imap so the parent deserializes finished shards while others run
+        # imap so the parent merges finished shards while others run
         with get_context().Pool(processes) as pool:
-            parts = list(
-                pool.imap(_aggregate_shard, [(src, threshold) for src in sources])
-            )
+            groups = _merge_disjoint(pool.imap(_group_shard, sources))
+    return _daily_records(groups, threshold)
 
-    merged: list[DailyDeletionRecord] = [record for part in parts for record in part]
-    merged.sort(key=lambda r: (r.account_id, r.day))
-    for a, b in zip(merged, merged[1:]):
-        if a.account_id == b.account_id and a.day == b.day:
-            raise ValueError(
-                f"shards are not account-disjoint: account {a.account_id} day {a.day}"
-            )
-    return merged
+
+def _group_shard(source) -> dict[tuple[int, int], list[int]]:
+    return _group_deletions(source())
+
+
+def _merge_disjoint(
+    parts: Iterable[dict[tuple[int, int], list[int]]],
+) -> dict[tuple[int, int], list[int]]:
+    groups: dict[tuple[int, int], list[int]] = {}
+    for part in parts:
+        for key, ids in part.items():
+            if key in groups:
+                account_id, ordinal = key
+                raise ValueError(
+                    f"shards are not account-disjoint: account {account_id} "
+                    f"day {date.fromordinal(ordinal)}"
+                )
+            groups[key] = ids
+    return groups
 
 
 def aggregate_unlikes(notices: Iterable[ComplianceNotice]) -> list[UnlikeRecord]:
@@ -219,10 +265,47 @@ def aggregate_unlikes(notices: Iterable[ComplianceNotice]) -> list[UnlikeRecord]
             continue
         key = (notice.actor_id, notice.object_id)
         counts[key] = counts.get(key, 0) + 1
-    return [
-        UnlikeRecord(liker_id, tweet_id, count)
-        for (liker_id, tweet_id), count in sorted(counts.items())
-    ]
+    return _unlike_records(counts)
+
+
+def aggregate_events(
+    path, threshold: int = DEFAULT_INCLUSION_THRESHOLD
+) -> tuple[list[DailyDeletionRecord], list[UnlikeRecord]]:
+    """``aggregate_daily`` and ``aggregate_unlikes`` over an event file, in one pass.
+
+    Equal to ``(aggregate_daily(read_notices(path), threshold),
+    aggregate_unlikes(read_notices(path)))``, with the same errors, but
+    builds no notice objects. A timestamp in the form ``format_timestamp``
+    writes is bucketed by its first ten characters, each distinct day string
+    parsed once; any other form goes through ``parse_timestamp``.
+    """
+    _check_threshold(threshold)
+    groups: dict[tuple[int, int], list[int]] = {}
+    counts: dict[tuple[int, int], int] = {}
+    day_ordinals: dict[str, int] = {}
+    canonical = CANONICAL_TIMESTAMP.fullmatch
+    tweet_delete = NoticeKind.TWEET_DELETE
+    unlike = NoticeKind.UNLIKE
+    for number, kind, actor_id, object_id, observed in read_notice_fields(path):
+        if canonical(observed):
+            day = observed[:10]
+            ordinal = day_ordinals.get(day)
+            if ordinal is None:
+                ordinal = parse_observed_at(observed, number).toordinal()
+                day_ordinals[day] = ordinal
+        else:
+            ordinal = parse_observed_at(observed, number).toordinal()
+        if kind is tweet_delete:
+            key = (actor_id, ordinal)
+            ids = groups.get(key)
+            if ids is None:
+                groups[key] = [object_id]
+            else:
+                ids.append(object_id)
+        elif kind is unlike:
+            key = (actor_id, object_id)
+            counts[key] = counts.get(key, 0) + 1
+    return _daily_records(groups, threshold), _unlike_records(counts)
 
 
 def build_timelines(

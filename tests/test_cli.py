@@ -79,6 +79,13 @@ class TestExitCodes:
         Path("events.ndjson").write_text('{"kind":"tweet_delete"}\n')
         assert run("aggregate", "--events", "events.ndjson", "--out", "out") == 3
 
+    def test_config_without_value_usage_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            run("estimate", "--timelines", "agg", "--out", "est", "--config")
+        assert err.value.code == 2
+        assert "--config: expected one argument" in capsys.readouterr().err
+
     def test_bad_spec_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("spec.json").write_text('{"cohorts": [{"kind": "idle"}]}')
@@ -247,6 +254,19 @@ class TestPipeline:
             == 0
         )
         assert read_violations(workspace / "fl_over" / "violations.csv") != []
+
+    def test_config_equals_form_applied(self, workspace):
+        config = workspace / "flood.json"
+        config.write_text(json.dumps({"limit": 100_000, "timelines": "agg"}))
+        assert (
+            run(
+                "detect-flooding",
+                "--config=flood.json",
+                "--out", "fl_eq/violations.csv",
+            )
+            == 0
+        )
+        assert read_violations(workspace / "fl_eq" / "violations.csv") == []
 
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "bad.json"

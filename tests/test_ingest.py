@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
+import tempfile
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,8 +17,12 @@ from delstream.records import (
     SNOWFLAKE_EPOCH_MS,
     AccountSnapshot,
     AccountStatus,
+    CANONICAL_TIMESTAMP,
     ComplianceNotice,
     NoticeKind,
+    format_timestamp,
+    parse_timestamp,
+    read_notices,
 )
 
 UTC = timezone.utc
@@ -298,6 +305,19 @@ def _shard_notices(shard: int, shards: int, per_account: int):
     return notices
 
 
+_any_notice = st.builds(
+    ComplianceNotice,
+    kind=st.sampled_from(list(NoticeKind)),
+    actor_id=st.integers(1, 5),
+    object_id=st.integers(1, 2**63),
+    observed_at=st.builds(
+        at,
+        st.sampled_from([DAY0 + timedelta(days=i) for i in range(3)]),
+        st.integers(0, 23),
+    ),
+)
+
+
 class TestShardedAggregation:
     def test_matches_unsharded(self):
         sources = [partial(_shard_notices, shard, 4, 12) for shard in range(4)]
@@ -311,6 +331,261 @@ class TestShardedAggregation:
         source = partial(_shard_notices, 0, 1, 12)
         with pytest.raises(ValueError):
             ingest.aggregate_daily_sharded([source, source], processes=1)
+
+    def test_account_day_split_below_threshold_rejected(self):
+        # 8 + 8 notices of one account-day: each part alone is below the
+        # threshold, together they are a record.
+        notices = deletions(1, DAY0, 16)
+        assert len(ingest.aggregate_daily(notices, threshold=10)) == 1
+        sources = [partial(list, notices[:8]), partial(list, notices[8:])]
+        with pytest.raises(ValueError, match="account 1 day 2021-04-26"):
+            ingest.aggregate_daily_sharded(sources, threshold=10, processes=1)
+
+    @given(
+        notices=st.lists(_any_notice, max_size=60),
+        shard_of_account=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        threshold=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_account_disjoint_partition_equals_single(
+        self, notices, shard_of_account, threshold
+    ):
+        parts = [[] for _ in range(4)]
+        for notice in notices:
+            parts[shard_of_account[notice.actor_id - 1]].append(notice)
+        sources = [partial(list, part) for part in parts]
+        assert ingest.aggregate_daily_sharded(
+            sources, threshold, processes=1
+        ) == ingest.aggregate_daily(notices, threshold)
+
+    @given(
+        assigned=st.lists(
+            st.tuples(_any_notice, st.integers(0, 2)), max_size=60
+        ),
+        threshold=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_partition_equals_single_or_raises_on_split_account_day(
+        self, assigned, threshold
+    ):
+        parts = [[] for _ in range(3)]
+        shards_of_day: dict[tuple[int, date], set[int]] = {}
+        for notice, shard in assigned:
+            parts[shard].append(notice)
+            if notice.kind is NoticeKind.TWEET_DELETE:
+                key = (notice.actor_id, notice.observed_at.date())
+                shards_of_day.setdefault(key, set()).add(shard)
+        sources = [partial(list, part) for part in parts]
+        if any(len(shards) > 1 for shards in shards_of_day.values()):
+            with pytest.raises(ValueError, match="not account-disjoint"):
+                ingest.aggregate_daily_sharded(sources, threshold, processes=1)
+        else:
+            notices = [notice for notice, _ in assigned]
+            assert ingest.aggregate_daily_sharded(
+                sources, threshold, processes=1
+            ) == ingest.aggregate_daily(notices, threshold)
+
+
+# -- one-pass aggregation of an event file ----------------------------------
+
+_MIDNIGHT = datetime(2021, 4, 27, tzinfo=UTC)
+
+#: Instants from a day before to a day after one UTC midnight, half of them
+#: within one second of it.
+_instants = st.one_of(
+    st.integers(-1_000_000, 1_000_000),
+    st.integers(-86_400_000_000, 86_400_000_000),
+).map(lambda us: _MIDNIGHT + timedelta(microseconds=us))
+
+_offsets = st.integers(-14 * 60, 14 * 60).map(lambda m: timezone(timedelta(minutes=m)))
+
+#: Timestamps every supported Python version parses, in every form.
+_timestamps = st.one_of(
+    # the canonical form, with and without a fraction
+    _instants.map(format_timestamp),
+    _instants.map(lambda t: format_timestamp(t.replace(microsecond=0))),
+    # offsets and naive times
+    st.builds(lambda t, tz: t.astimezone(tz).isoformat(), _instants, _offsets),
+    _instants.map(lambda t: t.replace(tzinfo=None).isoformat()),
+    _instants.map(lambda t: t.isoformat(timespec="milliseconds")),
+)
+
+#: Edits of a canonical timestamp into nearby forms, most of them invalid.
+_EDITS = [
+    lambda ts: ts[:11] + "24" + ts[13:],  # hour 24
+    lambda ts: ts[:14] + "60" + ts[16:],  # minute 60
+    lambda ts: ts[:17] + "60" + ts[19:],  # second 60
+    lambda ts: ts[:8] + "31" + ts[10:],  # April 31
+    lambda ts: ts[:12] + "\uff12" + ts[13:],  # fullwidth digit
+    lambda ts: ts[:18] + "\u0660" + ts[19:],  # Arabic-Indic digit
+    lambda ts: "\u0662" + ts[1:],
+    lambda ts: ts[:19] + ".5Z",
+    lambda ts: ts[:19] + ".1234567Z",
+    lambda ts: ts[:-1] + "z",
+    lambda ts: ts + "Z",
+    lambda ts: ts[:-1],
+    lambda ts: ts[:10] + " " + ts[11:],
+    lambda ts: ts[:10],
+]
+
+#: Timestamps rejected by at least one supported Python version.
+_odd_timestamps = st.one_of(
+    st.builds(
+        lambda ts, edit: edit(ts),
+        _instants.map(format_timestamp),
+        st.sampled_from(_EDITS),
+    ),
+    st.sampled_from(
+        [
+            "2021-02-30T12:00:00Z",  # Feb 30
+            "2021-13-01T12:00:00Z",
+            "0001-01-01T00:30:00+01:00",
+            "",
+            "not a time",
+        ]
+    ),
+)
+
+_odd_ids = st.one_of(
+    st.integers(1, 2**64),
+    st.sampled_from([0, -1, -(2**63), True, False, 1.0, "7", None]),
+)
+
+
+def _event(kind, actor_id, object_id, observed_at) -> str:
+    return json.dumps(
+        {
+            "kind": kind,
+            "actor_id": actor_id,
+            "object_id": object_id,
+            "observed_at": observed_at,
+        }
+    )
+
+
+_kinds = st.sampled_from(["tweet_delete", "tweet_delete", "unlike"])
+_object_ids = st.one_of(st.integers(1, 2**63), st.integers(1, 4))
+
+#: Lines read without error: events, unknown kinds and blank lines.
+_good_lines = st.one_of(
+    st.builds(_event, _kinds, st.integers(1, 3), _object_ids, _timestamps),
+    st.builds(_event, st.just("scrub_geo"), _odd_ids, _odd_ids, _odd_timestamps),
+    st.sampled_from(["", "   ", "\t"]),
+)
+
+#: Lines that may fail: one odd field in an event, or not an event at all.
+_odd_lines = st.one_of(
+    st.builds(_event, _kinds, st.integers(1, 3), _object_ids, _odd_timestamps),
+    st.builds(_event, _kinds, st.integers(1, 3), _object_ids, _odd_timestamps),
+    st.builds(_event, _kinds, _odd_ids, _object_ids, _timestamps),
+    st.builds(_event, _kinds, st.integers(1, 3), _odd_ids, _timestamps),
+    st.builds(
+        _event,
+        st.sampled_from(["", 5, None, ["unlike"]]),
+        st.integers(1, 3),
+        _object_ids,
+        _timestamps,
+    ),
+    st.builds(
+        _event,
+        _kinds,
+        st.integers(1, 3),
+        _object_ids,
+        st.sampled_from([None, 1619395200, []]),
+    ),
+    st.sampled_from(
+        [
+            "{not json",
+            "[1, 2]",
+            "null",
+            '"tweet_delete"',
+            '{"kind": "tweet_delete"}',
+            '{"kind":"unlike","actor_id":1,"object_id":2,'
+            '"observed_at":"2021-04-26T01:00:00Z"} x',
+        ]
+    ),
+)
+
+
+@st.composite
+def _event_files(draw) -> list[str]:
+    lines = draw(st.lists(_good_lines, max_size=40))
+    for odd in draw(st.lists(_odd_lines, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return lines
+
+
+def _outcome(func):
+    try:
+        return func()
+    except Exception as err:  # compare failures by type, message and line
+        return type(err), str(err), getattr(err, "line_number", None)
+
+
+class TestAggregateEvents:
+    @given(lines=_event_files(), threshold=st.integers(1, 4))
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_equals_two_pass_reference(self, lines, threshold):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "events.ndjson"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = _outcome(
+                lambda: (
+                    ingest.aggregate_daily(read_notices(path), threshold),
+                    ingest.aggregate_unlikes(read_notices(path)),
+                )
+            )
+            assert _outcome(lambda: ingest.aggregate_events(path, threshold)) == expected
+
+    @given(st.dates(), st.from_regex(CANONICAL_TIMESTAMP, fullmatch=True))
+    @settings(max_examples=300)
+    def test_canonical_form_day_is_its_prefix(self, day, ts):
+        ts = day.isoformat() + ts[10:]
+        assert CANONICAL_TIMESTAMP.fullmatch(ts)
+        assert parse_timestamp(ts).date() == day
+
+    def test_midnight_offsets_bucket_by_utc_day(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        stamps = [
+            "2021-04-26T23:59:59.999999Z",
+            "2021-04-27T00:00:00Z",
+            "2021-04-27T01:30:00+02:00",  # 2021-04-26T23:30:00Z
+            "2021-04-26T23:30:00-01:00",  # 2021-04-27T00:30:00Z
+            "2021-04-27T00:00:00",  # naive, taken as UTC
+        ]
+        path.write_text(
+            "".join(
+                _event("tweet_delete", 1, 10**18 + i, stamp) + "\n"
+                for i, stamp in enumerate(stamps)
+            )
+        )
+        daily, unlikes = ingest.aggregate_events(path, threshold=1)
+        assert [(r.day, r.tweet_ids) for r in daily] == [
+            (date(2021, 4, 26), (10**18, 10**18 + 2)),
+            (date(2021, 4, 27), (10**18 + 1, 10**18 + 3, 10**18 + 4)),
+        ]
+        assert unlikes == []
+
+    def test_unknown_kind_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "events.ndjson"
+        path.write_text(
+            _event("user_protect", 1, 2, "2021-04-26T01:00:00Z")
+            + "\n"
+            + _event("unlike", 1, 2, "2021-04-26T01:00:00Z")
+            + "\n"
+        )
+        with caplog.at_level("WARNING"):
+            daily, unlikes = ingest.aggregate_events(path)
+        assert daily == [] and unlikes == [ingest.UnlikeRecord(1, 2, 1)]
+        assert any("skipping event: line 1" in message for message in caplog.messages)
+
+    def test_threshold_validation(self, tmp_path):
+        with pytest.raises(ValueError):
+            ingest.aggregate_events(tmp_path / "missing.ndjson", threshold=0)
 
 
 class TestSerialization:
