@@ -32,10 +32,7 @@ from .behavior import (
 from .coordination import (
     DEFAULT_MIN_COMPONENT,
     DEFAULT_MIN_UNLIKES,
-    build_tripartite,
-    filter_components,
-    filter_unlikers,
-    project_bipartite,
+    detect_coordination,
 )
 from .estimate import (
     DEFAULT_ESTIMATE_FLOOR,
@@ -59,10 +56,17 @@ from .ingest import (
 from .records import RecordParseError, read_snapshots
 from .synth import generate, read_population_spec, write_dataset
 
-# Not called here since aggregate reads events in one pass. The traced
-# benchmark (bench/tracing.py) reports a time for each layer function this
-# module imports, and BENCHMARK.json names these three; they stay imported,
-# and read 0, until the benchmark's per-layer metrics are re-keyed.
+# Not called here since aggregate reads events in one pass and
+# detect-coordination runs detect_coordination. The traced benchmark
+# (bench/tracing.py) reports a time for each layer function this module
+# imports, and BENCHMARK.json names these; they stay imported, and read 0,
+# until the benchmark's per-layer metrics are re-keyed.
+from .coordination import (  # noqa: F401
+    build_tripartite,
+    filter_components,
+    filter_unlikers,
+    project_bipartite,
+)
 from .ingest import aggregate_daily, aggregate_unlikes  # noqa: F401
 from .records import read_notices  # noqa: F401
 
@@ -390,9 +394,8 @@ def _cmd_detect_flooding(args) -> int:
 def _cmd_detect_coordination(args) -> int:
     daily = list(read_daily_records(args.deletions))
     unlikes = list(read_unlike_records(args.unlikes))
-    net = build_tripartite(daily, unlikes)
-    filtered = filter_unlikers(net, args.min_unlikes)
-    graph = filter_components(project_bipartite(filtered), args.min_component)
+    graph = detect_coordination(daily, unlikes, args.min_unlikes, args.min_component)
+    funnel = graph.funnel
 
     component_of = {node.account_id: node.component_id for node in graph.nodes}
     edge_counts: dict[int, int] = {members[0]: 0 for members in graph.components}
@@ -426,10 +429,10 @@ def _cmd_detect_coordination(args) -> int:
             "min_unlikes": args.min_unlikes,
             "min_component": args.min_component,
             # The repeat-unlike filter reported both ways: edges and accounts.
-            "liker_edges_before": len(net.liker_edges),
-            "liker_edges_after": len(filtered.liker_edges),
-            "liker_accounts_before": len(net.likers()),
-            "liker_accounts_after": len(filtered.likers()),
+            "liker_edges_before": funnel.liker_edges_before,
+            "liker_edges_after": funnel.liker_edges_after,
+            "liker_accounts_before": funnel.liker_accounts_before,
+            "liker_accounts_after": funnel.liker_accounts_after,
         },
         ["edges.csv", "nodes.csv", "components.csv", "manifest.json"],
     )

@@ -1,18 +1,29 @@
 """Coordinated like/unlike/delete detection via tripartite projection.
 
-Starting from accounts that deleted tweets and accounts that repeatedly
-unliked those same tweets, the pipeline builds a deleter-tweet-liker
-tripartite network, discards casual unlikers, projects the rest onto a
-directed liker-to-deleter graph, and keeps only weakly connected components
-large enough to indicate coordination. All outputs are sorted by ID so graph
-files are byte-reproducible.
+An account that repeatedly unlikes a tweet its author later deletes is
+linked to that author, liker -> deleter; weakly connected components large
+enough to indicate coordination are kept. ``detect_coordination`` works from
+the unlike side. It keeps only the tweets that have an unlike record, maps
+each of them to its deleters in one pass over the daily deletion records,
+drops unlikes of tweets nobody deleted and casual unlikers, then projects
+the rest onto a directed liker-to-deleter graph and runs the components
+step. No deleter edge is built for a tweet nobody unliked, and a node's
+``deletion_total`` (the distinct tweets it deleted, over all its records) is
+computed only for the accounts that end up as nodes.
+
+``build_tripartite``, ``filter_unlikers``, ``project_bipartite`` and
+``filter_components`` are the same pipeline one step at a time, over the
+whole deleter-tweet-liker network; ``detect_coordination`` equals their
+composition node for node, and shares its projection with
+``project_bipartite``. All outputs are sorted by ID so graph files are
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 from .ingest import DailyDeletionRecord, UnlikeRecord
 
@@ -77,17 +88,34 @@ class CoordinationNode:
 
 
 @dataclass(frozen=True, slots=True)
+class UnlikeFunnel:
+    """Liker edges and liker accounts before and after the repeat-unlike filter.
+
+    Counted over unlikes of deleted tweets: ``len(net.liker_edges)`` and
+    ``len(net.likers())`` of the tripartite network, then of the network
+    ``filter_unlikers`` returns.
+    """
+
+    liker_edges_before: int
+    liker_edges_after: int
+    liker_accounts_before: int
+    liker_accounts_after: int
+
+
+@dataclass(frozen=True, slots=True)
 class CoordinationGraph:
     """Directed liker-to-deleter graph with component structure.
 
     ``nodes`` are sorted by account ID, ``edges`` by (source, target), and
     ``components`` lists each component's sorted members, ordered by the
-    component ID (the smallest member account ID).
+    component ID (the smallest member account ID). ``funnel`` is set by
+    ``detect_coordination`` and left out of comparisons.
     """
 
     nodes: tuple[CoordinationNode, ...]
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
+    funnel: UnlikeFunnel | None = field(default=None, compare=False)
 
     @property
     def node_ids(self) -> tuple[int, ...]:
@@ -130,12 +158,16 @@ def filter_unlikers(
     Likers left with no edges disappear with their edges; deleter edges are
     untouched.
     """
-    if min_unlikes < 1:
-        raise ValueError(f"min_unlikes must be >= 1, got {min_unlikes}")
+    _check_at_least_one("min_unlikes", min_unlikes)
     kept = frozenset(
         edge for edge in net.liker_edges if edge[2] >= min_unlikes
     )
     return TripartiteNetwork(net.deleter_edges, kept)
+
+
+def _check_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _weakly_connected_components(
@@ -165,6 +197,57 @@ def _weakly_connected_components(
     return components
 
 
+def _project(
+    deleters_of: dict[int, set[int]],
+    liker_edges: Iterable[tuple[int, int, int]],
+    deletion_totals: Callable[[Iterable[int]], dict[int, int]],
+    min_nodes: int,
+) -> CoordinationGraph:
+    """Project distinct liker edges onto liker-to-deleter edges, keeping the
+    components of at least ``min_nodes`` nodes.
+
+    ``deleters_of`` maps the tweet of every liker edge to its deleters;
+    ``deletion_totals`` maps the IDs of the kept nodes to their totals.
+    """
+    edges: set[tuple[int, int]] = set()
+    unlike_totals: dict[int, int] = {}
+    for liker_id, tweet_id, unlike_count in liker_edges:
+        unlike_totals[liker_id] = unlike_totals.get(liker_id, 0) + unlike_count
+        for deleter_id in deleters_of[tweet_id]:
+            edges.add((liker_id, deleter_id))
+
+    node_ids = {source for source, _ in edges} | {target for _, target in edges}
+    in_degrees: dict[int, int] = {}
+    for _, target in edges:
+        in_degrees[target] = in_degrees.get(target, 0) + 1
+
+    components = [
+        members
+        for members in _weakly_connected_components(node_ids, edges)
+        if len(members) >= min_nodes
+    ]
+    component_of = {
+        member: members[0] for members in components for member in members
+    }
+    totals = deletion_totals(component_of)
+
+    nodes = []
+    for node_id in sorted(component_of):
+        unlike_total = unlike_totals.get(node_id, 0)
+        nodes.append(
+            CoordinationNode(
+                node_id,
+                unlike_total,
+                totals[node_id],
+                role_ratio(unlike_total, totals[node_id]),
+                in_degrees.get(node_id, 0),
+                component_of[node_id],
+            )
+        )
+    kept_edges = sorted(edge for edge in edges if edge[0] in component_of)
+    return CoordinationGraph(tuple(nodes), tuple(kept_edges), tuple(components))
+
+
 def project_bipartite(net: TripartiteNetwork) -> CoordinationGraph:
     """Project the tripartite network onto directed liker-to-deleter edges.
 
@@ -177,50 +260,21 @@ def project_bipartite(net: TripartiteNetwork) -> CoordinationGraph:
     for deleter_id, tweet_id in net.deleter_edges:
         deleters_of.setdefault(tweet_id, set()).add(deleter_id)
 
-    edges: set[tuple[int, int]] = set()
-    for liker_id, tweet_id, _ in net.liker_edges:
-        for deleter_id in deleters_of.get(tweet_id, ()):
-            edges.add((liker_id, deleter_id))
+    def deletion_totals(node_ids: Iterable[int]) -> dict[int, int]:
+        totals = dict.fromkeys(node_ids, 0)
+        for deleter_id, _ in net.deleter_edges:
+            if deleter_id in totals:
+                totals[deleter_id] += 1
+        return totals
 
-    node_ids = {source for source, _ in edges} | {target for _, target in edges}
-
-    unlike_totals = {node_id: 0 for node_id in node_ids}
-    for liker_id, _, unlike_count in net.liker_edges:
-        if liker_id in unlike_totals:
-            unlike_totals[liker_id] += unlike_count
-    deletion_totals = {node_id: 0 for node_id in node_ids}
-    for deleter_id, _ in net.deleter_edges:
-        if deleter_id in deletion_totals:
-            deletion_totals[deleter_id] += 1
-    in_degrees = {node_id: 0 for node_id in node_ids}
-    for _, target in edges:
-        in_degrees[target] += 1
-
-    components = _weakly_connected_components(node_ids, edges)
-    component_of = {
-        member: members[0] for members in components for member in members
-    }
-
-    nodes = tuple(
-        CoordinationNode(
-            node_id,
-            unlike_totals[node_id],
-            deletion_totals[node_id],
-            role_ratio(unlike_totals[node_id], deletion_totals[node_id]),
-            in_degrees[node_id],
-            component_of[node_id],
-        )
-        for node_id in sorted(node_ids)
-    )
-    return CoordinationGraph(nodes, tuple(sorted(edges)), tuple(components))
+    return _project(deleters_of, net.liker_edges, deletion_totals, 1)
 
 
 def filter_components(
     graph: CoordinationGraph, min_nodes: int = DEFAULT_MIN_COMPONENT
 ) -> CoordinationGraph:
     """Keep only weakly connected components with at least ``min_nodes`` nodes."""
-    if min_nodes < 1:
-        raise ValueError(f"min_nodes must be >= 1, got {min_nodes}")
+    _check_at_least_one("min_nodes", min_nodes)
     kept_components = tuple(
         members for members in graph.components if len(members) >= min_nodes
     )
@@ -240,7 +294,53 @@ def detect_coordination(
     min_unlikes: int = DEFAULT_MIN_UNLIKES,
     min_component: int = DEFAULT_MIN_COMPONENT,
 ) -> CoordinationGraph:
-    """Full pipeline: build, filter unlikers, project, filter components."""
-    net = build_tripartite(daily_deletions, unlikes)
-    filtered = filter_unlikers(net, min_unlikes)
-    return filter_components(project_bipartite(filtered), min_component)
+    """Full pipeline, from the unlike side; sets the graph's ``funnel``.
+
+    Equals ``filter_components(project_bipartite(filter_unlikers(
+    build_tripartite(daily_deletions, unlikes), min_unlikes)),
+    min_component)``. Reads ``unlikes`` first, then ``daily_deletions``
+    once; a deletion record's tweets are looked at one by one only if one
+    of them has an unlike record.
+    """
+    _check_at_least_one("min_unlikes", min_unlikes)
+    _check_at_least_one("min_nodes", min_component)
+
+    unlikers_of: dict[int, set[tuple[int, int]]] = {}
+    for record in unlikes:
+        unlikers_of.setdefault(record.tweet_id, set()).add(
+            (record.liker_id, record.unlike_count)
+        )
+    unliked = unlikers_of.keys()
+
+    deleters_of: dict[int, set[int]] = {}
+    tweets_of: dict[int, list[tuple[int, ...]]] = {}
+    for record in daily_deletions:
+        account_id, tweet_ids = record.account_id, record.tweet_ids
+        tweets_of.setdefault(account_id, []).append(tweet_ids)
+        if unliked.isdisjoint(tweet_ids):
+            continue
+        for tweet_id in tweet_ids:
+            if tweet_id in unliked:
+                deleters_of.setdefault(tweet_id, set()).add(account_id)
+
+    liker_edges = [
+        (liker_id, tweet_id, unlike_count)
+        for tweet_id in deleters_of
+        for liker_id, unlike_count in unlikers_of[tweet_id]
+    ]
+    kept = [edge for edge in liker_edges if edge[2] >= min_unlikes]
+    funnel = UnlikeFunnel(
+        len(liker_edges),
+        len(kept),
+        len({liker_id for liker_id, _, _ in liker_edges}),
+        len({liker_id for liker_id, _, _ in kept}),
+    )
+
+    def deletion_totals(node_ids: Iterable[int]) -> dict[int, int]:
+        return {
+            node_id: len(set().union(*tweets_of.get(node_id, ())))
+            for node_id in node_ids
+        }
+
+    graph = _project(deleters_of, kept, deletion_totals, min_component)
+    return replace(graph, funnel=funnel)

@@ -370,14 +370,28 @@ def daily_record_to_dict(record: DailyDeletionRecord) -> dict:
     }
 
 
+def _int(raw: dict, key: str) -> int:
+    value = raw[key]
+    if type(value) is not int:  # JSON true/false load as bool
+        raise TypeError(f"{key!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _ints(raw: dict, key: str) -> tuple[int, ...]:
+    values = tuple(raw[key])
+    if not set(map(type, values)) <= {int}:
+        raise TypeError(f"{key!r} must hold only integers")
+    return values
+
+
 def daily_record_from_dict(raw: dict, line_number: int = 0) -> DailyDeletionRecord:
     try:
         return DailyDeletionRecord(
-            raw["account_id"],
+            _int(raw, "account_id"),
             date.fromisoformat(raw["day"]),
-            raw["deletion_count"],
-            tuple(raw["deleted_ages_days"]),
-            tuple(raw["tweet_ids"]),
+            _int(raw, "deletion_count"),
+            _ints(raw, "deleted_ages_days"),
+            _ints(raw, "tweet_ids"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise RecordParseError(f"bad deletion record: {err}", line_number) from None
@@ -393,7 +407,9 @@ def unlike_record_to_dict(record: UnlikeRecord) -> dict:
 
 def unlike_record_from_dict(raw: dict, line_number: int = 0) -> UnlikeRecord:
     try:
-        return UnlikeRecord(raw["liker_id"], raw["tweet_id"], raw["unlike_count"])
+        return UnlikeRecord(
+            _int(raw, "liker_id"), _int(raw, "tweet_id"), _int(raw, "unlike_count")
+        )
     except (KeyError, TypeError, ValueError) as err:
         raise RecordParseError(f"bad unlike record: {err}", line_number) from None
 
@@ -409,7 +425,7 @@ def timeline_to_dict(timeline: AccountTimeline) -> dict:
 def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
     try:
         return AccountTimeline(
-            raw["account_id"],
+            _int(raw, "account_id"),
             tuple(snapshot_from_dict(s, line_number) for s in raw["snapshots"]),
             tuple(
                 daily_record_from_dict(r, line_number) for r in raw["deletion_days"]

@@ -74,11 +74,18 @@ def datetime_to_ms(dt: datetime) -> int:
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 timestamp; naive values are taken as UTC.
+
+    Raises ValueError for a malformed value and for one whose UTC time falls
+    outside the datetime range (``0001-01-01T00:30:00+01:00``).
+    """
     dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         return dt.replace(tzinfo=_UTC)
-    return dt.astimezone(_UTC)
+    try:
+        return dt.astimezone(_UTC)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
 
 
 def format_timestamp(dt: datetime) -> str:

@@ -79,6 +79,58 @@ class TestExitCodes:
         Path("events.ndjson").write_text('{"kind":"tweet_delete"}\n')
         assert run("aggregate", "--events", "events.ndjson", "--out", "out") == 3
 
+    def test_timestamp_outside_range_in_utc_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("events.ndjson").write_text(
+            '{"kind":"tweet_delete","actor_id":1,"object_id":2,'
+            '"observed_at":"0001-01-01T00:30:00+01:00"}\n'
+        )
+        assert run("aggregate", "--events", "events.ndjson", "--out", "out") == 3
+        assert "line 1: bad timestamp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "deletion",
+        [
+            '{"account_id":1,"day":"2021-04-26","deletion_count":1,'
+            '"deleted_ages_days":[],"tweet_ids":[[5]]}',
+            '{"account_id":"x","day":"2021-04-26","deletion_count":1,'
+            '"deleted_ages_days":[],"tweet_ids":["5"]}',
+        ],
+    )
+    def test_non_integer_deletion_record_exit_3(self, tmp_path, monkeypatch, deletion):
+        monkeypatch.chdir(tmp_path)
+        Path("daily.ndjson").write_text(deletion + "\n")
+        Path("unlikes.ndjson").write_text('{"liker_id":2,"tweet_id":5,"unlike_count":5}\n')
+        argv = ["detect-coordination", "--deletions", "daily.ndjson",
+                "--unlikes", "unlikes.ndjson", "--min-component", 1, "--out", "out"]
+        assert run(*argv) == 3
+
+    @pytest.mark.parametrize(
+        "unlike",
+        [
+            '{"liker_id":2,"tweet_id":[5],"unlike_count":5}',
+            '{"liker_id":"2","tweet_id":5,"unlike_count":5}',
+        ],
+    )
+    def test_non_integer_unlike_record_exit_3(self, tmp_path, monkeypatch, unlike):
+        monkeypatch.chdir(tmp_path)
+        Path("daily.ndjson").write_text(
+            '{"account_id":1,"day":"2021-04-26","deletion_count":1,'
+            '"deleted_ages_days":[],"tweet_ids":[5]}\n'
+        )
+        Path("unlikes.ndjson").write_text(unlike + "\n")
+        argv = ["detect-coordination", "--deletions", "daily.ndjson",
+                "--unlikes", "unlikes.ndjson", "--min-component", 1, "--out", "out"]
+        assert run(*argv) == 3
+
+    def test_non_integer_timeline_account_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":"x","snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":2,"snapshots":[],"deletion_days":[]}\n'
+        )
+        assert run("stats", "--timelines", "timelines.ndjson", "--out", "out") == 3
+
     def test_config_without_value_usage_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -261,3 +261,94 @@ class TestPipeline:
                 if (source, tweet_id) in heavy_unlikes
             ]
             assert witnesses
+
+
+# Small ID ranges, so that tweets are often deleted by several accounts, the
+# same (account, tweet) recurs on several days, likers also delete (their
+# own unliked tweets too: self-loops) and some unliked tweets are never
+# deleted.
+_deletion_records = st.lists(
+    st.builds(
+        lambda account_id, day, tweet_ids: DailyDeletionRecord(
+            account_id,
+            DAY0 + timedelta(days=day),
+            len(tweet_ids),
+            (),
+            tuple(sorted(tweet_ids)),
+        ),
+        st.integers(1, 8),
+        st.integers(0, 3),
+        st.lists(st.integers(10, 25), min_size=1, max_size=6),
+    ),
+    max_size=14,
+)
+_unlike_records = st.lists(
+    st.builds(UnlikeRecord, st.integers(1, 14), st.integers(10, 30), st.integers(1, 8)),
+    max_size=40,
+)
+
+
+class TestPipelineEqualsSteps:
+    @given(
+        records=_deletion_records,
+        unlikes=_unlike_records,
+        min_unlikes=st.integers(1, 6),
+        min_component=st.integers(1, 6),
+    )
+    @example(
+        records=[
+            deletion(1, [10, 11]),  # tweet 10 deleted by accounts 1 and 2
+            deletion(2, [10, 12]),
+            DailyDeletionRecord(2, DAY0 + timedelta(days=1), 2, (), (12, 13)),
+            deletion(5, [20, 21, 22]),  # a liker that deletes other tweets
+        ],
+        unlikes=[
+            unlike(3, 10, 6),
+            unlike(4, 10, 2),
+            unlike(2, 12, 5),  # self-loop
+            unlike(5, 11, 7),
+            unlike(6, 99, 9),  # nobody deleted tweet 99
+        ],
+        min_unlikes=2,
+        min_component=1,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_step_composition(self, records, unlikes, min_unlikes, min_component):
+        net = c.build_tripartite(records, unlikes)
+        filtered = c.filter_unlikers(net, min_unlikes)
+        expected = c.filter_components(c.project_bipartite(filtered), min_component)
+        # one-shot iterators: each input is read once
+        got = c.detect_coordination(
+            iter(records), iter(unlikes), min_unlikes, min_component
+        )
+        assert got.nodes == expected.nodes
+        assert got.edges == expected.edges
+        assert got.components == expected.components
+        assert got.funnel == c.UnlikeFunnel(
+            len(net.liker_edges),
+            len(filtered.liker_edges),
+            len(net.likers()),
+            len(filtered.likers()),
+        )
+
+    def test_deletion_total_counts_distinct_tweets_over_all_records(self):
+        records = [
+            deletion(1, [10, 11, 11]),
+            DailyDeletionRecord(1, DAY0 + timedelta(days=1), 2, (), (11, 12)),
+        ]
+        graph = c.detect_coordination(records, [unlike(2, 10, 5)], min_component=1)
+        assert graph.node(1).deletion_total == 3
+        assert graph.node(2).deletion_total == 0
+
+    def test_funnel_not_compared(self):
+        records, unlikes = [deletion(1, [10])], [unlike(2, 10, 5)]
+        graph = c.detect_coordination(records, unlikes, min_component=1)
+        assert graph.funnel == c.UnlikeFunnel(1, 1, 1, 1)
+        assert graph == c.project_bipartite(c.build_tripartite(records, unlikes))
+
+    @pytest.mark.parametrize(
+        "thresholds", [{"min_unlikes": 0}, {"min_component": 0}]
+    )
+    def test_invalid_thresholds(self, thresholds):
+        with pytest.raises(ValueError):
+            c.detect_coordination([], [], **thresholds)

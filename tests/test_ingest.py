@@ -20,6 +20,7 @@ from delstream.records import (
     CANONICAL_TIMESTAMP,
     ComplianceNotice,
     NoticeKind,
+    RecordParseError,
     format_timestamp,
     parse_timestamp,
     read_notices,
@@ -587,6 +588,18 @@ class TestAggregateEvents:
         with pytest.raises(ValueError):
             ingest.aggregate_events(tmp_path / "missing.ndjson", threshold=0)
 
+    def test_timestamp_outside_range_in_utc_is_parse_error(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        path.write_text(
+            _event("tweet_delete", 1, 2, "2021-04-26T01:00:00Z")
+            + "\n"
+            + _event("tweet_delete", 1, 3, "0001-01-01T00:30:00+01:00")
+            + "\n"
+        )
+        with pytest.raises(RecordParseError, match="bad timestamp") as err:
+            ingest.aggregate_events(path, threshold=1)
+        assert err.value.line_number == 2
+
 
 class TestSerialization:
     def test_daily_record_roundtrip(self, tmp_path):
@@ -600,6 +613,49 @@ class TestSerialization:
         path = tmp_path / "unlikes.ndjson"
         ingest.write_unlike_records(path, records)
         assert list(ingest.read_unlike_records(path)) == records
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("account_id", "7"),
+            ("account_id", True),
+            ("deletion_count", 1.0),
+            ("tweet_ids", [[5]]),
+            ("tweet_ids", ["5"]),
+            ("tweet_ids", [False]),
+            ("deleted_ages_days", [0.5]),
+        ],
+    )
+    def test_daily_record_non_integer_rejected(self, field, value):
+        raw = {
+            "account_id": 7,
+            "day": "2021-04-26",
+            "deletion_count": 1,
+            "deleted_ages_days": [3],
+            "tweet_ids": [5],
+        }
+        ingest.daily_record_from_dict(raw)
+        with pytest.raises(RecordParseError, match=field) as err:
+            ingest.daily_record_from_dict({**raw, field: value}, line_number=9)
+        assert err.value.line_number == 9
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("liker_id", [1]), ("tweet_id", "5"), ("tweet_id", True), ("unlike_count", 5.0)],
+    )
+    def test_unlike_record_non_integer_rejected(self, field, value):
+        raw = {"liker_id": 1, "tweet_id": 5, "unlike_count": 5}
+        ingest.unlike_record_from_dict(raw)
+        with pytest.raises(RecordParseError, match=field) as err:
+            ingest.unlike_record_from_dict({**raw, field: value}, line_number=2)
+        assert err.value.line_number == 2
+
+    def test_timeline_non_integer_account_rejected(self):
+        raw = {"account_id": 1, "snapshots": [], "deletion_days": []}
+        ingest.timeline_from_dict(raw)
+        with pytest.raises(RecordParseError, match="account_id") as err:
+            ingest.timeline_from_dict({**raw, "account_id": "1"}, line_number=3)
+        assert err.value.line_number == 3
 
     def test_timeline_roundtrip(self, tmp_path):
         records = ingest.aggregate_daily(deletions(1, DAY0, 10))

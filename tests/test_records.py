@@ -57,6 +57,17 @@ class TestParseNotice:
         with pytest.raises(r.RecordParseError):
             r.parse_notice(line)
 
+    @pytest.mark.parametrize(
+        "stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_timestamp_outside_range_in_utc_rejected(self, stamp):
+        line = f'{{"kind":"unlike","actor_id":1,"object_id":2,"observed_at":"{stamp}"}}'
+        with pytest.raises(r.RecordParseError, match="bad timestamp") as err:
+            r.parse_notice(line, line_number=4)
+        assert err.value.line_number == 4
+        with pytest.raises(ValueError):
+            r.parse_timestamp(stamp)
+
     def test_offset_timestamp_normalized_to_utc(self):
         line = '{"kind":"unlike","actor_id":1,"object_id":2,"observed_at":"2021-04-26T02:00:01+02:00"}'
         notice = r.parse_notice(line)
