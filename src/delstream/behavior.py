@@ -77,6 +77,8 @@ def summarize(
     deletion frequency; the remaining accounts split by deleting-day count.
     Bot scores are externally supplied and joined as-is, never computed.
     """
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
     violators = {violation.account_id for violation in violations}
     scores = bot_scores or {}
     summaries = []
@@ -124,6 +126,8 @@ def frequency_buckets(
     Every bucket from 1 to ``window_days`` is reported, empty ones with no
     distribution. Quantiles interpolate linearly between order statistics.
     """
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
     grouped: dict[int, list[float]] = {}
     for summary in summaries:
         grouped.setdefault(summary.deleting_days, []).append(

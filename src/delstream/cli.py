@@ -5,17 +5,16 @@ the command, inputs, and parameters, so a run can be reproduced from its
 manifest alone. Outputs are deterministic for deterministic inputs: no
 timestamps, sorted records, stable float formatting.
 
-Exit codes: 0 success, 2 usage errors or missing input files, 3 malformed
-input records or invalid configuration.
+Exit codes: 0 success, 2 usage errors or paths that cannot be opened
+(missing input files included), 3 malformed input records or invalid
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from datetime import date
 from pathlib import Path
 
 from . import __version__
@@ -53,7 +52,7 @@ from .ingest import (
     write_timelines,
     write_unlike_records,
 )
-from .records import RecordParseError, read_snapshots
+from .records import RecordParseError, read_csv, read_snapshots, write_csv, write_json
 from .synth import generate, read_population_spec, write_dataset
 
 # Not called here since aggregate reads events in one pass and
@@ -71,42 +70,26 @@ from .ingest import aggregate_daily, aggregate_unlikes  # noqa: F401
 from .records import read_notices  # noqa: F401
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, date):
-        return value.isoformat()
-    return str(value)
+class _Outputs:
+    """A stage's output directory and the files the stage has written there."""
 
+    def __init__(self, directory) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.names: list[str] = []
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(value) for value in row])
+    def path(self, name: str) -> Path:
+        """Where to write output ``name``; the manifest lists it from now on."""
+        self.names.append(name)
+        return self.directory / name
 
-
-def _write_manifest(directory: Path, name: str, command: str, inputs: dict,
-                    parameters: dict, outputs: list[str]) -> None:
-    payload = {
-        "command": command,
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-        "parameters": parameters,
-        "tool": {"name": "delstream", "version": __version__},
-    }
-    with open(directory / name, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def manifest(self, command: str, inputs: dict, parameters: dict,
+                 name: str = "manifest.json") -> None:
+        """Write the run's manifest, listing every output and the manifest itself."""
+        path = self.path(name)
+        tool = {"name": "delstream", "version": __version__}
+        write_json(path, {"command": command, "inputs": inputs, "parameters": parameters,
+                          "outputs": sorted(self.names), "tool": tool})
 
 
 def _resolve_timelines(path_arg) -> Path:
@@ -125,24 +108,18 @@ def _read_allowlist(path) -> frozenset[int]:
 
 
 def _read_bot_scores(path) -> dict[int, float]:
-    scores: dict[int, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "account_id" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a CSV with an 'account_id' column")
-        for row in reader:
-            scores[int(row["account_id"])] = float(row["bot_score"])
-    return scores
+    def score(row: dict[str, str]) -> tuple[int, float]:
+        return int(row["account_id"]), float(row["bot_score"])
+
+    return dict(read_csv(path, ("account_id", "bot_score"), score))
 
 
 def _cmd_generate(args) -> int:
     spec = read_population_spec(args.spec)
     dataset = generate(spec, args.seed)
-    out = _out_dir(args)
-    names = write_dataset(dataset, out)
-    _write_manifest(
-        out,
-        "manifest.json",
+    out = _Outputs(args.out)
+    out.names.extend(write_dataset(dataset, out.directory).values())
+    out.manifest(
         "generate",
         {"spec": str(args.spec)},
         {
@@ -152,7 +129,6 @@ def _cmd_generate(args) -> int:
             "accounts": len(dataset.truth.kinds),
             "events": len(dataset.notices),
         },
-        [*names.values(), "manifest.json"],
     )
     return 0
 
@@ -161,22 +137,14 @@ def _cmd_aggregate(args) -> int:
     daily, unlikes = aggregate_events(args.events, args.threshold)
     snapshots = list(read_snapshots(args.snapshots)) if args.snapshots else []
     timelines = build_timelines(snapshots, daily)
-    out = _out_dir(args)
-    write_daily_records(out / "daily_deletions.ndjson", daily)
-    write_unlike_records(out / "unlikes.ndjson", unlikes)
-    write_timelines(out / "timelines.ndjson", timelines)
-    _write_manifest(
-        out,
-        "manifest.json",
+    out = _Outputs(args.out)
+    write_daily_records(out.path("daily_deletions.ndjson"), daily)
+    write_unlike_records(out.path("unlikes.ndjson"), unlikes)
+    write_timelines(out.path("timelines.ndjson"), timelines)
+    out.manifest(
         "aggregate",
         {"events": str(args.events), "snapshots": str(args.snapshots or "")},
         {"threshold": args.threshold},
-        [
-            "daily_deletions.ndjson",
-            "unlikes.ndjson",
-            "timelines.ndjson",
-            "manifest.json",
-        ],
     )
     return 0
 
@@ -201,36 +169,30 @@ def _cmd_estimate(args) -> int:
             seed=args.seed,
         ).p_value
 
-    out = _out_dir(args)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "pair_count": len(report.paired),
-                "account_count": len({p.account_id for p in report.paired}),
-                "mean_estimated": report.mean_estimated,
-                "mean_actual": report.mean_actual,
-                "underestimation_fraction": report.underestimation_fraction,
-                "ks_statistic": report.ks_statistic,
-                "ks_p_value": p_value,
-                "floor": args.floor,
-                "include_gaps": not args.no_gaps,
-                "per_account_median": args.per_account_median,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    _write_csv(
-        out / "pairs.csv",
+    out = _Outputs(args.out)
+    write_json(
+        out.path("report.json"),
+        {
+            "pair_count": len(report.paired),
+            "account_count": len({p.account_id for p in report.paired}),
+            "mean_estimated": report.mean_estimated,
+            "mean_actual": report.mean_actual,
+            "underestimation_fraction": report.underestimation_fraction,
+            "ks_statistic": report.ks_statistic,
+            "ks_p_value": p_value,
+            "floor": args.floor,
+            "include_gaps": not args.no_gaps,
+            "per_account_median": args.per_account_median,
+        },
+    )
+    write_csv(
+        out.path("pairs.csv"),
         ["account_id", "day", "estimated", "actual"],
         ((p.account_id, p.day, p.estimated, p.actual) for p in report.paired),
     )
-    _write_csv(out / "ccdf_estimated.csv", ["value", "fraction"], report.ccdf_estimated)
-    _write_csv(out / "ccdf_actual.csv", ["value", "fraction"], report.ccdf_actual)
-    _write_manifest(
-        out,
-        "manifest.json",
+    write_csv(out.path("ccdf_estimated.csv"), ["value", "fraction"], report.ccdf_estimated)
+    write_csv(out.path("ccdf_actual.csv"), ["value", "fraction"], report.ccdf_actual)
+    out.manifest(
         "estimate",
         {"timelines": str(args.timelines)},
         {
@@ -240,13 +202,6 @@ def _cmd_estimate(args) -> int:
             "permutations": args.permutations,
             "seed": args.seed,
         },
-        [
-            "report.json",
-            "pairs.csv",
-            "ccdf_estimated.csv",
-            "ccdf_actual.csv",
-            "manifest.json",
-        ],
     )
     return 0
 
@@ -285,9 +240,9 @@ def _cmd_stats(args) -> int:
         for term, count in profile_terms(texts(members), args.top_terms):
             term_rows.append((group, term, count))
 
-    out = _out_dir(args)
-    _write_csv(
-        out / "summaries.csv",
+    out = _Outputs(args.out)
+    write_csv(
+        out.path("summaries.csv"),
         [
             "account_id",
             "deleting_days",
@@ -308,16 +263,16 @@ def _cmd_stats(args) -> int:
             for s in summaries
         ),
     )
-    _write_csv(
-        out / "buckets.csv",
+    write_csv(
+        out.path("buckets.csv"),
         ["deleting_days", "count", "min", "q1", "median", "q3", "max"],
         (
             (b.deleting_days, b.count, b.minimum, b.q1, b.median, b.q3, b.maximum)
             for b in buckets
         ),
     )
-    _write_csv(
-        out / "age_ccdf.csv",
+    write_csv(
+        out.path("age_ccdf.csv"),
         ["category", "age_days", "fraction"],
         (
             (category.value, age, fraction)
@@ -325,25 +280,23 @@ def _cmd_stats(args) -> int:
             for age, fraction in median_age_ccdf(summaries, category)
         ),
     )
-    _write_csv(
-        out / "daily_volume_ccdf.csv",
+    write_csv(
+        out.path("daily_volume_ccdf.csv"),
         ["deletions", "fraction"],
         daily_volume_ccdf(
             record for tl in timelines for record in tl.deletion_days
         ),
     )
-    _write_csv(
-        out / "suspensions.csv",
+    write_csv(
+        out.path("suspensions.csv"),
         ["category", "suspended", "total", "unknown", "fraction"],
         (
             (r.category.value, r.suspended, r.total, r.unknown, r.fraction)
             for r in table.rows
         ),
     )
-    _write_csv(out / "terms.csv", ["group", "term", "count"], term_rows)
-    _write_manifest(
-        out,
-        "manifest.json",
+    write_csv(out.path("terms.csv"), ["group", "term", "count"], term_rows)
+    out.manifest(
         "stats",
         {
             "timelines": str(args.timelines),
@@ -351,15 +304,6 @@ def _cmd_stats(args) -> int:
             "bot_scores": str(args.bot_scores or ""),
         },
         {"window": args.window, "top_terms": args.top_terms},
-        [
-            "summaries.csv",
-            "buckets.csv",
-            "age_ccdf.csv",
-            "daily_volume_ccdf.csv",
-            "suspensions.csv",
-            "terms.csv",
-            "manifest.json",
-        ],
     )
     return 0
 
@@ -374,11 +318,9 @@ def _cmd_detect_flooding(args) -> int:
         exclude_stale=args.exclude_stale,
     )
     out_file = Path(args.out)
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_violations(out_file, violations)
-    _write_manifest(
-        out_file.parent,
-        out_file.name + ".manifest.json",
+    out = _Outputs(out_file.parent)
+    write_violations(out.path(out_file.name), violations)
+    out.manifest(
         "detect-flooding",
         {"timelines": str(args.timelines), "allowlist": str(args.allowlist or "")},
         {
@@ -386,7 +328,7 @@ def _cmd_detect_flooding(args) -> int:
             "exclude_stale": args.exclude_stale,
             "violations": len(violations),
         },
-        [out_file.name, out_file.name + ".manifest.json"],
+        name=out_file.name + ".manifest.json",
     )
     return 0
 
@@ -402,27 +344,25 @@ def _cmd_detect_coordination(args) -> int:
     for source, _ in graph.edges:
         edge_counts[component_of[source]] += 1
 
-    out = _out_dir(args)
-    _write_csv(out / "edges.csv", ["source", "target"], graph.edges)
-    _write_csv(
-        out / "nodes.csv",
+    out = _Outputs(args.out)
+    write_csv(out.path("edges.csv"), ["source", "target"], graph.edges)
+    write_csv(
+        out.path("nodes.csv"),
         ["account_id", "unlike_total", "deletion_total", "role_ratio", "component_id"],
         (
             (n.account_id, n.unlike_total, n.deletion_total, n.role_ratio, n.component_id)
             for n in graph.nodes
         ),
     )
-    _write_csv(
-        out / "components.csv",
+    write_csv(
+        out.path("components.csv"),
         ["component_id", "node_count", "edge_count"],
         (
             (members[0], len(members), edge_counts[members[0]])
             for members in graph.components
         ),
     )
-    _write_manifest(
-        out,
-        "manifest.json",
+    out.manifest(
         "detect-coordination",
         {"deletions": str(args.deletions), "unlikes": str(args.unlikes)},
         {
@@ -434,7 +374,6 @@ def _cmd_detect_coordination(args) -> int:
             "liker_accounts_before": funnel.liker_accounts_before,
             "liker_accounts_after": funnel.liker_accounts_after,
         },
-        ["edges.csv", "nodes.csv", "components.csv", "manifest.json"],
     )
     return 0
 
@@ -530,10 +469,20 @@ def _apply_config_defaults(argv: list[str], registry: dict) -> None:
     unknown = set(raw) - valid
     if unknown:
         raise ValueError(f"{config_path}: unknown config keys {sorted(unknown)}")
-    sub.set_defaults(**raw)
     for action in sub._actions:
-        if action.dest in raw:
-            action.required = False
+        if action.dest not in raw:
+            continue
+        # The type the flag gives, or a string, which argparse converts with
+        # the option's type as it converts the flag's argument.
+        if isinstance(action, argparse._StoreTrueAction):
+            allowed = (bool,)
+        else:
+            allowed = (str,) if action.type is None else (action.type, str)
+        if type(raw[action.dest]) not in allowed:  # so a bool is not an int
+            raise ValueError(f"{config_path}: config key {action.dest!r} must be "
+                             f"{' or '.join(t.__name__ for t in allowed)}")
+        action.required = False
+    sub.set_defaults(**raw)
 
 
 def main(argv=None) -> int:
@@ -546,8 +495,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"delstream: input not found: {err}", file=sys.stderr)
+    except OSError as err:  # a path that is missing, a directory, or unreadable
+        print(f"delstream: cannot open: {err}", file=sys.stderr)
         return 2
     except (RecordParseError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"delstream: invalid input: {err}", file=sys.stderr)

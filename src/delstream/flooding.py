@@ -9,12 +9,12 @@ limit and hid the overflow by deleting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from typing import Collection, Iterable
 
 from .ingest import AccountTimeline
+from .records import read_csv, write_csv
 
 #: Platform cap on tweets posted per account per day.
 DEFAULT_DAILY_LIMIT = 2400
@@ -131,38 +131,21 @@ _CSV_FIELDS = (
 
 
 def write_violations(path, violations: Iterable[FloodingViolation]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
-        for v in violations:
-            writer.writerow(
-                [
-                    v.account_id,
-                    v.day.isoformat(),
-                    v.count_diff,
-                    v.deletions,
-                    v.total_posted,
-                    int(v.stale_suspect),
-                ]
-            )
-            count += 1
-    return count
+    rows = ((v.account_id, v.day, v.count_diff, v.deletions, v.total_posted,
+             int(v.stale_suspect)) for v in violations)
+    return write_csv(path, _CSV_FIELDS, rows)
+
+
+def _violation_from_row(row: dict[str, str]) -> FloodingViolation:
+    return FloodingViolation(
+        int(row["account_id"]),
+        date.fromisoformat(row["day"]),
+        int(row["count_diff"]),
+        int(row["deletions"]),
+        int(row["total_posted"]),
+        bool(int(row["stale_suspect"])),
+    )
 
 
 def read_violations(path) -> list[FloodingViolation]:
-    violations = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            violations.append(
-                FloodingViolation(
-                    int(row["account_id"]),
-                    date.fromisoformat(row["day"]),
-                    int(row["count_diff"]),
-                    int(row["deletions"]),
-                    int(row["total_posted"]),
-                    bool(int(row["stale_suspect"])),
-                )
-            )
-    return violations
+    return list(read_csv(path, _CSV_FIELDS, _violation_from_row))

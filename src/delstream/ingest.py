@@ -11,11 +11,14 @@ line, without building notice objects. ``aggregate_daily`` and
 ``aggregate_unlikes`` take notices from ``read_notices`` and give the same
 results; all of them, and ``aggregate_daily_sharded``, threshold their
 groups through one builder.
+
+The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
+the file framing around them (lines, blank lines, JSON errors with line
+numbers) is ``records.read_ndjson`` and ``records.write_ndjson``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from datetime import date
@@ -31,9 +34,11 @@ from .records import (
     NoticeKind,
     RecordParseError,
     parse_observed_at,
+    read_ndjson,
     read_notice_fields,
     snapshot_from_dict,
     snapshot_to_dict,
+    write_ndjson,
 )
 
 #: Account-days with fewer deletions than this are out of scope.
@@ -357,7 +362,7 @@ def build_timelines(
     return timelines
 
 
-# -- newline-delimited serialization ----------------------------------------
+# -- wire forms -------------------------------------------------------------
 
 
 def daily_record_to_dict(record: DailyDeletionRecord) -> dict:
@@ -435,48 +440,25 @@ def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
         raise RecordParseError(f"bad timeline: {err}", line_number) from None
 
 
-def _write_ndjson(path, items, to_dict) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(to_dict(item), separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-    return count
-
-
-def _read_ndjson(path, from_dict) -> Iterator:
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise RecordParseError(f"invalid JSON: {err}", number) from None
-            yield from_dict(raw, number)
-
-
 def write_daily_records(path, records) -> int:
-    return _write_ndjson(path, records, daily_record_to_dict)
+    return write_ndjson(path, records, daily_record_to_dict)
 
 
 def read_daily_records(path) -> Iterator[DailyDeletionRecord]:
-    return _read_ndjson(path, daily_record_from_dict)
+    return read_ndjson(path, daily_record_from_dict)
 
 
 def write_unlike_records(path, records) -> int:
-    return _write_ndjson(path, records, unlike_record_to_dict)
+    return write_ndjson(path, records, unlike_record_to_dict)
 
 
 def read_unlike_records(path) -> Iterator[UnlikeRecord]:
-    return _read_ndjson(path, unlike_record_from_dict)
+    return read_ndjson(path, unlike_record_from_dict)
 
 
 def write_timelines(path, timelines) -> int:
-    return _write_ndjson(path, timelines, timeline_to_dict)
+    return write_ndjson(path, timelines, timeline_to_dict)
 
 
 def read_timelines(path) -> Iterator[AccountTimeline]:
-    return _read_ndjson(path, timeline_from_dict)
+    return read_ndjson(path, timeline_from_dict)

@@ -1,5 +1,9 @@
 """Canonical event and snapshot records, their wire forms, and ID-to-time decoding.
 
+Every file the package reads or writes is framed here (``read_ndjson``,
+``write_ndjson``, ``read_csv``, ``write_csv``, ``write_json``); other modules
+supply only the conversion of one record to and from a dict or a CSV row.
+
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
 safe to share across threads.
@@ -7,15 +11,18 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 #: Millisecond epoch base of the time-encoding tweet ID scheme
 #: (2010-11-04T01:42:54.657Z).
@@ -27,7 +34,6 @@ MIN_TIME_ENCODED_ID = 1 << 22
 
 _UTC = timezone.utc
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=_UTC)
-_ONE_MS = timedelta(milliseconds=1)
 
 
 class NoticeKind(str, Enum):
@@ -67,10 +73,6 @@ class UnknownKindError(RecordParseError):
 def ms_to_datetime(ms: int) -> datetime:
     """UTC datetime for a millisecond Unix timestamp (exact, no float round-off)."""
     return _UNIX_EPOCH + timedelta(milliseconds=ms)
-
-
-def datetime_to_ms(dt: datetime) -> int:
-    return (dt - _UNIX_EPOCH) // _ONE_MS
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -185,6 +187,17 @@ def decode_creation_time(tweet_id: int) -> TweetCreationTime:
     return TweetCreationTime(tweet_id, None if ms is None else ms_to_datetime(ms))
 
 
+def _load(line: str, line_number: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as err:
+        raise RecordParseError(f"invalid JSON: {err}", line_number) from None
+
+
+def _dumps(raw: dict) -> str:
+    return json.dumps(raw, separators=(",", ":"))
+
+
 def _require_id(raw: dict, key: str, line_number: int) -> int:
     value = raw.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -204,10 +217,7 @@ def parse_notice_fields(
     RecordParseError for malformed records and UnknownKindError (a subclass)
     for records whose kind is outside the supported set.
     """
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise RecordParseError(f"invalid JSON: {err}", line_number) from None
+    raw = _load(line, line_number)
     if not isinstance(raw, dict):
         raise RecordParseError("record must be a JSON object", line_number)
 
@@ -247,16 +257,17 @@ def parse_notice(line: str, line_number: int = 0) -> ComplianceNotice:
     )
 
 
+def notice_to_dict(notice: ComplianceNotice) -> dict:
+    return {
+        "kind": notice.kind.value,
+        "actor_id": notice.actor_id,
+        "object_id": notice.object_id,
+        "observed_at": format_timestamp(notice.observed_at),
+    }
+
+
 def serialize_notice(notice: ComplianceNotice) -> str:
-    return json.dumps(
-        {
-            "kind": notice.kind.value,
-            "actor_id": notice.actor_id,
-            "object_id": notice.object_id,
-            "observed_at": format_timestamp(notice.observed_at),
-        },
-        separators=(",", ":"),
-    )
+    return _dumps(notice_to_dict(notice))
 
 
 def snapshot_to_dict(snapshot: AccountSnapshot) -> dict:
@@ -332,15 +343,11 @@ def snapshot_from_dict(raw: dict, line_number: int = 0) -> AccountSnapshot:
 
 
 def parse_snapshot(line: str, line_number: int = 0) -> AccountSnapshot:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise RecordParseError(f"invalid JSON: {err}", line_number) from None
-    return snapshot_from_dict(raw, line_number)
+    return snapshot_from_dict(_load(line, line_number), line_number)
 
 
 def serialize_snapshot(snapshot: AccountSnapshot) -> str:
-    return json.dumps(snapshot_to_dict(snapshot), separators=(",", ":"))
+    return _dumps(snapshot_to_dict(snapshot))
 
 
 def read_notice_fields(path) -> Iterator[tuple[int, NoticeKind, int, int, str]]:
@@ -350,25 +357,17 @@ def read_notice_fields(path) -> Iterator[tuple[int, NoticeKind, int, int, str]]:
     warning, and malformed records raise RecordParseError with their line
     number.
     """
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                fields = parse_notice_fields(line, number)
-            except UnknownKindError as err:
-                logger.warning("skipping event: %s", err)
-                continue
-            yield number, *fields
+    for number, line in _lines(path):
+        try:
+            fields = parse_notice_fields(line, number)
+        except UnknownKindError as err:
+            logger.warning("skipping event: %s", err)
+            continue
+        yield number, *fields
 
 
 def read_notices(path) -> Iterator[ComplianceNotice]:
-    """Yield notices from a newline-delimited event file.
-
-    Records of unknown kind are skipped with a warning; malformed records
-    raise RecordParseError with their line number.
-    """
+    """Yield notices from an event file, read as ``read_notice_fields`` reads it."""
     for number, kind, actor_id, object_id, observed_raw in read_notice_fields(path):
         yield ComplianceNotice(
             kind, actor_id, object_id, parse_observed_at(observed_raw, number)
@@ -376,28 +375,106 @@ def read_notices(path) -> Iterator[ComplianceNotice]:
 
 
 def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for notice in notices:
-            fh.write(serialize_notice(notice))
-            fh.write("\n")
-            count += 1
-    return count
+    return write_ndjson(path, notices, notice_to_dict)
 
 
 def read_snapshots(path) -> Iterator[AccountSnapshot]:
+    return read_ndjson(path, snapshot_from_dict)
+
+
+def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
+    return write_ndjson(path, snapshots, snapshot_to_dict)
+
+
+def _lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each non-blank line of a file."""
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield parse_snapshot(line, number)
+                yield number, line
 
 
-def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
+def read_ndjson(path, from_dict: Callable[[object, int], T]) -> Iterator[T]:
+    """Yield ``from_dict(value, line_number)`` per non-blank line of an NDJSON file.
+
+    A line that is not JSON raises RecordParseError with its line number.
+    """
+    for number, line in _lines(path):
+        yield from_dict(_load(line, number), number)
+
+
+def write_ndjson(path, items: Iterable[T], to_dict: Callable[[T], dict]) -> int:
+    """Write each item as one compact JSON line; returns the number written."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for snapshot in snapshots:
-            fh.write(serialize_snapshot(snapshot))
+        for item in items:
+            fh.write(_dumps(to_dict(item)))
             fh.write("\n")
             count += 1
     return count
+
+
+def write_json(path, payload: dict) -> None:
+    """Write one JSON document, indented and with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    return str(value)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write a header line and one line per row; returns the number of rows.
+
+    None is written as an empty cell, a float by its ``repr`` (the shortest
+    form that reads back to the same value) and a date in ISO form.
+    """
+    count = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(value) for value in row])
+            count += 1
+    return count
+
+
+def read_csv(
+    path, columns: Sequence[str], from_row: Callable[[dict[str, str]], T]
+) -> Iterator[T]:
+    """Yield ``from_row(row)`` for each row of a CSV file, a dict by header name.
+
+    Blank lines are skipped. RecordParseError, with the line number, is
+    raised for a header that lacks one of ``columns``, a row whose cell
+    count differs from the header's, and a row ``from_row`` rejects with
+    ValueError.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise RecordParseError(f"CSV header lacks {missing}", reader.line_num)
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    message = f"row has {len(cells)} cells, the header {len(header)}"
+                    raise RecordParseError(message, reader.line_num)
+                try:
+                    item = from_row(dict(zip(header, cells)))
+                except ValueError as err:
+                    raise RecordParseError(f"bad row: {err}", reader.line_num) from None
+                yield item
+        except csv.Error as err:
+            raise RecordParseError(f"bad CSV: {err}", reader.line_num) from None

@@ -36,6 +36,7 @@ from .records import (
     ComplianceNotice,
     NoticeKind,
     ms_to_datetime,
+    write_json,
 )
 
 _DAY_MS = 86_400_000
@@ -567,9 +568,7 @@ def ground_truth_from_dict(raw: dict) -> GroundTruth:
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ground_truth_to_dict(truth), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ground_truth_to_dict(truth))
 
 
 def read_ground_truth(path) -> GroundTruth:

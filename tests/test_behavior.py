@@ -95,6 +95,13 @@ class TestSummarize:
         )
         assert b.summarize([bare], []) == []
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_day_rejected(self, window):
+        with pytest.raises(ValueError, match="window_days"):
+            b.summarize([timeline(1, [0])], [], window_days=window)
+        with pytest.raises(ValueError, match="window_days"):
+            b.frequency_buckets([], window_days=window)
+
     def test_bot_scores_joined(self):
         [summary] = b.summarize([timeline(1, [0])], [], bot_scores={1: 0.83})
         assert summary.bot_score == 0.83

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delstream import cli
 from delstream.flooding import read_violations
@@ -74,6 +77,20 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run("aggregate", "--events", "nope.ndjson", "--out", "out") == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect-flooding", "--timelines", "agg", "--allowlist", "agg",
+             "--out", "x/v.csv"],
+            ["stats", "--timelines", "agg", "--violations", "agg", "--out", "x"],
+            ["stats", "--timelines", "agg", "--bot-scores", "agg/manifest.json/x",
+             "--out", "x"],
+        ],
+        ids=["allowlist-directory", "violations-directory", "bot-scores-under-a-file"],
+    )
+    def test_unopenable_input_path_exit_2(self, workspace, argv):
+        assert run(*argv) == 2
+
     def test_malformed_record_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("events.ndjson").write_text('{"kind":"tweet_delete"}\n')
@@ -130,6 +147,44 @@ class TestExitCodes:
             '{"account_id":2,"snapshots":[],"deletion_days":[]}\n'
         )
         assert run("stats", "--timelines", "timelines.ndjson", "--out", "out") == 3
+
+    @pytest.mark.parametrize(
+        "flag, content, error",
+        [
+            ("--violations",
+             "account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
+             "1,2021-04-26,10,2500,2510\n",
+             "line 2: row has 5 cells, the header 6"),
+            ("--violations",
+             "account_id,day,count_diff,deletions,total_posted\n"
+             "1,2021-04-26,10,2500,2510\n",
+             "line 1: CSV header lacks ['stale_suspect']"),
+            ("--bot-scores", "account_id,bot_score\n1,0.5\n2\n",
+             "line 3: row has 1 cells, the header 2"),
+            ("--bot-scores", "account_id\n1\n", "line 1: CSV header lacks ['bot_score']"),
+        ],
+        ids=["violations-cell", "violations-column", "bot-scores-cell", "bot-scores-column"],
+    )
+    def test_csv_missing_cell_or_column_exit_3(
+        self, tmp_path, monkeypatch, capsys, flag, content, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+        )
+        Path("input.csv").write_text(content)
+        argv = ["stats", "--timelines", "timelines.ndjson", flag, "input.csv", "--out", "out"]
+        assert run(*argv) == 3
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_day_exit_3(self, tmp_path, monkeypatch, window):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+        )
+        argv = ["stats", "--timelines", "timelines.ndjson", "--window", window, "--out", "out"]
+        assert run(*argv) == 3
 
     def test_config_without_value_usage_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -320,6 +375,50 @@ class TestPipeline:
         )
         assert read_violations(workspace / "fl_eq" / "violations.csv") == []
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["aggregate", "--events", "data/events.ndjson", "--out", "x"],
+             {"threshold": [1]}),
+            (["estimate", "--timelines", "agg", "--out", "x"], {"no_gaps": "no"}),
+            (["detect-flooding", "--timelines", "agg", "--out", "x/v.csv"],
+             {"limit": 2400.5}),
+        ],
+        ids=["list-for-int", "string-for-store-true", "float-for-int"],
+    )
+    def test_config_value_of_wrong_type_exit_3(self, workspace, capsys, argv, config):
+        (workspace / "bad.json").write_text(json.dumps(config))
+        assert run(*argv, "--config", "bad.json") == 3
+        [key] = config
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
+
+    def test_config_values_of_the_flag_type_or_string_accepted(self, workspace):
+        (workspace / "ok.json").write_text(
+            json.dumps({"limit": "100000", "exclude_stale": True, "timelines": "agg"})
+        )
+        assert run("detect-flooding", "--config", "ok.json", "--out", "ok/v.csv") == 0
+        manifest = json.loads((workspace / "ok" / "v.csv.manifest.json").read_text())
+        assert manifest["parameters"]["limit"] == 100_000
+        assert manifest["parameters"]["exclude_stale"] is True
+
+    def test_manifest_outputs_are_the_files_written(self, workspace):
+        for argv in (
+            ["estimate", "--timelines", "agg", "--out", "est"],
+            ["detect-flooding", "--timelines", "agg", "--out", "flood/violations.csv"],
+            ["stats", "--timelines", "agg", "--violations", "flood/violations.csv",
+             "--out", "stats"],
+            ["detect-coordination", "--deletions", "agg/daily_deletions.ndjson",
+             "--unlikes", "agg/unlikes.ndjson", "--out", "coord"],
+        ):
+            assert run(*argv) == 0
+        manifests = [workspace / name / "manifest.json"
+                     for name in ("data", "agg", "est", "stats", "coord")]
+        manifests.append(workspace / "flood" / "violations.csv.manifest.json")
+        for manifest in manifests:
+            written = sorted(path.name for path in manifest.parent.iterdir())
+            assert json.loads(manifest.read_text())["outputs"] == written
+
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "bad.json"
         config.write_text(json.dumps({"bogus_key": 1}))
@@ -332,3 +431,79 @@ class TestPipeline:
             )
             == 3
         )
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory) -> Path:
+    """Aggregated records and a violations file, shared by the fuzz examples."""
+    root = tmp_path_factory.mktemp("pipeline")
+    write_spec(root)
+    assert run("generate", "--spec", root / "spec.json", "--seed", 5,
+               "--out", root / "data") == 0
+    assert run("aggregate", "--events", root / "data" / "events.ndjson",
+               "--snapshots", root / "data" / "snapshots.ndjson",
+               "--out", root / "agg") == 0
+    assert run("detect-flooding", "--timelines", root / "agg",
+               "--out", root / "flood" / "violations.csv") == 0
+    (root / "allow.txt").write_text("# partner\n1\n2\n")
+    return root
+
+
+def exit_code(*argv) -> int:
+    try:
+        return run(*argv)
+    except SystemExit as err:  # argparse's usage errors
+        return err.code
+
+
+_NOISE = st.sampled_from(
+    [b"", b",", b'"', b"\n", b"\r", b"#", b"-1", b"0", b"1.5", b"x", b"[1]", b'"x"',
+     b"true", b"null", b"\xff", b"\x00", b" "]
+) | st.binary(min_size=1, max_size=3)
+
+#: Corruption works on the pieces between these bytes, so that dropping a
+#: piece can merge two cells, drop a value or unbalance a quote or bracket.
+_SEPARATORS = re.compile(rb'([,\n:{}\[\]"])')
+
+
+@st.composite
+def corrupted(draw, base: bytes) -> bytes:
+    """``base`` with one to three of its pieces dropped, doubled or replaced."""
+    pieces = _SEPARATORS.split(base)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces[at:at + 1] = draw(
+            st.sampled_from([[], [pieces[at]] * 2]) | st.lists(_NOISE, min_size=1, max_size=2)
+        )
+    return b"".join(pieces)
+
+
+@pytest.mark.parametrize("kind", ["violations", "bot-scores", "allowlist", "config"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_input_files_exit_0_2_or_3(pipeline, kind, data):
+    agg, out = pipeline / "agg", pipeline / "fuzz-out"
+    path = pipeline / f"fuzzed-{kind}"
+    base, argv = {
+        "violations": (
+            (pipeline / "flood" / "violations.csv").read_bytes(),
+            ["stats", "--timelines", agg, "--violations", path, "--out", out / "stats"],
+        ),
+        "bot-scores": (
+            b"account_id,bot_score\n1,0.9\n2,0.25\n",
+            ["stats", "--timelines", agg, "--bot-scores", path, "--out", out / "stats"],
+        ),
+        "allowlist": (
+            (pipeline / "allow.txt").read_bytes(),
+            ["detect-flooding", "--timelines", agg, "--allowlist", path,
+             "--out", out / "v.csv"],
+        ),
+        "config": (
+            json.dumps({"limit": 2400, "exclude_stale": True,
+                        "allowlist": str(pipeline / "allow.txt")}).encode(),
+            ["detect-flooding", "--timelines", agg, "--config", path,
+             "--out", out / "v.csv"],
+        ),
+    }[kind]
+    path.write_bytes(data.draw(corrupted(base)))
+    assert exit_code(*argv) in (0, 2, 3)

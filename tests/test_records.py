@@ -242,6 +242,28 @@ class TestStreamIO:
         assert r.write_notices(path, notices) == 2
         assert list(r.read_notices(path)) == notices
 
+    def test_write_csv_cell_forms(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [(None, 0.1, 3, date(2021, 4, 26), 'x,"y"')]
+        assert r.write_csv(path, ["a", "b", "c", "d", "e"], rows) == 1
+        assert path.read_text() == 'a,b,c,d,e\n,0.1,3,2021-04-26,"x,""y"""\n'
+
+    def test_read_csv_skips_blank_lines_and_numbers_bad_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a,b\n1,2\n\n3,x\n")
+        rows = r.read_csv(path, ("a",), lambda row: (int(row["a"]), int(row["b"])))
+        assert next(rows) == (1, 2)
+        with pytest.raises(r.RecordParseError, match="bad row") as err:
+            next(rows)
+        assert err.value.line_number == 4
+
+    def test_read_csv_oversized_cell_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("a\n1\n" + "x" * 200_000 + "\n")
+        with pytest.raises(r.RecordParseError, match="bad CSV") as err:
+            list(r.read_csv(path, ("a",), dict))
+        assert err.value.line_number == 3
+
 
 class TestSnapshotValidation:
     def test_active_requires_count(self):
