@@ -3,6 +3,9 @@
 Accounts are bucketed by how many days they deleted on, labeled into
 frequency categories, and profiled by deleted-content age, suspension
 outcome, and profile-description vocabulary.
+
+numpy is imported inside the function that uses it, so that CLI stages which
+never call it, such as ``detect-coordination``, start without loading numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping
-
-import numpy as np
 
 from .estimate import ccdf
 from .flooding import FloodingViolation
@@ -126,6 +127,8 @@ def frequency_buckets(
     Every bucket from 1 to ``window_days`` is reported, empty ones with no
     distribution. Quantiles interpolate linearly between order statistics.
     """
+    import numpy as np
+
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
     grouped: dict[int, list[float]] = {}

@@ -52,7 +52,14 @@ from .ingest import (
     write_timelines,
     write_unlike_records,
 )
-from .records import RecordParseError, read_csv, read_snapshots, write_csv, write_json
+from .records import (
+    RecordParseError,
+    _lines,
+    read_csv,
+    read_snapshots,
+    write_csv,
+    write_json,
+)
 from .synth import generate, read_population_spec, write_dataset
 
 # Not called here since aggregate reads events in one pass and
@@ -99,11 +106,13 @@ def _resolve_timelines(path_arg) -> Path:
 
 def _read_allowlist(path) -> frozenset[int]:
     ids = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                ids.append(int(line))
+    for number, line in _lines(path):
+        if line.startswith("#"):
+            continue
+        try:
+            ids.append(int(line))
+        except ValueError:
+            raise RecordParseError(f"bad account ID {line!r}", number) from None
     return frozenset(ids)
 
 

@@ -5,6 +5,9 @@ lower bound on the tweets it deleted in between: deletions offset by new
 posts are invisible, and a flat or rising count supports no inference at all.
 These estimators quantify that bound and compare it against actual per-day
 deletion records.
+
+numpy is imported inside the functions that use it, so that CLI stages which
+never call them, such as ``detect-flooding``, start without loading numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .ingest import AccountTimeline, DailyDeletionRecord
 
@@ -117,6 +118,8 @@ def ccdf(samples: Sequence[float]) -> list[tuple[float, float]]:
     Evaluated at each distinct sample value, ascending; the fractions are
     monotone non-increasing and start at 1.0.
     """
+    import numpy as np
+
     values = np.sort(np.asarray(list(samples), dtype=float))
     if values.size == 0:
         raise ValueError("ccdf requires a non-empty sample")
@@ -127,6 +130,8 @@ def ccdf(samples: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     a = np.sort(a)
     b = np.sort(b)
     grid = np.concatenate([a, b])
@@ -154,6 +159,8 @@ def ks_two_sample(
     by label-permutation resampling with a seeded generator (the +1 adjusted
     count, so p is never exactly zero).
     """
+    import numpy as np
+
     xs = np.asarray(list(a), dtype=float)
     ys = np.asarray(list(b), dtype=float)
     if xs.size == 0 or ys.size == 0:
@@ -212,6 +219,8 @@ class ComparisonReport:
         ``per_account_median`` the surviving pairs are then reduced to one
         median pair per account.
         """
+        import numpy as np
+
         kept = [p for p in pairs if p.estimated >= floor]
         if per_account_median:
             kept = _account_medians(kept)
@@ -236,6 +245,8 @@ class ComparisonReport:
 
 
 def _account_medians(pairs: list[PairedDeletion]) -> list[PairedDeletion]:
+    import numpy as np
+
     grouped: dict[int, list[PairedDeletion]] = {}
     for pair in pairs:
         grouped.setdefault(pair.account_id, []).append(pair)

@@ -11,6 +11,9 @@ paths: ``gap_days`` drop snapshots (suspension-style observation gaps) and
 ``stale_days`` report counts that ignore that day's deletions (a lagging
 count source). Stale days break the consistency identity on purpose, so
 downstream labels may diverge from truth there.
+
+numpy is imported inside the functions that use it, so that CLI stages which
+never call them, such as ``aggregate``, start without loading numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 from .behavior import Category
 from .flooding import DEFAULT_DAILY_LIMIT
@@ -270,6 +271,8 @@ def _deletion_notices(
     notices: list,
 ) -> list[int]:
     """Emit deletion events for the account; returns farm-day tweet IDs."""
+    import numpy as np
+
     profile = account.profile
     aged = profile.age_median_days > 0
     log_median = math.log(profile.age_median_days) if aged else 0.0
@@ -397,6 +400,8 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
     followed by their spokes). Events are sorted by time, snapshots by day,
     and all randomness flows from the given seed.
     """
+    import numpy as np
+
     notices: list[ComplianceNotice] = []
     snapshots: list[AccountSnapshot] = []
     truth_posts: dict[int, tuple[int, ...]] = {}

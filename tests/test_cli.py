@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,6 +261,19 @@ class TestPipeline:
         violations = read_violations(workspace / "flood2" / "violations.csv")
         assert flooder not in {v.account_id for v in violations}
 
+    def test_bad_allowlist_line_exit_3_with_its_number(self, workspace, capsys):
+        (workspace / "allow.txt").write_text("# partner\n1\nabc\n")
+        assert (
+            run(
+                "detect-flooding",
+                "--timelines", "agg",
+                "--allowlist", "allow.txt",
+                "--out", "flood2/violations.csv",
+            )
+            == 3
+        )
+        assert "line 3" in capsys.readouterr().err
+
     def test_estimate_report(self, workspace):
         assert (
             run(
@@ -478,32 +494,96 @@ def corrupted(draw, base: bytes) -> bytes:
     return b"".join(pieces)
 
 
-@pytest.mark.parametrize("kind", ["violations", "bot-scores", "allowlist", "config"])
+@pytest.mark.parametrize(
+    "kind",
+    ["violations", "bot-scores", "allowlist", "config",
+     "events", "snapshots", "daily-deletions", "unlikes", "timelines"],
+)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_corrupted_input_files_exit_0_2_or_3(pipeline, kind, data):
-    agg, out = pipeline / "agg", pipeline / "fuzz-out"
+    data_dir, agg, out = pipeline / "data", pipeline / "agg", pipeline / "fuzz-out"
     path = pipeline / f"fuzzed-{kind}"
-    base, argv = {
+    base, argvs = {
         "violations": (
             (pipeline / "flood" / "violations.csv").read_bytes(),
-            ["stats", "--timelines", agg, "--violations", path, "--out", out / "stats"],
+            [["stats", "--timelines", agg, "--violations", path, "--out", out / "stats"]],
         ),
         "bot-scores": (
             b"account_id,bot_score\n1,0.9\n2,0.25\n",
-            ["stats", "--timelines", agg, "--bot-scores", path, "--out", out / "stats"],
+            [["stats", "--timelines", agg, "--bot-scores", path, "--out", out / "stats"]],
         ),
         "allowlist": (
             (pipeline / "allow.txt").read_bytes(),
-            ["detect-flooding", "--timelines", agg, "--allowlist", path,
-             "--out", out / "v.csv"],
+            [["detect-flooding", "--timelines", agg, "--allowlist", path,
+              "--out", out / "v.csv"]],
         ),
         "config": (
             json.dumps({"limit": 2400, "exclude_stale": True,
                         "allowlist": str(pipeline / "allow.txt")}).encode(),
-            ["detect-flooding", "--timelines", agg, "--config", path,
-             "--out", out / "v.csv"],
+            [["detect-flooding", "--timelines", agg, "--config", path,
+              "--out", out / "v.csv"]],
+        ),
+        "events": (
+            (data_dir / "events.ndjson").read_bytes(),
+            [["aggregate", "--events", path, "--snapshots", data_dir / "snapshots.ndjson",
+              "--out", out / "agg"]],
+        ),
+        "snapshots": (
+            (data_dir / "snapshots.ndjson").read_bytes(),
+            [["aggregate", "--events", data_dir / "events.ndjson", "--snapshots", path,
+              "--out", out / "agg"]],
+        ),
+        "daily-deletions": (
+            (agg / "daily_deletions.ndjson").read_bytes(),
+            [["detect-coordination", "--deletions", path,
+              "--unlikes", agg / "unlikes.ndjson", "--out", out / "coord"]],
+        ),
+        "unlikes": (
+            (agg / "unlikes.ndjson").read_bytes(),
+            [["detect-coordination", "--deletions", agg / "daily_deletions.ndjson",
+              "--unlikes", path, "--out", out / "coord"]],
+        ),
+        "timelines": (
+            (agg / "timelines.ndjson").read_bytes(),
+            [["estimate", "--timelines", path, "--out", out / "est"],
+             ["detect-flooding", "--timelines", path, "--out", out / "v.csv"],
+             ["stats", "--timelines", path, "--out", out / "stats"]],
         ),
     }[kind]
-    path.write_bytes(data.draw(corrupted(base)))
-    assert exit_code(*argv) in (0, 2, 3)
+    # Only the first dozen lines are corrupted, so that each example stays
+    # cheap on the long NDJSON files; shorter files are corrupted whole.
+    lines = base.splitlines(keepends=True)
+    head, tail = b"".join(lines[:12]), b"".join(lines[12:])
+    path.write_bytes(data.draw(corrupted(head)) + tail)
+    for argv in argvs:
+        assert exit_code(*argv) in (0, 2, 3)
+
+
+def test_stages_that_use_no_numpy_start_without_it(tmp_path):
+    """aggregate, detect-flooding and detect-coordination never import numpy."""
+    write_spec(tmp_path)
+    assert run("generate", "--spec", tmp_path / "spec.json", "--seed", 5,
+               "--out", tmp_path / "data") == 0
+    script = """
+import json, sys
+from delstream.cli import main
+codes = [
+    main(["aggregate", "--events", "data/events.ndjson",
+          "--snapshots", "data/snapshots.ndjson", "--out", "agg"]),
+    main(["detect-flooding", "--timelines", "agg", "--out", "flood/violations.csv"]),
+    main(["detect-coordination", "--deletions", "agg/daily_deletions.ndjson",
+          "--unlikes", "agg/unlikes.ndjson", "--out", "coord"]),
+]
+print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
+"""
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"codes": [0, 0, 0], "numpy_loaded": False}
