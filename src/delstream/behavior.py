@@ -18,7 +18,7 @@ from typing import Collection, Iterable, Mapping
 
 from .estimate import ccdf
 from .flooding import FloodingViolation
-from .ingest import AccountTimeline, DailyDeletionRecord
+from .ingest import AccountTimeline, DeletionDay
 from .records import AccountStatus
 
 DEFAULT_WINDOW_DAYS = 30
@@ -150,7 +150,7 @@ def frequency_buckets(
 
 
 def daily_volume_ccdf(
-    records: Iterable[DailyDeletionRecord],
+    records: Iterable[DeletionDay],
 ) -> list[tuple[float, float]]:
     """CCDF of per-account-day deletion counts (heavy-tailed in the wild)."""
     counts = [record.deletion_count for record in records]

@@ -143,8 +143,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    daily, unlikes = aggregate_events(args.events, args.threshold)
+    # Snapshots first, so a bad snapshot file fails before the event pass.
     snapshots = list(read_snapshots(args.snapshots)) if args.snapshots else []
+    daily, unlikes = aggregate_events(args.events, args.threshold)
     timelines = build_timelines(snapshots, daily)
     out = _Outputs(args.out)
     write_daily_records(out.path("daily_deletions.ndjson"), daily)
@@ -159,6 +160,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.permutations < 0:
+        raise ValueError(f"--permutations must be >= 0, got {args.permutations}")
     timelines = list(read_timelines(_resolve_timelines(args.timelines)))
     estimates = [e for tl in timelines for e in estimate_timeline(tl)]
     actuals = [record for tl in timelines for record in tl.deletion_days]

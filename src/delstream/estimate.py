@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
-from .ingest import AccountTimeline, DailyDeletionRecord
+from .ingest import AccountTimeline, DeletionDay
 
 #: Estimate/actual pairs with an estimate below this are dropped before scoring.
 DEFAULT_ESTIMATE_FLOOR = 10
@@ -263,7 +263,7 @@ def _account_medians(pairs: list[PairedDeletion]) -> list[PairedDeletion]:
 
 def pair_observations(
     estimates: Iterable[DeletionEstimate],
-    actuals: Iterable[DailyDeletionRecord],
+    actuals: Iterable[DeletionDay],
     include_gaps: bool = True,
 ) -> list[PairedDeletion]:
     """Pair each actual deletion day with its enclosing estimate interval.
@@ -316,7 +316,7 @@ def pair_observations(
 
 def compare(
     estimates: Iterable[DeletionEstimate],
-    actuals: Iterable[DailyDeletionRecord],
+    actuals: Iterable[DeletionDay],
     floor: int = DEFAULT_ESTIMATE_FLOOR,
     include_gaps: bool = True,
     per_account_median: bool = False,

@@ -14,7 +14,12 @@ groups through one builder.
 
 The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
 the file framing around them (lines, blank lines, JSON errors with line
-numbers) is ``records.read_ndjson`` and ``records.write_ndjson``.
+numbers) is ``records.read_ndjson`` and ``records.write_ndjson``. A daily
+deletion record keeps its tweet IDs, which coordination reads. A timeline
+keeps only what ``estimate``, ``detect-flooding`` and ``stats`` read: each
+snapshot's day, status and count, the last description, and each deletion
+day's count and ages (``DeletionDay``). It reads back without the IDs, the
+snapshot timestamps and the earlier descriptions.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ from .records import (
     parse_observed_at,
     read_ndjson,
     read_notice_fields,
-    snapshot_from_dict,
-    snapshot_to_dict,
     write_ndjson,
 )
 
 #: Account-days with fewer deletions than this are out of scope.
 DEFAULT_INCLUSION_THRESHOLD = 10
+
+#: AccountStatus by value, for the timeline reader.
+_STATUSES = {status.value: status for status in AccountStatus}
 
 _DAY_MS = 86_400_000
 _UNIX_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -53,28 +59,41 @@ class DuplicateSnapshotError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class DailyDeletionRecord:
-    """Actual deletions by one account on one UTC day.
+class DeletionDay:
+    """Actual deletions by one account on one UTC day, without the tweet IDs.
 
     ``deleted_ages_days`` holds the whole-day age of each deleted tweet whose
     ID carries a decodable creation time; undecodable IDs are excluded, so it
-    may be shorter than ``deletion_count``. ``tweet_ids`` retains the deleted
-    tweet IDs for downstream graph construction. Both tuples are sorted.
+    may be shorter than ``deletion_count``. It is sorted.
     """
 
     account_id: int
     day: date
     deletion_count: int
     deleted_ages_days: tuple[int, ...]
-    tweet_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.deletion_count < 1:
             raise ValueError("deletion_count must be >= 1")
-        if len(self.tweet_ids) != self.deletion_count:
-            raise ValueError("tweet_ids must list exactly deletion_count IDs")
         if len(self.deleted_ages_days) > self.deletion_count:
             raise ValueError("more ages than deletions")
+
+
+@dataclass(frozen=True, slots=True)
+class DailyDeletionRecord(DeletionDay):
+    """A ``DeletionDay`` that keeps the deleted tweet IDs, sorted.
+
+    ``tweet_ids`` serves the coordination graph; the timeline analyses read
+    only the ``DeletionDay`` fields.
+    """
+
+    tweet_ids: tuple[int, ...]
+
+    def __post_init__(self):
+        # Zero-argument super() fails in slots dataclasses before Python 3.14.
+        DeletionDay.__post_init__(self)
+        if len(self.tweet_ids) != self.deletion_count:
+            raise ValueError("tweet_ids must list exactly deletion_count IDs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,11 +111,11 @@ class UnlikeRecord:
 
 @dataclass(frozen=True, slots=True)
 class AccountTimeline:
-    """Day-ordered snapshots and deletion records for one account."""
+    """Day-ordered snapshots and deletion days for one account."""
 
     account_id: int
     snapshots: tuple[AccountSnapshot, ...]
-    deletion_days: tuple[DailyDeletionRecord, ...]
+    deletion_days: tuple[DeletionDay, ...]
 
     def __post_init__(self):
         for seq, day_of in (
@@ -420,22 +439,80 @@ def unlike_record_from_dict(raw: dict, line_number: int = 0) -> UnlikeRecord:
 
 
 def timeline_to_dict(timeline: AccountTimeline) -> dict:
+    """The timeline as the analysis stages read it.
+
+    ``snapshots`` rows are ``[day, status, statuses_count]``, ``description``
+    is the last snapshot's, and ``deletion_days`` rows are ``[day,
+    deletion_count, deleted_ages_days]``. Tweet IDs, snapshot timestamps and
+    earlier descriptions are not written.
+    """
+    snapshots = timeline.snapshots
     return {
         "account_id": timeline.account_id,
-        "snapshots": [snapshot_to_dict(s) for s in timeline.snapshots],
-        "deletion_days": [daily_record_to_dict(r) for r in timeline.deletion_days],
+        "snapshots": [
+            [s.snapshot_day.isoformat(), s.status.value, s.statuses_count]
+            for s in snapshots
+        ],
+        "description": snapshots[-1].description if snapshots else "",
+        "deletion_days": [
+            [r.day.isoformat(), r.deletion_count, r.deleted_ages_days]
+            for r in timeline.deletion_days
+        ],
     }
 
 
+def _rows(raw: dict, key: str) -> list[list]:
+    rows = raw[key]
+    if type(rows) is not list or not all(
+        type(row) is list and len(row) == 3 for row in rows
+    ):
+        raise TypeError(f"{key!r} must be a list of three-item lists")
+    return rows
+
+
 def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
+    """Read ``timeline_to_dict``'s form back.
+
+    Snapshots carry no timestamps, and every description but the last is
+    empty. Deletion days are ``DeletionDay``s, without tweet IDs.
+    """
     try:
-        return AccountTimeline(
-            _int(raw, "account_id"),
-            tuple(snapshot_from_dict(s, line_number) for s in raw["snapshots"]),
-            tuple(
-                daily_record_from_dict(r, line_number) for r in raw["deletion_days"]
-            ),
-        )
+        if type(raw) is not dict:
+            raise TypeError("record must be a JSON object")
+        account_id = _int(raw, "account_id")
+        snapshot_rows = _rows(raw, "snapshots")
+        description = raw.get("description", "")
+        if type(description) is not str:
+            raise TypeError("'description' must be a string")
+        if description and not snapshot_rows:
+            raise ValueError("a description without snapshots")
+        snapshots = []
+        last = len(snapshot_rows) - 1
+        for index, (day, status_raw, count) in enumerate(snapshot_rows):
+            if count is not None and type(count) is not int:
+                raise TypeError("'statuses_count' must be an integer or null")
+            status = _STATUSES.get(status_raw) if type(status_raw) is str else None
+            if status is None:
+                raise ValueError(f"unknown status {status_raw!r}")
+            snapshots.append(
+                AccountSnapshot(
+                    account_id,
+                    date.fromisoformat(day),
+                    count,
+                    status,
+                    description if index == last else "",
+                )
+            )
+        deletion_days = []
+        for day, count, ages in _rows(raw, "deletion_days"):
+            if type(count) is not int:
+                raise TypeError("'deletion_count' must be an integer")
+            if type(ages) is not list or not set(map(type, ages)) <= {int}:
+                raise TypeError("'deleted_ages_days' must be a list of integers")
+            deletion_days.append(
+                DeletionDay(account_id, date.fromisoformat(day), count, tuple(ages))
+            )
+        return AccountTimeline(account_id, tuple(snapshots), tuple(deletion_days))
     except (KeyError, TypeError, ValueError) as err:
         raise RecordParseError(f"bad timeline: {err}", line_number) from None
 

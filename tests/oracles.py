@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+
+from delstream.ingest import AccountTimeline, DeletionDay
 
 UTC = timezone.utc
 
@@ -49,6 +52,29 @@ def count_unlikes_oracle(notices):
         if notice.kind.value == "unlike":
             counts[(notice.actor_id, notice.object_id)] += 1
     return dict(counts)
+
+
+def slim(timeline):
+    """The timeline as ``timelines.ndjson`` carries it.
+
+    Snapshots lose their timestamps and every description but the last;
+    deletion days lose their tweet IDs.
+    """
+    snapshots = timeline.snapshots
+    kept = tuple(
+        replace(
+            snapshot,
+            description=snapshot.description if index == len(snapshots) - 1 else "",
+            created_at=None,
+            queried_at=None,
+        )
+        for index, snapshot in enumerate(snapshots)
+    )
+    days = tuple(
+        DeletionDay(r.account_id, r.day, r.deletion_count, r.deleted_ages_days)
+        for r in timeline.deletion_days
+    )
+    return AccountTimeline(timeline.account_id, kept, days)
 
 
 def ks_brute_force(a, b) -> float:

@@ -4,12 +4,13 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from delstream import cli
@@ -94,6 +95,26 @@ class TestExitCodes:
     def test_unopenable_input_path_exit_2(self, workspace, argv):
         assert run(*argv) == 2
 
+    def test_missing_snapshot_file_exit_2_before_the_event_pass(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.ndjson").write_text('{"kind":"tweet_delete"}\n')
+        argv = ["aggregate", "--events", "bad.ndjson", "--snapshots", "nope.ndjson",
+                "--out", "out"]
+        assert run(*argv) == 2
+
+    def test_negative_permutations_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+        )
+        argv = ["estimate", "--timelines", "timelines.ndjson", "--permutations", -5,
+                "--out", "out"]
+        assert run(*argv) == 3
+        assert "--permutations must be >= 0" in capsys.readouterr().err
+        assert not Path("out").exists()
+
     def test_malformed_record_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("events.ndjson").write_text('{"kind":"tweet_delete"}\n')
@@ -150,6 +171,64 @@ class TestExitCodes:
             '{"account_id":2,"snapshots":[],"deletion_days":[]}\n'
         )
         assert run("stats", "--timelines", "timelines.ndjson", "--out", "out") == 3
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"account_id": "7"},
+            {"account_id": True},
+            {"account_id": None},
+            {"account_id": ...},
+            {"snapshots": ...},
+            {"snapshots": "x"},
+            {"snapshots": [{"snapshot_day": "2021-04-26", "status": "active",
+                            "statuses_count": 5}]},
+            {"snapshots": [["2021-04-26", "active"]]},
+            {"snapshots": [[20210426, "active", 5]]},
+            {"snapshots": [["2021-02-30", "active", 5]]},
+            {"snapshots": [["2021-04-26", "gone", 5]]},
+            {"snapshots": [["2021-04-26", ["active"], 5]]},
+            {"snapshots": [["2021-04-26", "active", "5"]]},
+            {"snapshots": [["2021-04-26", "active", 5.0]]},
+            {"snapshots": [["2021-04-26", "active", True]]},
+            {"snapshots": [["2021-04-26", "active", -1]]},
+            {"snapshots": [["2021-04-26", "active", None]]},
+            {"snapshots": [["2021-04-27", "active", 5], ["2021-04-26", "active", 5]]},
+            {"description": 5},
+            {"description": None},
+            {"snapshots": [], "description": "orphan"},
+            {"deletion_days": ...},
+            {"deletion_days": {}},
+            {"deletion_days": [["2021-04-27", 10]]},
+            {"deletion_days": [["x", 10, []]]},
+            {"deletion_days": [["2021-04-27", "10", []]]},
+            {"deletion_days": [["2021-04-27", True, []]]},
+            {"deletion_days": [["2021-04-27", 0, []]]},
+            {"deletion_days": [["2021-04-27", 10, "1,2"]]},
+            {"deletion_days": [["2021-04-27", 10, [1.5]]]},
+            {"deletion_days": [["2021-04-27", 10, [False]]]},
+            {"deletion_days": [["2021-04-27", 1, [1, 2]]]},
+            {"deletion_days": [["2021-04-27", 10, []], ["2021-04-27", 10, []]]},
+            {"deletion_days": [{"account_id": 7, "day": "2021-04-27",
+                                "deletion_count": 10, "deleted_ages_days": [],
+                                "tweet_ids": list(range(1, 11))}]},
+        ],
+        ids=lambda change: repr(change)[:60],
+    )
+    def test_malformed_timeline_field_exit_3_with_its_line(
+        self, tmp_path, monkeypatch, capsys, change
+    ):
+        monkeypatch.chdir(tmp_path)
+        good = {"account_id": 7,
+                "snapshots": [["2021-04-26", "active", 5], ["2021-04-27", "suspended", None]],
+                "description": "hi", "deletion_days": [["2021-04-27", 10, [1, 2]]]}
+        # ... drops the key
+        bad = {key: value for key, value in {**good, **change}.items() if value is not ...}
+        Path("timelines.ndjson").write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
+        for stage, out in (("estimate", "est"), ("detect-flooding", "v.csv"),
+                           ("stats", "stats")):
+            assert run(stage, "--timelines", "timelines.ndjson", "--out", out) == 3
+            assert "line 2: bad timeline" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, content, error",
@@ -587,3 +666,112 @@ print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
     )
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == {"codes": [0, 0, 0], "numpy_loaded": False}
+
+
+#: Values an input option is given when it is meant to work, by option dest.
+_GOOD_INPUTS = {
+    "spec": ["spec.json"],
+    "events": ["data/events.ndjson"],
+    "snapshots": ["data/snapshots.ndjson"],
+    "timelines": ["agg", "agg/timelines.ndjson"],
+    "violations": ["flood/violations.csv"],
+    "bot_scores": ["scores.csv"],
+    "allowlist": ["allow.txt"],
+    "deletions": ["agg/daily_deletions.ndjson"],
+    "unlikes": ["agg/unlikes.ndjson"],
+}
+#: Inputs of the wrong kind, directories and paths that cannot be opened.
+_OTHER_INPUTS = [
+    "data", "nope.ndjson", "agg/timelines.ndjson/x", "data/ground_truth.json",
+    "flood/violations.csv.manifest.json", *[p for ps in _GOOD_INPUTS.values() for p in ps],
+]
+#: Where a stage may write: a new directory, a file in one, an existing file
+#: and a path under a file. Nothing else is ever given as --out.
+_OUTS = ["argv-out/new", "argv-out/new/v.csv", "argv-out/file", "argv-out/file/x"]
+_SMALL_INTS = st.integers(-60, 60)
+_WORDS = st.sampled_from(["", "x", "-", "--", "-1", "1.5", "1e3", "true", "null", "é"])
+
+
+@pytest.fixture(scope="module")
+def argv_root(pipeline) -> Path:
+    (pipeline / "scores.csv").write_text("account_id,bot_score\n1,0.9\n2,0.25\n")
+    return pipeline
+
+
+def _outs(root: Path):
+    return st.sampled_from([str(root / out) for out in _OUTS])
+
+
+def _value_for(action, root: Path, good: bool):
+    """A strategy for one option's value: one meant to work, or any other."""
+    if action.dest == "out":
+        return _outs(root)
+    if action.type is int:
+        return st.integers(1, 60).map(str) if good else _SMALL_INTS.map(str) | _WORDS
+    paths = st.sampled_from([str(root / p) for p in _OTHER_INPUTS])
+    if good and action.dest in _GOOD_INPUTS:
+        return st.sampled_from([str(root / p) for p in _GOOD_INPUTS[action.dest]])
+    return paths | _WORDS
+
+
+@st.composite
+def _config(draw, root: Path, actions) -> str:
+    """A --config file's text: mostly a JSON object of option values."""
+    keys = [a.dest for a in actions] + ["help", "config", "bogus"]
+    raw = {}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        action = next((a for a in actions if a.dest == key), None)
+        if key == "out":  # only the writable paths, or a value of the wrong type
+            raw[key] = draw(_outs(root) | st.integers(0, 1))
+        elif action is not None and draw(st.booleans()):
+            raw[key] = draw(_value_for(action, root, draw(st.booleans())))
+        else:
+            raw[key] = draw(st.one_of(
+                _SMALL_INTS, st.booleans(), st.none(), st.floats(-60, 60), _WORDS,
+                st.lists(_SMALL_INTS, max_size=2),
+            ))
+    return draw(st.sampled_from([json.dumps(raw)] * 4 + [json.dumps([raw]), "{", ""]))
+
+
+@st.composite
+def _argvs(draw, root: Path) -> list[str]:
+    """A subcommand's argv: each option given a value meant to work, another
+    value, no value or left out, then a few stray tokens and sometimes a
+    --config file."""
+    _, registry = cli.build_parser()
+    name = draw(st.sampled_from(sorted(registry)))
+    actions = [a for a in registry[name]._actions
+               if a.option_strings and a.dest not in ("help", "config")]
+    argv = [name]
+    for action in actions:
+        choice = draw(st.sampled_from(["good"] * 5 + ["other", "omit", "bare"]))
+        if choice == "omit" or (action.nargs == 0 and draw(st.booleans())):
+            continue
+        argv.append(action.option_strings[0])
+        if choice != "bare" and action.nargs != 0:
+            argv.append(draw(_value_for(action, root, choice == "good")))
+    every_flag = sorted({flag for sub in registry.values() for a in sub._actions
+                         for flag in a.option_strings} - {"--out"})
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        token = draw(st.sampled_from(["--version", "-h", *every_flag]) | _WORDS
+                     | _SMALL_INTS.map(str))
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    if draw(st.integers(0, 3)) == 3:
+        config = root / "argv-out" / "config.json"
+        config.write_text(draw(_config(root, actions)))
+        argv += ["--config", str(config)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_argv_exit_0_2_or_3(argv_root, data):
+    """Any argv over a small aggregated dataset exits 0, 2 or 3, never 1."""
+    scratch = argv_root / "argv-out"
+    shutil.rmtree(scratch, ignore_errors=True)
+    scratch.mkdir()
+    (scratch / "file").write_text("")
+    argv = data.draw(_argvs(argv_root))
+    code = exit_code(*argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3)

@@ -664,4 +664,105 @@ class TestSerialization:
         )
         path = tmp_path / "timelines.ndjson"
         ingest.write_timelines(path, timelines)
-        assert list(ingest.read_timelines(path)) == timelines
+        assert list(ingest.read_timelines(path)) == [oracles.slim(t) for t in timelines]
+
+
+_DESCRIPTIONS = st.sampled_from(
+    ["", '"quoted" \\ back', "naïve ☕ 日本語", "line\nbreak", "tab\there"]
+) | st.text(max_size=12)
+_STAMPS = st.none() | st.datetimes(
+    min_value=datetime(2010, 1, 1), max_value=datetime(2030, 1, 1), timezones=st.just(UTC)
+)
+
+
+@st.composite
+def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
+    """Any valid timeline: every status, None counts off active days, empty
+    snapshot or day lists, and fewer ages than deletions."""
+    snapshots = []
+    for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=8))):
+        status = draw(st.sampled_from(list(AccountStatus)))
+        counts = st.integers(0, 10**6)
+        count = draw(counts if status is AccountStatus.ACTIVE else st.none() | counts)
+        snapshots.append(
+            AccountSnapshot(
+                account_id, DAY0 + timedelta(days=offset), count, status,
+                draw(_DESCRIPTIONS), draw(_STAMPS), draw(_STAMPS),
+            )
+        )
+    records = []
+    for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=5))):
+        count = draw(st.integers(1, 30))
+        ages = sorted(draw(st.lists(st.integers(0, 4000), max_size=count)))
+        ids = sorted(draw(st.lists(st.integers(1, 2**63), min_size=count, max_size=count)))
+        records.append(
+            ingest.DailyDeletionRecord(
+                account_id, DAY0 + timedelta(days=offset), count, tuple(ages), tuple(ids)
+            )
+        )
+    return ingest.AccountTimeline(account_id, tuple(snapshots), tuple(records))
+
+
+@st.composite
+def _timeline_lists(draw) -> list[ingest.AccountTimeline]:
+    accounts = sorted(draw(st.sets(st.integers(1, 2**40), max_size=6)))
+    return [draw(_timelines(account_id)) for account_id in accounts]
+
+
+def _written_and_read(timelines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timelines.ndjson"
+        ingest.write_timelines(path, timelines)
+        return list(ingest.read_timelines(path))
+
+
+class TestTimelineForm:
+    @settings(max_examples=200, deadline=None)
+    @given(_timeline_lists())
+    def test_roundtrip_is_the_slim_timeline(self, timelines):
+        assert _written_and_read(timelines) == [oracles.slim(t) for t in timelines]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_timeline_lists(), st.integers(1, 40), st.booleans(), st.booleans())
+    def test_analyses_agree_on_the_read_back_timelines(
+        self, timelines, floor, include_gaps, per_account_median
+    ):
+        from delstream import behavior, estimate, flooding
+
+        def results(tls):
+            estimates = [e for tl in tls for e in estimate.estimate_timeline(tl)]
+            actuals = [r for tl in tls for r in tl.deletion_days]
+            violations = flooding.detect(tls, limit=100)
+            return (
+                estimates,
+                estimate.compare(estimates, actuals, floor, include_gaps,
+                                 per_account_median),
+                violations,
+                behavior.summarize(tls, violations, window_days=30),
+                behavior.daily_volume_ccdf(actuals),
+                [tl.final_status() for tl in tls],
+                [tl.snapshots[-1].description for tl in tls if tl.snapshots],
+            )
+
+        assert results(_written_and_read(timelines)) == results(timelines)
+
+    def test_form_holds_only_what_the_analysis_reads(self, tmp_path):
+        timeline = ingest.AccountTimeline(
+            7,
+            (snap(7, DAY0, 5, description="old"),
+             snap(7, DAY0 + timedelta(days=1), None, AccountStatus.SUSPENDED, "new")),
+            (ingest.DailyDeletionRecord(7, DAY0, 2, (3,), (11, 12)),),
+        )
+        path = tmp_path / "timelines.ndjson"
+        ingest.write_timelines(path, [timeline])
+        assert json.loads(path.read_text()) == {
+            "account_id": 7,
+            "snapshots": [["2021-04-26", "active", 5], ["2021-04-27", "suspended", None]],
+            "description": "new",
+            "deletion_days": [["2021-04-26", 2, [3]]],
+        }
+
+    def test_description_defaults_to_empty(self):
+        raw = {"account_id": 7, "snapshots": [["2021-04-26", "active", 5]],
+               "deletion_days": []}
+        assert ingest.timeline_from_dict(raw).snapshots[0].description == ""
