@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from delstream import ingest
+from delstream import behavior, estimate, flooding, ingest
 from delstream.records import (
     SNOWFLAKE_EPOCH_MS,
     AccountSnapshot,
@@ -727,8 +727,6 @@ class TestTimelineForm:
     def test_analyses_agree_on_the_read_back_timelines(
         self, timelines, floor, include_gaps, per_account_median
     ):
-        from delstream import behavior, estimate, flooding
-
         def results(tls):
             estimates = [e for tl in tls for e in estimate.estimate_timeline(tl)]
             actuals = [r for tl in tls for r in tl.deletion_days]
