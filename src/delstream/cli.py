@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .behavior import (
+    DEFAULT_WINDOW_DAYS,
     Category,
     daily_volume_ccdf,
     frequency_buckets,
@@ -218,10 +219,33 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _span_days(timelines) -> int:
+    """Days from the earliest to the latest snapshot or deletion day, inclusive.
+
+    0 when no timeline has a day. Days ascend within a timeline, so its first
+    and last rows suffice.
+    """
+    ends = []
+    for tl in timelines:
+        if tl.snapshots:
+            ends += (tl.snapshots[0].snapshot_day, tl.snapshots[-1].snapshot_day)
+        if tl.deletion_days:
+            ends += (tl.deletion_days[0].day, tl.deletion_days[-1].day)
+    return (max(ends) - min(ends)).days + 1 if ends else 0
+
+
 def _cmd_stats(args) -> int:
     timelines = list(read_timelines(_resolve_timelines(args.timelines)))
     violations = read_violations(args.violations) if args.violations else []
     bot_scores = _read_bot_scores(args.bot_scores) if args.bot_scores else None
+    # The default window is the paper's collection length and is always
+    # allowed, so a run without --window behaves the same on any input.
+    span = _span_days(timelines)
+    if args.window > max(span, DEFAULT_WINDOW_DAYS):
+        raise ValueError(
+            f"--window {args.window} exceeds the collection span of {span} days "
+            f"and the default of {DEFAULT_WINDOW_DAYS}"
+        )
     summaries = summarize(
         timelines, violations, window_days=args.window, bot_scores=bot_scores
     )
@@ -437,7 +461,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--timelines", required=True, help="timelines file or aggregate output dir")
     sub.add_argument("--violations", default=None, help="violations CSV from detect-flooding")
     sub.add_argument("--bot-scores", default=None, help="CSV of externally computed bot scores")
-    sub.add_argument("--window", type=int, default=30, help="collection window length in days")
+    sub.add_argument("--window", type=int, default=DEFAULT_WINDOW_DAYS,
+                     help="collection window length in days; above the default, "
+                          "at most the span of the timelines")
     sub.add_argument("--top-terms", type=int, default=25)
     sub.add_argument("--out", required=True, help="output directory")
 

@@ -7,10 +7,13 @@ order, so sharded runs merge reproducibly.
 
 ``aggregate_events`` reads an event file once and builds both the daily
 deletion records and the unlike records from the validated fields of each
-line, without building notice objects. ``aggregate_daily`` and
-``aggregate_unlikes`` take notices from ``read_notices`` and give the same
-results; all of them, and ``aggregate_daily_sharded``, threshold their
-groups through one builder.
+line, without building notice objects. A line in the exact form
+``serialize_notice`` writes (``records.NOTICE_LINE``) is read from the regex
+groups without a JSON decode; any other line goes through
+``parse_notice_fields``, with the same results and errors.
+``aggregate_daily`` and ``aggregate_unlikes`` take notices from
+``read_notices`` and give the same results; all of them, and
+``aggregate_daily_sharded``, threshold their groups through one builder.
 
 The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
 the file framing around them (lines, blank lines, JSON errors with line
@@ -36,19 +39,20 @@ from .records import (
     AccountStatus,
     CANONICAL_TIMESTAMP,
     ComplianceNotice,
+    NOTICE_LINE,
     NoticeKind,
     RecordParseError,
+    _NOTICE_KINDS,
+    _STATUSES,
+    _lines,
+    _notice_fields,
     parse_observed_at,
     read_ndjson,
-    read_notice_fields,
     write_ndjson,
 )
 
 #: Account-days with fewer deletions than this are out of scope.
 DEFAULT_INCLUSION_THRESHOLD = 10
-
-#: AccountStatus by value, for the timeline reader.
-_STATUSES = {status.value: status for status in AccountStatus}
 
 _DAY_MS = 86_400_000
 _UNIX_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -299,7 +303,9 @@ def aggregate_events(
 
     Equal to ``(aggregate_daily(read_notices(path), threshold),
     aggregate_unlikes(read_notices(path)))``, with the same errors, but
-    builds no notice objects. A timestamp in the form ``format_timestamp``
+    builds no notice objects. A line that fully matches ``NOTICE_LINE`` is
+    read from its groups without a JSON decode; any other line goes through
+    ``parse_notice_fields``. A timestamp in the form ``format_timestamp``
     writes is bucketed by its first ten characters, each distinct day string
     parsed once; any other form goes through ``parse_timestamp``.
     """
@@ -307,18 +313,31 @@ def aggregate_events(
     groups: dict[tuple[int, int], list[int]] = {}
     counts: dict[tuple[int, int], int] = {}
     day_ordinals: dict[str, int] = {}
+    exact = NOTICE_LINE.fullmatch
     canonical = CANONICAL_TIMESTAMP.fullmatch
+    kinds = _NOTICE_KINDS
     tweet_delete = NoticeKind.TWEET_DELETE
     unlike = NoticeKind.UNLIKE
-    for number, kind, actor_id, object_id, observed in read_notice_fields(path):
-        if canonical(observed):
-            day = observed[:10]
+    for number, line in _lines(path):
+        match = exact(line)
+        if match is not None:
+            kind, actor_id, object_id, observed, day = match.groups()
+            kind = kinds[kind]
+            actor_id = int(actor_id)
+            object_id = int(object_id)
+        else:
+            fields = _notice_fields(line, number)
+            if fields is None:
+                continue
+            kind, actor_id, object_id, observed = fields
+            day = observed[:10] if canonical(observed) else None
+        if day is None:
+            ordinal = parse_observed_at(observed, number).toordinal()
+        else:
             ordinal = day_ordinals.get(day)
             if ordinal is None:
                 ordinal = parse_observed_at(observed, number).toordinal()
                 day_ordinals[day] = ordinal
-        else:
-            ordinal = parse_observed_at(observed, number).toordinal()
         if kind is tweet_delete:
             key = (actor_id, ordinal)
             ids = groups.get(key)

@@ -3,6 +3,13 @@
 Every file the package reads or writes is framed here (``read_ndjson``,
 ``write_ndjson``, ``read_csv``, ``write_csv``, ``write_json``); other modules
 supply only the conversion of one record to and from a dict or a CSV row.
+A line that is not valid UTF-8 is a RecordParseError naming its line.
+
+The two inputs that grow with the collection, events and snapshots, have an
+exact-form fast path: a line in the one form ``serialize_notice`` or
+``serialize_snapshot`` writes (``NOTICE_LINE``, ``SNAPSHOT_LINE``) is read
+from the regex groups, without a JSON decode. Any other line goes through
+the general JSON path, which gives the same records and the same errors.
 
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
@@ -52,6 +59,10 @@ class AccountStatus(str, Enum):
     DELETED = "deleted"
 
 
+#: AccountStatus by value, for the same reason as ``_NOTICE_KINDS``.
+_STATUSES = {status.value: status for status in AccountStatus}
+
+
 class RecordParseError(ValueError):
     """A malformed input record; carries the 1-based line number."""
 
@@ -94,10 +105,35 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(_UTC).isoformat().replace("+00:00", "Z")
 
 
+# Pieces of the exact forms below, all compiled with re.ASCII: without it \d
+# accepts non-ASCII digits, which int() reads and json.loads rejects.
+_DAY = r"\d{4}-\d\d-\d\d"
+_TIME_OF_DAY = r"T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d{6})?Z"
+#: A positive integer without leading zeros, at most 19 digits.
+_ID = r"[1-9]\d{0,18}"
+
 #: The form ``format_timestamp`` writes: a UTC time with an optional
 #: microsecond fraction. Its UTC day is its first ten characters.
-CANONICAL_TIMESTAMP = re.compile(
-    r"\d{4}-\d\d-\d\dT(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d{6})?Z", re.ASCII
+CANONICAL_TIMESTAMP = re.compile(_DAY + _TIME_OF_DAY, re.ASCII)
+
+#: The one line form ``serialize_notice`` writes. Groups: kind, actor_id,
+#: object_id, observed_at and its day.
+NOTICE_LINE = re.compile(
+    rf'\{{"kind":"(tweet_delete|unlike)","actor_id":({_ID}),"object_id":({_ID}),'
+    rf'"observed_at":"(({_DAY}){_TIME_OF_DAY})"\}}',
+    re.ASCII,
+)
+
+#: The form ``serialize_snapshot`` writes for a description that needs no
+#: JSON escape. Groups: account_id, snapshot_day, statuses_count, status,
+#: description, created_at and queried_at (None for ``null``).
+SNAPSHOT_LINE = re.compile(
+    rf'\{{"account_id":({_ID}),"snapshot_day":"({_DAY})",'
+    rf'"statuses_count":(null|0|{_ID}),"status":"(active|suspended|deleted)",'
+    r'"description":"([^"\\\x00-\x1f]*)",'
+    rf'"created_at":(?:null|"({_DAY}{_TIME_OF_DAY})"),'
+    rf'"queried_at":(?:null|"({_DAY}{_TIME_OF_DAY})")\}}',
+    re.ASCII,
 )
 
 
@@ -238,11 +274,22 @@ def parse_notice_fields(
 
 
 def parse_observed_at(value: str, line_number: int = 0) -> datetime:
-    """``parse_timestamp`` for an event's ``observed_at``, as a RecordParseError."""
+    """``parse_timestamp`` as a RecordParseError naming the line.
+
+    Reads an event's ``observed_at`` and a snapshot's ``created_at`` and
+    ``queried_at``.
+    """
     try:
         return parse_timestamp(value)
     except ValueError:
         raise RecordParseError(f"bad timestamp {value!r}", line_number) from None
+
+
+def _parse_day(value: str, line_number: int) -> date:
+    try:
+        return date.fromisoformat(value)
+    except ValueError:
+        raise RecordParseError(f"bad date {value!r}", line_number) from None
 
 
 def parse_notice(line: str, line_number: int = 0) -> ComplianceNotice:
@@ -294,10 +341,7 @@ def snapshot_from_dict(raw: dict, line_number: int = 0) -> AccountSnapshot:
     day_raw = raw.get("snapshot_day")
     if not isinstance(day_raw, str):
         raise RecordParseError("missing or non-string 'snapshot_day'", line_number)
-    try:
-        snapshot_day = date.fromisoformat(day_raw)
-    except ValueError:
-        raise RecordParseError(f"bad date {day_raw!r}", line_number) from None
+    snapshot_day = _parse_day(day_raw, line_number)
 
     count = raw.get("statuses_count")
     if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
@@ -321,23 +365,25 @@ def snapshot_from_dict(raw: dict, line_number: int = 0) -> AccountSnapshot:
         if value is None:
             timestamps[key] = None
         elif isinstance(value, str):
-            try:
-                timestamps[key] = parse_timestamp(value)
-            except ValueError:
-                raise RecordParseError(f"bad timestamp {value!r}", line_number) from None
+            timestamps[key] = parse_observed_at(value, line_number)
         else:
             raise RecordParseError(f"{key!r} must be a string or null", line_number)
 
+    return _snapshot(
+        line_number,
+        account_id,
+        snapshot_day,
+        count,
+        status,
+        description,
+        timestamps["created_at"],
+        timestamps["queried_at"],
+    )
+
+
+def _snapshot(line_number: int, *fields) -> AccountSnapshot:
     try:
-        return AccountSnapshot(
-            account_id,
-            snapshot_day,
-            count,
-            status,
-            description,
-            timestamps["created_at"],
-            timestamps["queried_at"],
-        )
+        return AccountSnapshot(*fields)
     except ValueError as err:
         raise RecordParseError(str(err), line_number) from None
 
@@ -350,6 +396,15 @@ def serialize_snapshot(snapshot: AccountSnapshot) -> str:
     return _dumps(snapshot_to_dict(snapshot))
 
 
+def _notice_fields(line: str, line_number: int):
+    """``parse_notice_fields``, or None with a warning for an unknown kind."""
+    try:
+        return parse_notice_fields(line, line_number)
+    except UnknownKindError as err:
+        logger.warning("skipping event: %s", err)
+        return None
+
+
 def read_notice_fields(path) -> Iterator[tuple[int, NoticeKind, int, int, str]]:
     """Yield (line_number, *parse_notice_fields) per record of an event file.
 
@@ -358,12 +413,9 @@ def read_notice_fields(path) -> Iterator[tuple[int, NoticeKind, int, int, str]]:
     number.
     """
     for number, line in _lines(path):
-        try:
-            fields = parse_notice_fields(line, number)
-        except UnknownKindError as err:
-            logger.warning("skipping event: %s", err)
-            continue
-        yield number, *fields
+        fields = _notice_fields(line, number)
+        if fields is not None:
+            yield number, *fields
 
 
 def read_notices(path) -> Iterator[ComplianceNotice]:
@@ -379,7 +431,46 @@ def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:
 
 
 def read_snapshots(path) -> Iterator[AccountSnapshot]:
-    return read_ndjson(path, snapshot_from_dict)
+    """Yield snapshots from a snapshot file; equal to ``read_ndjson(path,
+    snapshot_from_dict)``, with the same errors.
+
+    A line that fully matches ``SNAPSHOT_LINE`` is read from its groups, each
+    distinct day and timestamp string converted once per call; any other
+    line is decoded as JSON.
+    """
+    days: dict[str, date] = {}
+    stamps: dict[str, datetime] = {}
+
+    def timestamp(value: str | None, number: int) -> datetime | None:
+        if value is None:
+            return None
+        parsed = stamps.get(value)
+        if parsed is None:
+            parsed = stamps[value] = parse_observed_at(value, number)
+        return parsed
+
+    exact = SNAPSHOT_LINE.fullmatch
+    for number, line in _lines(path):
+        match = exact(line)
+        if match is None:
+            yield snapshot_from_dict(_load(line, number), number)
+            continue
+        account_id, day_raw, count, status, description, created, queried = (
+            match.groups()
+        )
+        day = days.get(day_raw)
+        if day is None:
+            day = days[day_raw] = _parse_day(day_raw, number)
+        yield _snapshot(
+            number,
+            int(account_id),
+            day,
+            None if count == "null" else int(count),
+            _STATUSES[status],
+            description,
+            timestamp(created, number),
+            timestamp(queried, number),
+        )
 
 
 def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
@@ -387,11 +478,20 @@ def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
 
 
 def _lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based line number, stripped line) for each non-blank line of a file."""
-    with open(path, encoding="utf-8") as fh:
+    """(1-based line number, stripped line) for each non-blank line of a file.
+
+    A line that is not valid UTF-8 raises RecordParseError with its number.
+    """
+    # surrogateescape defers the check to the line, so the error can name it
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise RecordParseError("invalid UTF-8", number) from None
                 yield number, line
 
 

@@ -268,6 +268,62 @@ class TestExitCodes:
         argv = ["stats", "--timelines", "timelines.ndjson", "--window", window, "--out", "out"]
         assert run(*argv) == 3
 
+    @pytest.mark.parametrize(
+        "lines, window, code, error",
+        [
+            (['{"account_id":1,"snapshots":[["2021-01-01","active",5]],'
+              '"deletion_days":[["2021-02-10",10,[]]]}'], 41, 0, None),
+            (['{"account_id":1,"snapshots":[["2021-01-01","active",5]],'
+              '"deletion_days":[["2021-02-10",10,[]]]}'], 42, 3,
+             "--window 42 exceeds the collection span of 41 days"),
+            (['{"account_id":1,"snapshots":[["2021-01-05","active",5]],'
+              '"deletion_days":[]}',
+              '{"account_id":2,"snapshots":[],"deletion_days":[["2021-01-01",10,[]],'
+              '["2021-01-08",10,[]]]}'], 31, 3,
+             "--window 31 exceeds the collection span of 8 days and the default of 30"),
+            (['{"account_id":1,"snapshots":[["2021-01-05","active",5]],'
+              '"deletion_days":[]}'], 30, 0, None),
+            ([], 100_000, 3, "--window 100000 exceeds the collection span of 0 days"),
+            ([], None, 0, None),
+        ],
+        ids=["span", "span+1", "short-span+1", "short-default", "empty", "empty-default"],
+    )
+    def test_window_bounded_by_the_collection_span(
+        self, tmp_path, monkeypatch, capsys, lines, window, code, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text("".join(line + "\n" for line in lines))
+        argv = ["stats", "--timelines", "timelines.ndjson", "--out", "out"]
+        if window is not None:
+            argv += ["--window", window]
+        assert run(*argv) == code
+        if error:
+            assert error in capsys.readouterr().err
+            assert not Path("out").exists()
+        else:
+            buckets = Path("out/buckets.csv").read_text().splitlines()
+            assert len(buckets) == 1 + (window or 30)
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [("aggregate", "events.ndjson"), ("aggregate", "snapshots.ndjson"),
+         ("estimate", "timelines.ndjson")],
+    )
+    def test_invalid_utf8_exit_3_with_its_line(
+        self, tmp_path, monkeypatch, capsys, stage, name
+    ):
+        monkeypatch.chdir(tmp_path)
+        for empty in ("events.ndjson", "snapshots.ndjson", "timelines.ndjson"):
+            Path(empty).write_text("")
+        Path(name).write_bytes(b"\n\n" + b"x" * 5000 + b'{"a":"\xff"}\n')
+        argv = {
+            "aggregate": ["aggregate", "--events", "events.ndjson",
+                          "--snapshots", "snapshots.ndjson", "--out", "out"],
+            "estimate": ["estimate", "--timelines", "timelines.ndjson", "--out", "out"],
+        }[stage]
+        assert run(*argv) == 3
+        assert "line 3: invalid UTF-8" in capsys.readouterr().err
+
     def test_config_without_value_usage_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as err:

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import json
 import random
+import tempfile
+from contextlib import contextmanager
+from dataclasses import replace
 from datetime import date, datetime, timezone
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from delstream import ingest
 from delstream import records as r
 from delstream import synth
 
@@ -279,3 +286,240 @@ class TestSnapshotValidation:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             r.AccountSnapshot(1, date(2021, 4, 26), -1, r.AccountStatus.ACTIVE)
+
+
+# -- exact-form fast paths -------------------------------------------------
+#
+# ``ingest.aggregate_events`` and ``read_snapshots`` read a line in the one
+# form the package's writers produce from ``NOTICE_LINE``/``SNAPSHOT_LINE``
+# groups. The properties below hold them to the general JSON path on lines
+# that almost match: any difference in records, errors or line numbers fails.
+
+
+def _outcome(func):
+    try:
+        return func()
+    except Exception as err:  # compare failures by type, message and line
+        return type(err), str(err), getattr(err, "line_number", None)
+
+
+_exact_ids = st.one_of(
+    st.sampled_from(["1", "2", "3"]), st.from_regex(r"[1-9][0-9]{0,18}", fullmatch=True)
+)
+_odd_ids = st.sampled_from(
+    [
+        "0", "00", "007", "-0", "-5", "1" * 20, "9" * 19, "1_000", "1١", "١", "true",
+        "false", "null", "1.0", "1e3", '"5"', " 5",
+    ]
+)
+_canonical_stamps = st.one_of(
+    # few values, so that stamps and days repeat within a file
+    st.sampled_from(
+        ["2021-04-26T00:00:00Z", "2021-04-26T12:30:00.123456Z", "2021-04-27T23:59:59Z"]
+    ),
+    st.builds(
+        lambda day, hour, minute, second, fraction: (
+            f"{day}T{hour:02d}:{minute:02d}:{second:02d}{fraction}Z"
+        ),
+        st.sampled_from(["2021-04-26", "2021-04-27", "2020-02-29", "9999-12-31"]),
+        st.integers(0, 23),
+        st.integers(0, 59),
+        st.integers(0, 59),
+        st.sampled_from(["", ".000000", ".123456"]),
+    ),
+)
+_odd_stamps = st.sampled_from(
+    [
+        "2021-04-26T24:00:00Z", "2021-04-26T23:59:60Z", "2021-02-30T12:00:00Z",
+        "2021-04-26T12:00:00.123Z", "2021-04-26T12:00:00z", "2021-04-26T12:00:00",
+        "2021-04-26T12:00:00+00:00", "2021-04-27T01:30:00+02:00",
+        "2021-04-26T23:30:00-01:00", "0001-01-01T00:30:00+01:00",
+        "9999-12-31T23:30:00-01:00", "0000-01-01T00:00:00Z", "2021-04-26 12:00:00Z",
+        "٢021-04-26T12:00:00Z", "",
+    ]
+)
+_days = st.sampled_from(["2021-04-26", "2021-04-27", "2020-02-29"])
+_odd_days = st.sampled_from(["2021-02-30", "2021-4-26", "20210426", "x", "٢021-04-26"])
+_odd_counts = st.sampled_from(
+    ["null", "0", "-3", "-0", "007", "1.5", "true", "1" * 20, "1١"]
+)
+_kind_values = st.sampled_from(["tweet_delete ", "Unlike", "scrub_geo", "unlike\\u0020"])
+_layouts = st.sampled_from(["spaces", "order", "duplicate", "extra", "drop", "trailing"])
+
+
+@st.composite
+def _json_line(draw, pairs: list[tuple[str, str]], odd: dict | None) -> str:
+    """An object line of ``pairs`` (key, raw JSON value) in the exact compact
+    form of their order or, given the ``odd`` value strategies by key, with
+    one value replaced by an odd one or its layout changed."""
+    pairs = list(pairs)
+    layout = None
+    if odd is not None:
+        change = draw(st.sampled_from([None, *odd]))
+        if change is None:
+            layout = draw(_layouts)
+        else:
+            pairs = [(key, draw(odd[key]) if key == change else value)
+                     for key, value in pairs]
+    if layout == "order":
+        pairs = draw(st.permutations(pairs))
+    elif layout == "duplicate":
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    elif layout == "extra":
+        pairs.insert(draw(st.integers(0, len(pairs))), ("extra", '"x"'))
+    elif layout == "drop":
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+    comma, colon = (", ", ": ") if layout == "spaces" else (",", ":")
+    line = "{" + comma.join(f'"{key}"{colon}{value}' for key, value in pairs) + "}"
+    return line + (draw(st.sampled_from([" x", "}", ","])) if layout == "trailing" else "")
+
+
+def _quoted(strategy):
+    return strategy.map(lambda text: f'"{text}"')
+
+
+@st.composite
+def _notice_lines(draw, exact: bool) -> str:
+    """A line in the form ``serialize_notice`` writes or, unless ``exact``,
+    one that differs from it in one value or in its layout."""
+    pairs = [
+        ("kind", f'"{draw(st.sampled_from(["tweet_delete", "tweet_delete", "unlike"]))}"'),
+        ("actor_id", draw(_exact_ids)),
+        ("object_id", draw(_exact_ids)),
+        ("observed_at", f'"{draw(_canonical_stamps)}"'),
+    ]
+    odd = {
+        "kind": _quoted(_kind_values),
+        "actor_id": _odd_ids,
+        "object_id": _odd_ids,
+        "observed_at": _quoted(_odd_stamps),
+    }
+    return draw(_json_line(pairs, None if exact else odd))
+
+
+_descriptions = st.one_of(
+    st.sampled_from(['""', '"plain words"', '"del\x7f"', '"slash/"', '"café"']),
+    _quoted(
+        st.text(st.characters(max_codepoint=127, blacklist_characters='"\\'), max_size=8)
+        .filter(str.isprintable)
+    ),
+)
+_odd_descriptions = st.one_of(
+    st.sampled_from(
+        [
+            '"say \\"hi\\""', '"back\\\\slash"', '"caf\\u00e9"', '"tab\there"',
+            '"nul\x00"', '"\\ud83d\\ude00"', '"line\\nbreak"', "5", "null",
+        ]
+    ),
+    _quoted(st.text(st.characters(codec="utf-8"), max_size=8)),
+)
+
+
+@st.composite
+def _snapshot_lines(draw, exact: bool) -> str:
+    """A line in the form ``serialize_snapshot`` writes or, unless ``exact``,
+    one that differs from it in one value or in its layout."""
+    status = draw(st.sampled_from(["active", "suspended", "deleted"]))
+    counts = _exact_ids if status == "active" else st.one_of(st.just("null"), _exact_ids)
+    stamps = st.one_of(st.just("null"), _quoted(_canonical_stamps))
+    pairs = [
+        ("account_id", draw(_exact_ids)),
+        ("snapshot_day", f'"{draw(_days)}"'),
+        ("statuses_count", draw(counts)),
+        ("status", f'"{status}"'),
+        ("description", draw(_descriptions)),
+        ("created_at", draw(stamps)),
+        ("queried_at", draw(stamps)),
+    ]
+    odd = {
+        "account_id": _odd_ids,
+        "snapshot_day": _quoted(_odd_days),
+        "statuses_count": _odd_counts,
+        "status": _quoted(st.sampled_from(["Active", "gone", "active "])),
+        "description": _odd_descriptions,
+        "created_at": _quoted(_odd_stamps),
+        "queried_at": _quoted(_odd_stamps),
+    }
+    return draw(_json_line(pairs, None if exact else odd))
+
+
+@st.composite
+def _files(draw, lines) -> list[str]:
+    """Mostly exact lines, so that records are compared, and up to two others."""
+    drawn = draw(st.lists(lines(exact=True), max_size=8))
+    for odd in draw(st.lists(lines(exact=False), min_size=1, max_size=2)):
+        drawn.insert(draw(st.integers(0, len(drawn))), odd)
+    return drawn
+
+
+@contextmanager
+def _file_of(lines: list[str], ending: str) -> Iterator[Path]:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input.ndjson"
+        path.write_text(ending.join(lines) + ending, encoding="utf-8", newline="")
+        yield path
+
+
+_endings = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n"])
+
+
+class TestExactFormFastPath:
+    @given(_files(_notice_lines), _endings, st.integers(1, 2))
+    @settings(max_examples=600, deadline=None)
+    def test_events_equal_the_general_path(self, lines, ending, threshold):
+        with _file_of(lines, ending) as path:
+            expected = _outcome(
+                lambda: (
+                    ingest.aggregate_daily(r.read_notices(path), threshold),
+                    ingest.aggregate_unlikes(r.read_notices(path)),
+                )
+            )
+            assert _outcome(lambda: ingest.aggregate_events(path, threshold)) == expected
+
+    @given(_files(_snapshot_lines), _endings)
+    @settings(max_examples=600, deadline=None)
+    def test_snapshots_equal_the_general_path(self, lines, ending):
+        with _file_of(lines, ending) as path:
+            expected = _outcome(lambda: list(r.read_ndjson(path, r.snapshot_from_dict)))
+            assert _outcome(lambda: list(r.read_snapshots(path))) == expected
+
+    @given(notice_strategy)
+    @settings(max_examples=300)
+    def test_every_written_notice_takes_the_fast_path(self, notice):
+        assert r.NOTICE_LINE.fullmatch(r.serialize_notice(notice))
+
+    @given(
+        snapshot_strategy(),
+        st.one_of(st.text(max_size=20), st.text(st.characters(max_codepoint=127))),
+    )
+    @settings(max_examples=300)
+    def test_written_snapshot_takes_the_fast_path_unless_escaped(
+        self, snapshot, description
+    ):
+        snapshot = replace(snapshot, description=description)
+        needs_escape = json.dumps(description) != f'"{description}"'
+        match = r.SNAPSHOT_LINE.fullmatch(r.serialize_snapshot(snapshot))
+        assert (match is None) == needs_escape
+
+
+class TestInvalidUtf8:
+    def test_names_its_line(self, tmp_path):
+        path = tmp_path / "input.ndjson"
+        path.write_bytes(b'{"a":"caf\xc3\xa9"}\n\n{"a":"\xff"}\n')
+        lines = r._lines(path)
+        assert next(lines) == (1, '{"a":"café"}')
+        with pytest.raises(r.RecordParseError, match="invalid UTF-8") as err:
+            next(lines)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("raw", [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"])
+    def test_every_reader_names_the_line(self, tmp_path, raw):
+        path = tmp_path / "input.ndjson"
+        path.write_bytes(b"\n" + SPEC_LINE.encode()[:-2] + raw + b'"}\n')
+        for read in (
+            r.read_notices,
+            r.read_snapshots,
+            lambda p: ingest.aggregate_events(p)[0],
+        ):
+            with pytest.raises(r.RecordParseError, match="line 2: invalid UTF-8"):
+                list(read(path))
