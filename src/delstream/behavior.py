@@ -4,12 +4,13 @@ Accounts are bucketed by how many days they deleted on, labeled into
 frequency categories, and profiled by deleted-content age, suspension
 outcome, and profile-description vocabulary.
 
-numpy is imported inside the function that uses it, so that CLI stages which
-never call it, such as ``detect-coordination``, start without loading numpy.
+The module is pure Python: its quantiles and CCDFs reproduce numpy's float64
+arithmetic exactly, so ``stats`` starts without loading numpy.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -125,10 +126,10 @@ def frequency_buckets(
     """Quartile summaries of mean daily deletions per deleting-day bucket.
 
     Every bucket from 1 to ``window_days`` is reported, empty ones with no
-    distribution. Quantiles interpolate linearly between order statistics.
+    distribution. Quantiles interpolate linearly between order statistics, as
+    numpy's default ``linear`` method does, to the bit; a NaN mean raises
+    ``ValueError``.
     """
-    import numpy as np
-
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
     grouped: dict[int, list[float]] = {}
@@ -142,11 +143,33 @@ def frequency_buckets(
         if not values:
             buckets.append(FrequencyBucket(deleting_days, 0, None, None, None, None, None))
             continue
-        quantiles = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-        buckets.append(
-            FrequencyBucket(deleting_days, len(values), *map(float, quantiles))
-        )
+        quantiles = _linear_quantiles(values, (0.0, 0.25, 0.5, 0.75, 1.0))
+        buckets.append(FrequencyBucket(deleting_days, len(values), *quantiles))
     return buckets
+
+
+def _linear_quantiles(values: list[float], qs: Iterable[float]) -> list[float]:
+    """Quantiles of a non-empty sample, as ``numpy.quantile`` gives them.
+
+    The steps are numpy's for its ``linear`` method, operation for operation,
+    so each float64 result is the same: the lower of the two neighbouring
+    order statistics plus a share of their difference or, from halfway on,
+    the upper one minus the rest. A NaN value raises ``ValueError``.
+    """
+    ordered = sorted(map(float, values))
+    if any(value != value for value in ordered):
+        raise ValueError("quantiles are undefined for NaN values")
+    n = len(ordered)
+    quantiles = []
+    for q in qs:
+        virtual = (n - 1) * q
+        below = math.floor(virtual)
+        a = ordered[below]
+        b = ordered[min(below + 1, n - 1)]
+        t = virtual - below
+        d = b - a
+        quantiles.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return quantiles
 
 
 def daily_volume_ccdf(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -76,6 +77,8 @@ from .coordination import (  # noqa: F401
 )
 from .ingest import aggregate_daily, aggregate_unlikes  # noqa: F401
 from .records import read_notices  # noqa: F401
+
+logger = logging.getLogger(__name__)
 
 
 class _Outputs:
@@ -245,6 +248,11 @@ def _cmd_stats(args) -> int:
         raise ValueError(
             f"--window {args.window} exceeds the collection span of {span} days "
             f"and the default of {DEFAULT_WINDOW_DAYS}"
+        )
+    if span < args.window:
+        logger.warning(
+            "the timelines span %d days, fewer than the window of %d: "
+            "no account can be labelled %s", span, args.window, Category.THIRTY_DAY.value
         )
     summaries = summarize(
         timelines, violations, window_days=args.window, bot_scores=bot_scores

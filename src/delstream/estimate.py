@@ -6,8 +6,9 @@ posts are invisible, and a flat or rising count supports no inference at all.
 These estimators quantify that bound and compare it against actual per-day
 deletion records.
 
-numpy is imported inside the functions that use it, so that CLI stages which
-never call them, such as ``detect-flooding``, start without loading numpy.
+numpy is imported inside the functions that use it (the means, the medians and
+the KS test), so that CLI stages which never call them start without loading
+numpy. ``ccdf`` is pure Python, since ``stats`` uses it too.
 """
 
 from __future__ import annotations
@@ -112,32 +113,50 @@ def estimate_from_sampled_tweets(observations: Iterable[tuple]) -> int | None:
     return estimate_consecutive(ordered[0][1], ordered[-1][1])
 
 
-def ccdf(samples: Sequence[float]) -> list[tuple[float, float]]:
+def ccdf(samples: Iterable[float]) -> list[tuple[float, float]]:
     """Complementary cumulative distribution as (value, fraction >= value).
 
     Evaluated at each distinct sample value, ascending; the fractions are
-    monotone non-increasing and start at 1.0.
+    monotone non-increasing and start at 1.0. Samples are compared as floats;
+    a NaN sample raises ``ValueError``, since it has no place in the order.
+    """
+    values = sorted(map(float, samples))
+    if not values:
+        raise ValueError("ccdf requires a non-empty sample")
+    if any(value != value for value in values):
+        raise ValueError("ccdf is undefined for NaN samples")
+    n = len(values)
+    rows = []
+    previous = None
+    for index, value in enumerate(values):
+        if value != previous:  # the first of a run of equal values
+            rows.append((value, (n - index) / n))
+            previous = value
+    return rows
+
+
+#: Pooled elements per block of permutations in ``ks_two_sample``; bounds the
+#: block's arrays to a few hundred kilobytes whatever the sample sizes.
+_PERMUTATION_BLOCK = 8192
+
+
+def _ks_statistics(labels, ranks, run_ends, m: int):
+    """KS D for each row of ``labels``, the pooled positions of sample one.
+
+    The other ``ranks.size - m`` positions form sample two. ``ranks`` maps a
+    pooled position to its place in the stably sorted pooled sample, and
+    ``run_ends`` lists the last place of each run of equal values, where the
+    empirical CDFs are compared.
     """
     import numpy as np
 
-    values = np.sort(np.asarray(list(samples), dtype=float))
-    if values.size == 0:
-        raise ValueError("ccdf requires a non-empty sample")
-    distinct = np.unique(values)
-    at_least = values.size - np.searchsorted(values, distinct, side="left")
-    fractions = at_least / values.size
-    return list(zip(distinct.tolist(), fractions.tolist()))
-
-
-def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    import numpy as np
-
-    a = np.sort(a)
-    b = np.sort(b)
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
+    rows = labels.shape[0]
+    in_first = np.zeros((rows, ranks.size), dtype=np.intp)
+    in_first[np.arange(rows)[:, None], ranks[labels]] = 1
+    count_first = in_first.cumsum(axis=1)[:, run_ends]
+    count_second = (run_ends + 1) - count_first
+    n_second = ranks.size - m
+    return np.abs(count_first / m - count_second / n_second).max(axis=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +176,12 @@ def ks_two_sample(
     D is the supremum of the absolute difference between the two empirical
     CDFs. When ``permutations`` is given, a significance level is estimated
     by label-permutation resampling with a seeded generator (the +1 adjusted
-    count, so p is never exactly zero).
+    count, so p is never exactly zero). A NaN in either sample raises
+    ``ValueError``.
+
+    The pooled sample is sorted once; each permutation only relabels it. The
+    permutations are drawn as ``rng.permutation(n)``, which shuffles exactly
+    as ``rng.permutation(pooled)`` does, and evaluated in blocks.
     """
     import numpy as np
 
@@ -165,18 +189,27 @@ def ks_two_sample(
     ys = np.asarray(list(b), dtype=float)
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
-    statistic = _ks_statistic(xs, ys)
+    pooled = np.concatenate([xs, ys])
+    if np.isnan(pooled).any():
+        raise ValueError("the KS statistic is undefined for NaN samples")
+    if permutations is not None and permutations < 1:
+        raise ValueError("permutations must be >= 1")
+    n, m = pooled.size, xs.size
+    order = np.argsort(pooled, kind="stable")
+    ordered = pooled[order]
+    run_ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = np.arange(n)
+    statistic = float(_ks_statistics(np.arange(m)[None, :], ranks, run_ends, m)[0])
     if permutations is None:
         return KsResult(statistic, None)
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
     rng = np.random.default_rng(seed)
-    pooled = np.concatenate([xs, ys])
+    block = max(1, _PERMUTATION_BLOCK // n)
     at_least = 0
-    for _ in range(permutations):
-        shuffled = rng.permutation(pooled)
-        if _ks_statistic(shuffled[: xs.size], shuffled[xs.size :]) >= statistic:
-            at_least += 1
+    for start in range(0, permutations, block):
+        rows = min(block, permutations - start)
+        labels = np.stack([rng.permutation(n)[:m] for _ in range(rows)])
+        at_least += int((_ks_statistics(labels, ranks, run_ends, m) >= statistic).sum())
     return KsResult(statistic, (at_least + 1) / (permutations + 1))
 
 

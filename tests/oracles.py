@@ -1,7 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive (brute force, nested loops, textbook
-union-find) and shares no code with the implementations under test.
+union-find) and shares no code with the implementations under test. The
+numpy-based references are the code the package's pure-Python CCDF and
+quantiles, and its blocked permutation test, replaced; the package must
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -92,6 +95,53 @@ def ccdf_brute_force(samples):
         (float(x), sum(1 for s in samples if s >= x) / n)
         for x in sorted(set(samples))
     ]
+
+
+def ccdf_numpy_oracle(samples):
+    """CCDF rows from numpy's sort, unique and searchsorted."""
+    import numpy as np
+
+    values = np.sort(np.asarray(list(samples), dtype=float))
+    distinct = np.unique(values)
+    at_least = values.size - np.searchsorted(values, distinct, side="left")
+    return list(zip(distinct.tolist(), (at_least / values.size).tolist()))
+
+
+def quartiles_numpy_oracle(values):
+    """Min, quartiles and max of a sample from ``numpy.quantile``."""
+    import numpy as np
+
+    with np.errstate(invalid="ignore", over="ignore"):  # infinities give NaN
+        quantiles = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+    return [float(q) for q in quantiles]
+
+
+def _ks_numpy(a, b) -> float:
+    import numpy as np
+
+    a = np.sort(a)
+    b = np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def ks_permutation_loop_oracle(a, b, permutations, seed):
+    """(D, p) with one shuffle of the pooled values and one KS per permutation."""
+    import numpy as np
+
+    xs = np.asarray(list(a), dtype=float)
+    ys = np.asarray(list(b), dtype=float)
+    statistic = _ks_numpy(xs, ys)
+    rng = np.random.default_rng(seed)
+    pooled = np.concatenate([xs, ys])
+    at_least = 0
+    for _ in range(permutations):
+        shuffled = rng.permutation(pooled)
+        if _ks_numpy(shuffled[: xs.size], shuffled[xs.size :]) >= statistic:
+            at_least += 1
+    return statistic, (at_least + 1) / (permutations + 1)
 
 
 def quantile_oracle(values, q) -> float:

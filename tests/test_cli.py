@@ -570,6 +570,24 @@ class TestPipeline:
             written = sorted(path.name for path in manifest.parent.iterdir())
             assert json.loads(manifest.read_text())["outputs"] == written
 
+    @pytest.mark.parametrize("window, warned", [(None, True), (9, True), (8, False), (5, False)])
+    def test_stats_warns_when_no_account_can_be_thirty_day(
+        self, workspace, caplog, window, warned
+    ):
+        argv = ["stats", "--timelines", "agg", "--out", "stats"]
+        if window is not None:
+            argv += ["--window", window]
+        with caplog.at_level("WARNING", logger="delstream.cli"):
+            assert run(*argv) == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "delstream.cli"]
+        if warned:
+            assert messages == [
+                f"the timelines span 8 days, fewer than the window of {window or 30}: "
+                "no account can be labelled thirty_day"
+            ]
+        else:
+            assert messages == []
+
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "bad.json"
         config.write_text(json.dumps({"bogus_key": 1}))
@@ -696,7 +714,7 @@ def test_corrupted_input_files_exit_0_2_or_3(pipeline, kind, data):
 
 
 def test_stages_that_use_no_numpy_start_without_it(tmp_path):
-    """aggregate, detect-flooding and detect-coordination never import numpy."""
+    """aggregate, detect-flooding, detect-coordination and stats never import numpy."""
     write_spec(tmp_path)
     assert run("generate", "--spec", tmp_path / "spec.json", "--seed", 5,
                "--out", tmp_path / "data") == 0
@@ -709,9 +727,12 @@ codes = [
     main(["detect-flooding", "--timelines", "agg", "--out", "flood/violations.csv"]),
     main(["detect-coordination", "--deletions", "agg/daily_deletions.ndjson",
           "--unlikes", "agg/unlikes.ndjson", "--out", "coord"]),
+    main(["stats", "--timelines", "agg", "--violations", "flood/violations.csv",
+          "--bot-scores", "scores.csv", "--out", "stats"]),
 ]
 print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
 """
+    (tmp_path / "scores.csv").write_text("account_id,bot_score\n1,0.9\n")
     child = subprocess.run(
         [sys.executable, "-c", script],
         cwd=tmp_path,
@@ -721,7 +742,7 @@ print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == {"codes": [0, 0, 0], "numpy_loaded": False}
+    assert json.loads(child.stdout) == {"codes": [0, 0, 0, 0], "numpy_loaded": False}
 
 
 #: Values an input option is given when it is meant to work, by option dest.
