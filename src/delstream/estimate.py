@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .ingest import AccountTimeline, DeletionDay
@@ -303,7 +304,8 @@ def pair_observations(
 
     A day pairs with the interval (start, end] that contains it; when
     hand-built intervals overlap, the one starting latest (then ending
-    earliest) wins. Days outside every interval produce no pair.
+    earliest, then the later of exact duplicates) wins. Days outside every
+    interval produce no pair.
     """
     by_account: dict[int, list[DeletionEstimate]] = {}
     for estimate in estimates:
@@ -313,28 +315,24 @@ def pair_observations(
     for candidates in by_account.values():
         candidates.sort(key=lambda e: (e.interval_start, e.interval_end))
 
+    start_of = attrgetter("interval_start")
     pairs = []
     for record in actuals:
         candidates = by_account.get(record.account_id)
         if not candidates:
             continue
         day = record.day
-        starts = [e.interval_start for e in candidates]
         best: DeletionEstimate | None = None
-        for index in range(bisect_left(starts, day) - 1, -1, -1):
+        # Back from the last start before the day: starts fall, and within a
+        # start ends fall and exact duplicates run from the later input.
+        for index in range(bisect_left(candidates, day, key=start_of) - 1, -1, -1):
             estimate = candidates[index]
-            if estimate.interval_end < day:
-                if best is not None and estimate.interval_start < best.interval_start:
-                    break
-                continue
-            if best is None:
-                best = estimate
-            elif estimate.interval_start == best.interval_start and (
-                estimate.interval_end < best.interval_end
+            if best is not None and estimate.interval_start < best.interval_start:
+                break
+            if day <= estimate.interval_end and (
+                best is None or estimate.interval_end < best.interval_end
             ):
                 best = estimate
-            elif estimate.interval_start < best.interval_start:
-                break
         if best is not None:
             pairs.append(
                 PairedDeletion(

@@ -7,10 +7,11 @@ order, so sharded runs merge reproducibly.
 
 ``aggregate_events`` reads an event file once and builds both the daily
 deletion records and the unlike records from the validated fields of each
-line, without building notice objects. A line in the exact form
-``serialize_notice`` writes (``records.NOTICE_LINE``) is read from the regex
-groups without a JSON decode; any other line goes through
-``parse_notice_fields``, with the same results and errors.
+line, without building notice objects. Only a line in the exact form
+``serialize_notice`` writes (``records.NOTICE_LINE``) is read without a full
+parse: its fields come from the regex groups and its day from the day group.
+Any other line goes through ``parse_notice_fields`` and
+``parse_observed_at``, with the same results and errors.
 ``aggregate_daily`` and ``aggregate_unlikes`` take notices from
 ``read_notices`` and give the same results; all of them, and
 ``aggregate_daily_sharded``, threshold their groups through one builder.
@@ -37,7 +38,6 @@ from .records import (
     SNOWFLAKE_EPOCH_MS,
     AccountSnapshot,
     AccountStatus,
-    CANONICAL_TIMESTAMP,
     ComplianceNotice,
     NOTICE_LINE,
     NoticeKind,
@@ -304,17 +304,15 @@ def aggregate_events(
     Equal to ``(aggregate_daily(read_notices(path), threshold),
     aggregate_unlikes(read_notices(path)))``, with the same errors, but
     builds no notice objects. A line that fully matches ``NOTICE_LINE`` is
-    read from its groups without a JSON decode; any other line goes through
-    ``parse_notice_fields``. A timestamp in the form ``format_timestamp``
-    writes is bucketed by its first ten characters, each distinct day string
-    parsed once; any other form goes through ``parse_timestamp``.
+    read from its groups without a JSON decode and bucketed by its day group,
+    the first stamp of each distinct day parsed in full; any other line goes
+    through ``parse_notice_fields`` and ``parse_observed_at``.
     """
     _check_threshold(threshold)
     groups: dict[tuple[int, int], list[int]] = {}
     counts: dict[tuple[int, int], int] = {}
     day_ordinals: dict[str, int] = {}
     exact = NOTICE_LINE.fullmatch
-    canonical = CANONICAL_TIMESTAMP.fullmatch
     kinds = _NOTICE_KINDS
     tweet_delete = NoticeKind.TWEET_DELETE
     unlike = NoticeKind.UNLIKE
@@ -325,19 +323,16 @@ def aggregate_events(
             kind = kinds[kind]
             actor_id = int(actor_id)
             object_id = int(object_id)
+            ordinal = day_ordinals.get(day)
+            if ordinal is None:
+                ordinal = parse_observed_at(observed, number).toordinal()
+                day_ordinals[day] = ordinal
         else:
             fields = _notice_fields(line, number)
             if fields is None:
                 continue
             kind, actor_id, object_id, observed = fields
-            day = observed[:10] if canonical(observed) else None
-        if day is None:
             ordinal = parse_observed_at(observed, number).toordinal()
-        else:
-            ordinal = day_ordinals.get(day)
-            if ordinal is None:
-                ordinal = parse_observed_at(observed, number).toordinal()
-                day_ordinals[day] = ordinal
         if kind is tweet_delete:
             key = (actor_id, ordinal)
             ids = groups.get(key)

@@ -112,12 +112,9 @@ _TIME_OF_DAY = r"T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d{6})?Z"
 #: A positive integer without leading zeros, at most 19 digits.
 _ID = r"[1-9]\d{0,18}"
 
-#: The form ``format_timestamp`` writes: a UTC time with an optional
-#: microsecond fraction. Its UTC day is its first ten characters.
-CANONICAL_TIMESTAMP = re.compile(_DAY + _TIME_OF_DAY, re.ASCII)
-
 #: The one line form ``serialize_notice`` writes. Groups: kind, actor_id,
-#: object_id, observed_at and its day.
+#: object_id, observed_at and its day; the stamp is UTC, so the day group is
+#: its UTC day.
 NOTICE_LINE = re.compile(
     rf'\{{"kind":"(tweet_delete|unlike)","actor_id":({_ID}),"object_id":({_ID}),'
     rf'"observed_at":"(({_DAY}){_TIME_OF_DAY})"\}}',
@@ -405,8 +402,8 @@ def _notice_fields(line: str, line_number: int):
         return None
 
 
-def read_notice_fields(path) -> Iterator[tuple[int, NoticeKind, int, int, str]]:
-    """Yield (line_number, *parse_notice_fields) per record of an event file.
+def read_notices(path) -> Iterator[ComplianceNotice]:
+    """Yield notices from an event file.
 
     Blank lines are skipped, records of unknown kind are skipped with a
     warning, and malformed records raise RecordParseError with their line
@@ -415,15 +412,10 @@ def read_notice_fields(path) -> Iterator[tuple[int, NoticeKind, int, int, str]]:
     for number, line in _lines(path):
         fields = _notice_fields(line, number)
         if fields is not None:
-            yield number, *fields
-
-
-def read_notices(path) -> Iterator[ComplianceNotice]:
-    """Yield notices from an event file, read as ``read_notice_fields`` reads it."""
-    for number, kind, actor_id, object_id, observed_raw in read_notice_fields(path):
-        yield ComplianceNotice(
-            kind, actor_id, object_id, parse_observed_at(observed_raw, number)
-        )
+            kind, actor_id, object_id, observed_raw = fields
+            yield ComplianceNotice(
+                kind, actor_id, object_id, parse_observed_at(observed_raw, number)
+            )
 
 
 def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .behavior import Category
 from .flooding import DEFAULT_DAILY_LIMIT
-from .ingest import DEFAULT_INCLUSION_THRESHOLD
+from .ingest import DEFAULT_INCLUSION_THRESHOLD, _DAY_MS, _UNIX_EPOCH_ORDINAL
 from .records import (
     MIN_TIME_ENCODED_ID,
     SNOWFLAKE_EPOCH_MS,
@@ -39,9 +39,6 @@ from .records import (
     ms_to_datetime,
     write_json,
 )
-
-_DAY_MS = 86_400_000
-_UNIX_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 class ProfileKind(str, Enum):
@@ -488,12 +485,7 @@ def profile_from_dict(raw: dict) -> BehaviorProfile:
     unknown = set(raw) - _PROFILE_FIELDS
     if unknown:
         raise ValueError(f"unknown profile fields: {sorted(unknown)}")
-    values = dict(raw)
-    values["kind"] = ProfileKind(values["kind"])
-    for name in ("delete_days", "flood_days", "gap_days", "stale_days"):
-        if values.get(name) is not None:
-            values[name] = tuple(values[name])
-    return BehaviorProfile(**values)
+    return BehaviorProfile(**raw)
 
 
 def spec_from_dict(raw: dict) -> PopulationSpec:

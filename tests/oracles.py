@@ -144,6 +144,31 @@ def ks_permutation_loop_oracle(a, b, permutations, seed):
     return statistic, (at_least + 1) / (permutations + 1)
 
 
+def pairing_oracle(estimates, actuals, include_gaps=True):
+    """(account, day, estimated, actual) per actual day inside some interval.
+
+    Of the estimates of the day's account whose (start, end] holds the day,
+    the one with the greatest (start, -end, input index) is taken.
+    """
+    estimates = list(estimates)
+    pairs = []
+    for record in actuals:
+        held = [
+            (est.interval_start, -est.interval_end.toordinal(), index)
+            for index, est in enumerate(estimates)
+            if est.account_id == record.account_id
+            and (include_gaps or not est.is_gap)
+            and est.interval_start < record.day <= est.interval_end
+        ]
+        if held:
+            best = estimates[max(held)[2]]
+            pairs.append(
+                (record.account_id, record.day, best.estimated_daily,
+                 float(record.deletion_count))
+            )
+    return pairs
+
+
 def quantile_oracle(values, q) -> float:
     """Linear interpolation between order statistics of the sorted sample."""
     ordered = sorted(values)

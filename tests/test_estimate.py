@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from delstream import estimate as e
-from delstream.ingest import AccountTimeline, DailyDeletionRecord
+from delstream.ingest import AccountTimeline, DailyDeletionRecord, DeletionDay
 from delstream.records import AccountSnapshot, AccountStatus
 
 UTC = timezone.utc
@@ -233,7 +233,56 @@ class TestKsTwoSample:
         assert first == second
 
 
+@st.composite
+def pairing_cases(draw):
+    """Up to 8 estimates for each of two accounts in any order, some exactly
+    duplicating an earlier interval, each numbered by its input position, and
+    deletion days of three accounts, many on an interval start or end."""
+    intervals = []
+    for account in (1, 2):
+        for _ in range(draw(st.integers(0, 8))):
+            own = [(lo, hi) for a, lo, hi in intervals if a == account]
+            if own and draw(st.integers(0, 2)) == 0:
+                start, end = draw(st.sampled_from(own))
+            else:
+                start = draw(st.integers(0, 12))
+                end = start + draw(st.integers(1, 6))
+            intervals.append((account, start, end))
+    intervals = draw(st.permutations(intervals))
+    estimates = [
+        e.DeletionEstimate(account, day(start), day(end), float(n), end - start > 1)
+        for n, (account, start, end) in enumerate(intervals, start=1)
+    ]
+    edges = sorted({offset for _, lo, hi in intervals for offset in (lo, hi)})
+    offsets = st.integers(-1, 20)
+    if edges:
+        offsets = st.sampled_from(edges) | offsets
+    actuals = draw(
+        st.lists(
+            st.builds(
+                lambda account, offset, count: DeletionDay(
+                    account, day(offset), count, ()
+                ),
+                st.sampled_from([1, 2, 3]),
+                offsets,
+                st.integers(1, 50),
+            ),
+            max_size=12,
+        )
+    )
+    return estimates, actuals
+
+
 class TestPairing:
+    @given(pairing_cases(), st.booleans())
+    @settings(max_examples=400)
+    def test_equals_brute_force_oracle(self, case, include_gaps):
+        estimates, actuals = case
+        pairs = e.pair_observations(estimates, actuals, include_gaps=include_gaps)
+        assert [(p.account_id, p.day, p.estimated, p.actual) for p in pairs] == (
+            oracles.pairing_oracle(estimates, actuals, include_gaps)
+        )
+
     def test_actual_days_pair_with_enclosing_interval(self):
         estimates = [
             e.DeletionEstimate(1, day(0), day(1), 60.0, False),

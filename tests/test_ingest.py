@@ -17,8 +17,8 @@ from delstream.records import (
     SNOWFLAKE_EPOCH_MS,
     AccountSnapshot,
     AccountStatus,
-    CANONICAL_TIMESTAMP,
     ComplianceNotice,
+    NOTICE_LINE,
     NoticeKind,
     RecordParseError,
     format_timestamp,
@@ -542,12 +542,17 @@ class TestAggregateEvents:
             )
             assert _outcome(lambda: ingest.aggregate_events(path, threshold)) == expected
 
-    @given(st.dates(), st.from_regex(CANONICAL_TIMESTAMP, fullmatch=True))
+    @given(st.dates(), st.from_regex(NOTICE_LINE, fullmatch=True))
     @settings(max_examples=300)
-    def test_canonical_form_day_is_its_prefix(self, day, ts):
-        ts = day.isoformat() + ts[10:]
-        assert CANONICAL_TIMESTAMP.fullmatch(ts)
-        assert parse_timestamp(ts).date() == day
+    def test_canonical_form_day_is_its_prefix(self, day, line):
+        # the exact path buckets a line by its day group (5), parsing the stamp
+        # (4) only for the first line of each day
+        start, end = NOTICE_LINE.fullmatch(line).span(5)
+        match = NOTICE_LINE.fullmatch(line[:start] + day.isoformat() + line[end:])
+        assert match
+        assert parse_timestamp(match.group(4)).date() == date.fromisoformat(
+            match.group(5)
+        )
 
     def test_midnight_offsets_bucket_by_utc_day(self, tmp_path):
         path = tmp_path / "events.ndjson"
