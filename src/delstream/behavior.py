@@ -127,13 +127,19 @@ def frequency_buckets(
 
     Every bucket from 1 to ``window_days`` is reported, empty ones with no
     distribution. Quantiles interpolate linearly between order statistics, as
-    numpy's default ``linear`` method does, to the bit; a NaN mean raises
+    numpy's default ``linear`` method does, to the bit. A NaN mean, and an
+    account that deleted on more days than the window holds, raise
     ``ValueError``.
     """
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
     grouped: dict[int, list[float]] = {}
     for summary in summaries:
+        if summary.deleting_days > window_days:
+            raise ValueError(
+                f"account {summary.account_id} deleted on {summary.deleting_days} "
+                f"days, more than the window of {window_days}"
+            )
         grouped.setdefault(summary.deleting_days, []).append(
             summary.mean_daily_deletions
         )

@@ -121,10 +121,17 @@ def _read_allowlist(path) -> frozenset[int]:
 
 
 def _read_bot_scores(path) -> dict[int, float]:
-    def score(row: dict[str, str]) -> tuple[int, float]:
-        return int(row["account_id"]), float(row["bot_score"])
+    scores: dict[int, float] = {}
 
-    return dict(read_csv(path, ("account_id", "bot_score"), score))
+    def score(row: dict[str, str]) -> None:
+        account_id = int(row["account_id"])
+        if account_id in scores:
+            raise ValueError(f"a second score for account {account_id}")
+        scores[account_id] = float(row["bot_score"])
+
+    for _ in read_csv(path, ("account_id", "bot_score"), score):
+        pass
+    return scores
 
 
 def _cmd_generate(args) -> int:
@@ -264,14 +271,10 @@ def _cmd_stats(args) -> int:
         if (status := tl.final_status()) is not None
     }
     table = suspension_stats(summaries, final_statuses)
-    descriptions = {
-        tl.account_id: tl.snapshots[-1].description
-        for tl in timelines
-        if tl.snapshots
-    }
+    descriptions = {tl.account_id: tl.description for tl in timelines}
 
     def texts(members) -> list[str]:
-        return [descriptions.get(s.account_id, "") for s in members]
+        return [descriptions[s.account_id] for s in members]
 
     suspicious = [s for s in summaries if s.category is Category.SUSPICIOUS]
     top_30, bottom_30 = volume_slices(summaries, Category.THIRTY_DAY, 0.1)

@@ -21,9 +21,9 @@ the file framing around them (lines, blank lines, JSON errors with line
 numbers) is ``records.read_ndjson`` and ``records.write_ndjson``. A daily
 deletion record keeps its tweet IDs, which coordination reads. A timeline
 keeps only what ``estimate``, ``detect-flooding`` and ``stats`` read: each
-snapshot's day, status and count, the last description, and each deletion
-day's count and ages (``DeletionDay``). It reads back without the IDs, the
-snapshot timestamps and the earlier descriptions.
+snapshot's day, status and count (``records.SnapshotDay``), the account's
+description, and each deletion day's count and ages (``DeletionDay``), and
+it reads back as exactly that.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .records import (
     NOTICE_LINE,
     NoticeKind,
     RecordParseError,
+    SnapshotDay,
     _NOTICE_KINDS,
     _STATUSES,
     _lines,
@@ -115,11 +116,17 @@ class UnlikeRecord:
 
 @dataclass(frozen=True, slots=True)
 class AccountTimeline:
-    """Day-ordered snapshots and deletion days for one account."""
+    """Day-ordered snapshots and deletion days for one account.
+
+    ``description`` is the profile description of the last snapshot. Read
+    back from ``timelines.ndjson``, the rows are ``SnapshotDay``s and
+    ``DeletionDay``s; ``build_timelines`` keeps the full records.
+    """
 
     account_id: int
-    snapshots: tuple[AccountSnapshot, ...]
+    snapshots: tuple[SnapshotDay, ...]
     deletion_days: tuple[DeletionDay, ...]
+    description: str = ""
 
     def __post_init__(self):
         for seq, day_of in (
@@ -129,16 +136,6 @@ class AccountTimeline:
             days = [day_of(item) for item in seq]
             if any(b <= a for a, b in zip(days, days[1:])):
                 raise ValueError("timeline days must be strictly increasing")
-
-    def active_days(self) -> tuple[date, ...]:
-        return tuple(
-            s.snapshot_day for s in self.snapshots if s.status is AccountStatus.ACTIVE
-        )
-
-    def suspended_days(self) -> tuple[date, ...]:
-        return tuple(
-            s.snapshot_day for s in self.snapshots if s.status is AccountStatus.SUSPENDED
-        )
 
     def available_counts(self) -> tuple[tuple[date, int], ...]:
         """(day, tweet count) pairs for days the count was observable."""
@@ -385,11 +382,13 @@ def build_timelines(
             continue
         snaps = snaps_by_account.get(account_id, {})
         records = records_by_account.get(account_id, {})
+        ordered = tuple(snaps[d] for d in sorted(snaps))
         timelines.append(
             AccountTimeline(
                 account_id,
-                tuple(snaps[d] for d in sorted(snaps)),
+                ordered,
                 tuple(records[d] for d in sorted(records)),
+                ordered[-1].description if ordered else "",
             )
         )
     return timelines
@@ -455,19 +454,17 @@ def unlike_record_from_dict(raw: dict, line_number: int = 0) -> UnlikeRecord:
 def timeline_to_dict(timeline: AccountTimeline) -> dict:
     """The timeline as the analysis stages read it.
 
-    ``snapshots`` rows are ``[day, status, statuses_count]``, ``description``
-    is the last snapshot's, and ``deletion_days`` rows are ``[day,
-    deletion_count, deleted_ages_days]``. Tweet IDs, snapshot timestamps and
-    earlier descriptions are not written.
+    ``snapshots`` rows are ``[day, status, statuses_count]`` and
+    ``deletion_days`` rows are ``[day, deletion_count, deleted_ages_days]``.
+    Tweet IDs, snapshot timestamps and earlier descriptions are not written.
     """
-    snapshots = timeline.snapshots
     return {
         "account_id": timeline.account_id,
         "snapshots": [
             [s.snapshot_day.isoformat(), s.status.value, s.statuses_count]
-            for s in snapshots
+            for s in timeline.snapshots
         ],
-        "description": snapshots[-1].description if snapshots else "",
+        "description": timeline.description,
         "deletion_days": [
             [r.day.isoformat(), r.deletion_count, r.deleted_ages_days]
             for r in timeline.deletion_days
@@ -487,8 +484,8 @@ def _rows(raw: dict, key: str) -> list[list]:
 def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
     """Read ``timeline_to_dict``'s form back.
 
-    Snapshots carry no timestamps, and every description but the last is
-    empty. Deletion days are ``DeletionDay``s, without tweet IDs.
+    Snapshots are ``SnapshotDay`` rows and deletion days ``DeletionDay``s,
+    without tweet IDs; the description is the timeline's.
     """
     try:
         if type(raw) is not dict:
@@ -501,21 +498,14 @@ def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
         if description and not snapshot_rows:
             raise ValueError("a description without snapshots")
         snapshots = []
-        last = len(snapshot_rows) - 1
-        for index, (day, status_raw, count) in enumerate(snapshot_rows):
+        for day, status_raw, count in snapshot_rows:
             if count is not None and type(count) is not int:
                 raise TypeError("'statuses_count' must be an integer or null")
             status = _STATUSES.get(status_raw) if type(status_raw) is str else None
             if status is None:
                 raise ValueError(f"unknown status {status_raw!r}")
             snapshots.append(
-                AccountSnapshot(
-                    account_id,
-                    date.fromisoformat(day),
-                    count,
-                    status,
-                    description if index == last else "",
-                )
+                SnapshotDay(account_id, date.fromisoformat(day), count, status)
             )
         deletion_days = []
         for day, count, ages in _rows(raw, "deletion_days"):
@@ -526,7 +516,9 @@ def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
             deletion_days.append(
                 DeletionDay(account_id, date.fromisoformat(day), count, tuple(ages))
             )
-        return AccountTimeline(account_id, tuple(snapshots), tuple(deletion_days))
+        return AccountTimeline(
+            account_id, tuple(snapshots), tuple(deletion_days), description
+        )
     except (KeyError, TypeError, ValueError) as err:
         raise RecordParseError(f"bad timeline: {err}", line_number) from None
 

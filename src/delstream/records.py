@@ -162,23 +162,17 @@ class ComplianceNotice:
 
 
 @dataclass(frozen=True, slots=True)
-class AccountSnapshot:
-    """Daily user-object observation joined to the deletion stream.
+class SnapshotDay:
+    """One account's status and tweet count on one snapshot day.
 
     ``statuses_count`` may be None only for accounts that were not active at
-    query time (the count is then unavailable, not zero). ``queried_at``
-    records when the user object was actually fetched; it can trail the
-    snapshot day by a few hours, so downstream count arithmetic is
-    approximate by construction.
+    query time (the count is then unavailable, not zero).
     """
 
     account_id: int
     snapshot_day: date
     statuses_count: int | None
     status: AccountStatus
-    description: str = ""
-    created_at: datetime | None = None
-    queried_at: datetime | None = None
 
     def __post_init__(self):
         if not isinstance(self.status, AccountStatus):
@@ -190,6 +184,21 @@ class AccountSnapshot:
                 raise ValueError("active snapshots must carry a tweet count")
         elif self.statuses_count < 0:
             raise ValueError(f"statuses_count must be >= 0, got {self.statuses_count}")
+
+
+@dataclass(frozen=True, slots=True)
+class AccountSnapshot(SnapshotDay):
+    """A ``SnapshotDay`` as the daily user-object query returns it.
+
+    ``queried_at`` records when the user object was actually fetched; it can
+    trail the snapshot day by a few hours, so downstream count arithmetic is
+    approximate by construction. The timeline analyses read only the
+    ``SnapshotDay`` fields and the last snapshot's description.
+    """
+
+    description: str = ""
+    created_at: datetime | None = None
+    queried_at: datetime | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,8 +12,9 @@ paths: ``gap_days`` drop snapshots (suspension-style observation gaps) and
 count source). Stale days break the consistency identity on purpose, so
 downstream labels may diverge from truth there.
 
-numpy is imported inside the functions that use it, so that CLI stages which
-never call them, such as ``aggregate``, start without loading numpy.
+numpy is imported inside the functions that use it, and at module level only
+for type checkers, so that CLI stages which never call them, such as
+``aggregate``, start without loading numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .behavior import Category
 from .flooding import DEFAULT_DAILY_LIMIT
@@ -39,6 +41,9 @@ from .records import (
     ms_to_datetime,
     write_json,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ProfileKind(str, Enum):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 from delstream.ingest import AccountTimeline, DeletionDay
+from delstream.records import SnapshotDay
 
 UTC = timezone.utc
 
@@ -60,24 +60,18 @@ def count_unlikes_oracle(notices):
 def slim(timeline):
     """The timeline as ``timelines.ndjson`` carries it.
 
-    Snapshots lose their timestamps and every description but the last;
-    deletion days lose their tweet IDs.
+    Snapshots keep only their day, count and status, and deletion days lose
+    their tweet IDs; the timeline keeps its description.
     """
-    snapshots = timeline.snapshots
     kept = tuple(
-        replace(
-            snapshot,
-            description=snapshot.description if index == len(snapshots) - 1 else "",
-            created_at=None,
-            queried_at=None,
-        )
-        for index, snapshot in enumerate(snapshots)
+        SnapshotDay(s.account_id, s.snapshot_day, s.statuses_count, s.status)
+        for s in timeline.snapshots
     )
     days = tuple(
         DeletionDay(r.account_id, r.day, r.deletion_count, r.deleted_ages_days)
         for r in timeline.deletion_days
     )
-    return AccountTimeline(timeline.account_id, kept, days)
+    return AccountTimeline(timeline.account_id, kept, days, timeline.description)
 
 
 def ks_brute_force(a, b) -> float:

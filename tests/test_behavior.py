@@ -121,6 +121,14 @@ class TestFrequencyBuckets:
         assert len(buckets) == 30
         assert all(bucket.count == 0 and bucket.median is None for bucket in buckets)
 
+    def test_account_beyond_the_window_rejected(self):
+        summaries = b.summarize([timeline(1, [0]), timeline(2, [0, 3, 5])], [])
+        assert len(b.frequency_buckets(summaries, window_days=3)) == 3
+        with pytest.raises(
+            ValueError, match="account 2 deleted on 3 days, more than the window of 2"
+        ):
+            b.frequency_buckets(summaries, window_days=2)
+
     def test_quartiles_match_order_statistics_oracle(self):
         rng = random.Random(8)
         summaries = []

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -259,6 +261,18 @@ class TestExitCodes:
         assert run(*argv) == 3
         assert error in capsys.readouterr().err
 
+    def test_bot_scores_duplicate_account_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        )
+        Path("scores.csv").write_text("account_id,bot_score\n1,0.1\n2,0.5\n1,0.9\n")
+        argv = ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "scores.csv",
+                "--out", "out"]
+        assert run(*argv) == 3
+        assert "line 4: bad row: a second score for account 1" in capsys.readouterr().err
+        assert not Path("out").exists()
+
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_below_one_day_exit_3(self, tmp_path, monkeypatch, window):
         monkeypatch.chdir(tmp_path)
@@ -285,8 +299,12 @@ class TestExitCodes:
               '"deletion_days":[]}'], 30, 0, None),
             ([], 100_000, 3, "--window 100000 exceeds the collection span of 0 days"),
             ([], None, 0, None),
+            (['{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]],'
+              '["2021-01-02",10,[]]]}'], 1, 3,
+             "account 1 deleted on 2 days, more than the window of 1"),
         ],
-        ids=["span", "span+1", "short-span+1", "short-default", "empty", "empty-default"],
+        ids=["span", "span+1", "short-span+1", "short-default", "empty", "empty-default",
+             "account-beyond-window"],
     )
     def test_window_bounded_by_the_collection_span(
         self, tmp_path, monkeypatch, capsys, lines, window, code, error
@@ -858,3 +876,35 @@ def test_random_argv_exit_0_2_or_3(argv_root, data):
         os.chdir(cwd)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 2, 3)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_cli_imports_every_layer_the_benchmark_declares(monkeypatch):
+    """The traced benchmark times the layer functions in ``cli``'s namespace;
+    each ``<module>.<function>.self_s`` it declares must be one of them."""
+    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    wrapped = {name for name, _ in tracing.layer_functions(cli).values()}
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    expected = set()
+    for metric in declared:
+        module, _, rest = metric["name"].partition(".")
+        function, _, unit = rest.partition(".")
+        if module in tracing.LAYER_MODULES and unit == "self_s":
+            expected.add(f"{module}.{function}")
+    # behavior.tables sums the table functions that bench/run.py lists.
+    expected.discard("behavior.tables")
+    run_py = ast.parse((BENCH / "run.py").read_text())
+    [tables] = [
+        ast.literal_eval(node.value)
+        for node in run_py.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["BEHAVIOR_TABLES"]
+    ]
+    expected.update(f"behavior.{name}" for name in tables)
+    assert len(expected) > len(tables)
+    assert expected - wrapped == set()

@@ -288,8 +288,6 @@ class TestBuildTimelines:
             (DAY0, 100),
             (DAY0 + timedelta(days=2), 80),
         )
-        assert timeline.active_days() == (DAY0, DAY0 + timedelta(days=2))
-        assert timeline.suspended_days() == (DAY0 + timedelta(days=1),)
 
 
 def _shard_notices(shard: int, shards: int, per_account: int):
@@ -705,7 +703,10 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
                 account_id, DAY0 + timedelta(days=offset), count, tuple(ages), tuple(ids)
             )
         )
-    return ingest.AccountTimeline(account_id, tuple(snapshots), tuple(records))
+    description = draw(_DESCRIPTIONS) if snapshots else ""
+    return ingest.AccountTimeline(
+        account_id, tuple(snapshots), tuple(records), description
+    )
 
 
 @st.composite
@@ -744,7 +745,7 @@ class TestTimelineForm:
                 behavior.summarize(tls, violations, window_days=30),
                 behavior.daily_volume_ccdf(actuals),
                 [tl.final_status() for tl in tls],
-                [tl.snapshots[-1].description for tl in tls if tl.snapshots],
+                [tl.description for tl in tls],
             )
 
         assert results(_written_and_read(timelines)) == results(timelines)
@@ -755,6 +756,7 @@ class TestTimelineForm:
             (snap(7, DAY0, 5, description="old"),
              snap(7, DAY0 + timedelta(days=1), None, AccountStatus.SUSPENDED, "new")),
             (ingest.DailyDeletionRecord(7, DAY0, 2, (3,), (11, 12)),),
+            description="new",
         )
         path = tmp_path / "timelines.ndjson"
         ingest.write_timelines(path, [timeline])
@@ -768,4 +770,4 @@ class TestTimelineForm:
     def test_description_defaults_to_empty(self):
         raw = {"account_id": 7, "snapshots": [["2021-04-26", "active", 5]],
                "deletion_days": []}
-        assert ingest.timeline_from_dict(raw).snapshots[0].description == ""
+        assert ingest.timeline_from_dict(raw).description == ""
