@@ -127,7 +127,10 @@ def _read_bot_scores(path) -> dict[int, float]:
         account_id = int(row["account_id"])
         if account_id in scores:
             raise ValueError(f"a second score for account {account_id}")
-        scores[account_id] = float(row["bot_score"])
+        value = float(row["bot_score"])
+        if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"bot_score {row['bot_score']!r} is outside [0, 1]")
+        scores[account_id] = value
 
     for _ in read_csv(path, ("account_id", "bot_score"), score):
         pass
@@ -173,6 +176,8 @@ def _cmd_aggregate(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.permutations < 0:
         raise ValueError(f"--permutations must be >= 0, got {args.permutations}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     timelines = list(read_timelines(_resolve_timelines(args.timelines)))
     estimates = [e for tl in timelines for e in estimate_timeline(tl)]
     actuals = [record for tl in timelines for record in tl.deletion_days]

@@ -6,13 +6,17 @@ posts are invisible, and a flat or rising count supports no inference at all.
 These estimators quantify that bound and compare it against actual per-day
 deletion records.
 
-numpy is imported inside the functions that use it (the means, the medians and
-the KS test), so that CLI stages which never call them start without loading
-numpy. ``ccdf`` is pure Python, since ``stats`` uses it too.
+The means, medians, CCDFs and KS statistic are computed in pure Python with
+numpy's float64 arithmetic, operation for operation, so they equal what
+``numpy.mean``, ``numpy.median`` and the former numpy code give, to the bit.
+Only the permutation significance estimate of ``ks_two_sample`` imports numpy,
+inside the function, so ``estimate`` without ``--permutations`` and ``stats``
+start without loading it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
@@ -136,6 +140,66 @@ def ccdf(samples: Iterable[float]) -> list[tuple[float, float]]:
     return rows
 
 
+def _pairwise_sum(values: list[float], start: int, stop: int) -> float:
+    """``values[start:stop]`` summed in numpy's pairwise order.
+
+    Under 8 items a running sum; up to 128, eight running sums over the items
+    a multiple of 8 apart, combined in pairs, then the remainder in order;
+    above that, the halves split at a multiple of 8.
+    """
+    n = stop - start
+    if n < 8:
+        total = -0.0
+        for index in range(start, stop):
+            total += values[index]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start : start + 8]
+        end = stop - n % 8
+        for i in range(start + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for index in range(end, stop):
+            total += values[index]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, start + half) + _pairwise_sum(
+        values, start + half, stop
+    )
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean of a non-empty sample of floats, as ``numpy.mean`` gives it.
+
+    numpy adds the pairwise sum to its identity, +0.0, before dividing, so a
+    sample of negative zeros has mean 0.0, not -0.0.
+    """
+    floats = [float(value) for value in values]
+    return (0.0 + _pairwise_sum(floats, 0, len(floats))) / len(floats)
+
+
+def _median(values: Sequence[float]) -> float:
+    """Median of a non-empty sample of floats, as ``numpy.median`` gives it.
+
+    numpy takes the mean of the middle item, or of the middle two, so the
+    odd case also goes through ``_mean`` (the median of ``[-0.0]`` is 0.0).
+    A NaN in the sample gives NaN, as in numpy.
+    """
+    ordered = sorted(map(float, values))
+    if any(value != value for value in ordered):
+        return math.nan
+    middle = len(ordered) // 2
+    return _mean(ordered[middle - 1 + len(ordered) % 2 : middle + 1])
+
+
 #: Pooled elements per block of permutations in ``ks_two_sample``; bounds the
 #: block's arrays to a few hundred kilobytes whatever the sample sizes.
 _PERMUTATION_BLOCK = 8192
@@ -180,37 +244,49 @@ def ks_two_sample(
     count, so p is never exactly zero). A NaN in either sample raises
     ``ValueError``.
 
-    The pooled sample is sorted once; each permutation only relabels it. The
-    permutations are drawn as ``rng.permutation(n)``, which shuffles exactly
-    as ``rng.permutation(pooled)`` does, and evaluated in blocks.
+    The pooled sample is stably sorted once, in pure Python, and D is taken
+    from integer counts at the end of each run of equal values; the counts
+    convert to float64 exactly, so D equals numpy's. Only the permutations
+    use numpy: each only relabels the sorted sample, and they are drawn as
+    ``rng.permutation(n)``, which shuffles exactly as
+    ``rng.permutation(pooled)`` does, and evaluated in blocks.
     """
-    import numpy as np
-
-    xs = np.asarray(list(a), dtype=float)
-    ys = np.asarray(list(b), dtype=float)
-    if xs.size == 0 or ys.size == 0:
+    pooled = [float(value) for value in a]
+    m = len(pooled)
+    pooled += map(float, b)
+    n = len(pooled)
+    if m == 0 or m == n:
         raise ValueError("both samples must be non-empty")
-    pooled = np.concatenate([xs, ys])
-    if np.isnan(pooled).any():
+    if any(value != value for value in pooled):
         raise ValueError("the KS statistic is undefined for NaN samples")
     if permutations is not None and permutations < 1:
         raise ValueError("permutations must be >= 1")
-    n, m = pooled.size, xs.size
-    order = np.argsort(pooled, kind="stable")
-    ordered = pooled[order]
-    run_ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True))
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[order] = np.arange(n)
-    statistic = float(_ks_statistics(np.arange(m)[None, :], ranks, run_ends, m)[0])
+    order = sorted(range(n), key=pooled.__getitem__)
+    run_ends = []
+    statistic = 0.0
+    count_first = 0
+    for place, index in enumerate(order):
+        if index < m:
+            count_first += 1
+        if place + 1 == n or pooled[order[place + 1]] != pooled[index]:
+            run_ends.append(place)
+            count_second = place + 1 - count_first
+            statistic = max(statistic, abs(count_first / m - count_second / (n - m)))
     if permutations is None:
         return KsResult(statistic, None)
+
+    import numpy as np
+
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = np.arange(n)
+    ends = np.asarray(run_ends, dtype=np.intp)
     rng = np.random.default_rng(seed)
     block = max(1, _PERMUTATION_BLOCK // n)
     at_least = 0
     for start in range(0, permutations, block):
         rows = min(block, permutations - start)
         labels = np.stack([rng.permutation(n)[:m] for _ in range(rows)])
-        at_least += int((_ks_statistics(labels, ranks, run_ends, m) >= statistic).sum())
+        at_least += int((_ks_statistics(labels, ranks, ends, m) >= statistic).sum())
     return KsResult(statistic, (at_least + 1) / (permutations + 1))
 
 
@@ -253,8 +329,6 @@ class ComparisonReport:
         ``per_account_median`` the surviving pairs are then reduced to one
         median pair per account.
         """
-        import numpy as np
-
         kept = [p for p in pairs if p.estimated >= floor]
         if per_account_median:
             kept = _account_medians(kept)
@@ -262,8 +336,8 @@ class ComparisonReport:
             return cls((), None, None, None, None, (), ())
         estimated = [p.estimated for p in kept]
         actual = [p.actual for p in kept]
-        mean_estimated = float(np.mean(estimated))
-        mean_actual = float(np.mean(actual))
+        mean_estimated = _mean(estimated)
+        mean_actual = _mean(actual)
         fraction = None
         if mean_actual != 0:
             fraction = (mean_actual - mean_estimated) / mean_actual
@@ -279,8 +353,6 @@ class ComparisonReport:
 
 
 def _account_medians(pairs: list[PairedDeletion]) -> list[PairedDeletion]:
-    import numpy as np
-
     grouped: dict[int, list[PairedDeletion]] = {}
     for pair in pairs:
         grouped.setdefault(pair.account_id, []).append(pair)
@@ -288,8 +360,8 @@ def _account_medians(pairs: list[PairedDeletion]) -> list[PairedDeletion]:
         PairedDeletion(
             account_id,
             None,
-            float(np.median([p.estimated for p in group])),
-            float(np.median([p.actual for p in group])),
+            _median([p.estimated for p in group]),
+            _median([p.actual for p in group]),
         )
         for account_id, group in sorted(grouped.items())
     ]

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (brute force, nested loops, textbook
 union-find) and shares no code with the implementations under test. The
-numpy-based references are the code the package's pure-Python CCDF and
-quantiles, and its blocked permutation test, replaced; the package must
-match them bit for bit.
+numpy-based references are the code the package's pure-Python CCDF,
+quantiles, means, medians and estimate scoring, and its blocked permutation
+test, replaced; the package must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -136,6 +136,58 @@ def ks_permutation_loop_oracle(a, b, permutations, seed):
         if _ks_numpy(shuffled[: xs.size], shuffled[xs.size :]) >= statistic:
             at_least += 1
     return statistic, (at_least + 1) / (permutations + 1)
+
+
+def mean_numpy_oracle(values) -> float:
+    import numpy as np
+
+    return float(np.mean(values))
+
+
+def median_numpy_oracle(values) -> float:
+    import numpy as np
+
+    return float(np.median(values))
+
+
+def from_pairs_numpy_oracle(pairs, floor, per_account_median):
+    """``ComparisonReport.from_pairs`` as numpy computed it."""
+    import numpy as np
+
+    from delstream.estimate import ComparisonReport, PairedDeletion
+
+    kept = [p for p in pairs if p.estimated >= floor]
+    if per_account_median:
+        grouped = defaultdict(list)
+        for pair in kept:
+            grouped[pair.account_id].append(pair)
+        kept = [
+            PairedDeletion(
+                account_id,
+                None,
+                median_numpy_oracle([p.estimated for p in group]),
+                median_numpy_oracle([p.actual for p in group]),
+            )
+            for account_id, group in sorted(grouped.items())
+        ]
+    if not kept:
+        return ComparisonReport((), None, None, None, None, (), ())
+    estimated = [p.estimated for p in kept]
+    actual = [p.actual for p in kept]
+    mean_estimated = mean_numpy_oracle(estimated)
+    mean_actual = mean_numpy_oracle(actual)
+    fraction = None
+    if mean_actual != 0:
+        fraction = (mean_actual - mean_estimated) / mean_actual
+    return ComparisonReport(
+        tuple(kept),
+        mean_estimated,
+        mean_actual,
+        fraction,
+        _ks_numpy(np.asarray(estimated, dtype=float), np.asarray(actual, dtype=float)),
+        tuple(ccdf_numpy_oracle(estimated)),
+        tuple(ccdf_numpy_oracle(actual)),
+    )
 
 
 def pairing_oracle(estimates, actuals, include_gaps=True):

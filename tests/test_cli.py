@@ -117,6 +117,18 @@ class TestExitCodes:
         assert "--permutations must be >= 0" in capsys.readouterr().err
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize("permutations", [0, 5])
+    def test_negative_seed_exit_3(self, tmp_path, monkeypatch, capsys, permutations):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+        )
+        argv = ["estimate", "--timelines", "timelines.ndjson", "--seed", -1,
+                "--permutations", permutations, "--out", "out"]
+        assert run(*argv) == 3
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not Path("out").exists()
+
     def test_malformed_record_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("events.ndjson").write_text('{"kind":"tweet_delete"}\n')
@@ -271,6 +283,22 @@ class TestExitCodes:
                 "--out", "out"]
         assert run(*argv) == 3
         assert "line 4: bad row: a second score for account 1" in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("row", ["999999,7", "999999,nan", "1,1.5"])
+    def test_bot_score_outside_unit_interval_exit_3(self, tmp_path, monkeypatch, capsys, row):
+        """Rejected with its line, whether or not the account has deletion days."""
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        )
+        Path("scores.csv").write_text(f"account_id,bot_score\n{row}\n")
+        argv = ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "scores.csv",
+                "--out", "out"]
+        assert run(*argv) == 3
+        score = row.split(",")[1]
+        assert (f"line 2: bad row: bot_score '{score}' is outside [0, 1]"
+                in capsys.readouterr().err)
         assert not Path("out").exists()
 
     @pytest.mark.parametrize("window", [0, -1])
@@ -732,12 +760,14 @@ def test_corrupted_input_files_exit_0_2_or_3(pipeline, kind, data):
 
 
 def test_stages_that_use_no_numpy_start_without_it(tmp_path):
-    """aggregate, detect-flooding, detect-coordination and stats never import numpy."""
+    """aggregate, detect-flooding, detect-coordination, stats and estimate
+    without --permutations never import numpy."""
     write_spec(tmp_path)
     assert run("generate", "--spec", tmp_path / "spec.json", "--seed", 5,
                "--out", tmp_path / "data") == 0
     script = """
 import json, sys
+from pathlib import Path
 from delstream.cli import main
 codes = [
     main(["aggregate", "--events", "data/events.ndjson",
@@ -747,7 +777,12 @@ codes = [
           "--unlikes", "agg/unlikes.ndjson", "--out", "coord"]),
     main(["stats", "--timelines", "agg", "--violations", "flood/violations.csv",
           "--bot-scores", "scores.csv", "--out", "stats"]),
+    main(["estimate", "--timelines", "agg", "--out", "est"]),
+    main(["estimate", "--timelines", "agg", "--per-account-median", "--floor", "1",
+          "--out", "est-median"]),
 ]
+reports = [json.loads(Path(out, "report.json").read_text()) for out in ("est", "est-median")]
+assert all(report["pair_count"] > 0 for report in reports), reports
 print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
 """
     (tmp_path / "scores.csv").write_text("account_id,bot_score\n1,0.9\n")
@@ -760,7 +795,7 @@ print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == {"codes": [0, 0, 0, 0], "numpy_loaded": False}
+    assert json.loads(child.stdout) == {"codes": [0] * 6, "numpy_loaded": False}
 
 
 #: Values an input option is given when it is meant to work, by option dest.
