@@ -108,23 +108,26 @@ def _resolve_timelines(path_arg) -> Path:
     return path / "timelines.ndjson" if path.is_dir() else path
 
 
+def _account_id(text: str, line_number: int = 0) -> int:
+    """A positive ASCII decimal ID without leading zeros, as every input takes."""
+    if not (text.isascii() and text.isdigit() and text[0] != "0"):
+        raise RecordParseError(f"bad account ID {text!r}", line_number)
+    return int(text)
+
+
 def _read_allowlist(path) -> frozenset[int]:
-    ids = []
-    for number, line in _lines(path):
-        if line.startswith("#"):
-            continue
-        try:
-            ids.append(int(line))
-        except ValueError:
-            raise RecordParseError(f"bad account ID {line!r}", number) from None
-    return frozenset(ids)
+    return frozenset(
+        _account_id(line, number)
+        for number, line in _lines(path)
+        if not line.startswith("#")
+    )
 
 
 def _read_bot_scores(path) -> dict[int, float]:
     scores: dict[int, float] = {}
 
     def score(row: dict[str, str]) -> None:
-        account_id = int(row["account_id"])
+        account_id = _account_id(row["account_id"])
         if account_id in scores:
             raise ValueError(f"a second score for account {account_id}")
         value = float(row["bot_score"])
@@ -263,8 +266,9 @@ def _cmd_stats(args) -> int:
         )
     if span < args.window:
         logger.warning(
-            "the timelines span %d days, fewer than the window of %d: "
-            "no account can be labelled %s", span, args.window, Category.THIRTY_DAY.value
+            "the timelines span %d day%s, fewer than the window of %d: "
+            "no account can be labelled %s",
+            span, "" if span == 1 else "s", args.window, Category.THIRTY_DAY.value,
         )
     summaries = summarize(
         timelines, violations, window_days=args.window, bot_scores=bot_scores

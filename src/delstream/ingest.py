@@ -5,16 +5,11 @@ are dropped, not zero-filled: downstream estimators treat the resulting holes
 as gap intervals. Aggregation output is deterministic regardless of input
 order, so sharded runs merge reproducibly.
 
-``aggregate_events`` reads an event file once and builds both the daily
-deletion records and the unlike records from the validated fields of each
-line, without building notice objects. Only a line in the exact form
-``serialize_notice`` writes (``records.NOTICE_LINE``) is read without a full
-parse: its fields come from the regex groups and its day from the day group.
-Any other line goes through ``parse_notice_fields`` and
-``parse_observed_at``, with the same results and errors.
-``aggregate_daily`` and ``aggregate_unlikes`` take notices from
-``read_notices`` and give the same results; all of them, and
-``aggregate_daily_sharded``, threshold their groups through one builder.
+``aggregate_events``, ``aggregate_daily``, ``aggregate_unlikes`` and the
+workers of ``aggregate_daily_sharded`` group (kind, actor_id, object_id, UTC
+day ordinal) rows in one loop: from ``records.notice_rows`` for an event
+file, from notices otherwise. One builder thresholds and sorts the deletion
+groups, so a sharded run equals a single one for any partition.
 
 The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
 the file framing around them (lines, blank lines, JSON errors with line
@@ -39,15 +34,11 @@ from .records import (
     AccountSnapshot,
     AccountStatus,
     ComplianceNotice,
-    NOTICE_LINE,
     NoticeKind,
     RecordParseError,
     SnapshotDay,
-    _NOTICE_KINDS,
     _STATUSES,
-    _lines,
-    _notice_fields,
-    parse_observed_at,
+    notice_rows,
     read_ndjson,
     write_ndjson,
 )
@@ -157,22 +148,33 @@ def _check_threshold(threshold: int) -> None:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
 
 
-def _group_deletions(
-    notices: Iterable[ComplianceNotice],
-) -> dict[tuple[int, int], list[int]]:
-    """Deleted tweet IDs by (account, UTC day ordinal), before any threshold."""
+def _group(
+    rows: Iterable[tuple[NoticeKind, int, int, int]],
+) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], int]]:
+    """Deleted tweet IDs by (account, UTC day ordinal) and unlike counts by
+    (liker, tweet) of (kind, actor_id, object_id, day ordinal) rows."""
     groups: dict[tuple[int, int], list[int]] = {}
+    counts: dict[tuple[int, int], int] = {}
     tweet_delete = NoticeKind.TWEET_DELETE
-    for notice in notices:
-        if notice.kind is not tweet_delete:
-            continue
-        key = (notice.actor_id, notice.observed_at.toordinal())
-        ids = groups.get(key)
-        if ids is None:
-            groups[key] = [notice.object_id]
-        else:
-            ids.append(notice.object_id)
-    return groups
+    unlike = NoticeKind.UNLIKE
+    for kind, actor_id, object_id, ordinal in rows:
+        if kind is tweet_delete:
+            key = (actor_id, ordinal)
+            ids = groups.get(key)
+            if ids is None:
+                groups[key] = [object_id]
+            else:
+                ids.append(object_id)
+        elif kind is unlike:
+            key = (actor_id, object_id)
+            counts[key] = counts.get(key, 0) + 1
+    return groups, counts
+
+
+def _notice_rows(
+    notices: Iterable[ComplianceNotice],
+) -> Iterator[tuple[NoticeKind, int, int, int]]:
+    return ((n.kind, n.actor_id, n.object_id, n.observed_at.toordinal()) for n in notices)
 
 
 def _daily_records(
@@ -227,7 +229,7 @@ def aggregate_daily(
     (account_id, day) and independent of input order.
     """
     _check_threshold(threshold)
-    return _daily_records(_group_deletions(notices), threshold)
+    return _daily_records(_group(_notice_rows(notices))[0], threshold)
 
 
 def aggregate_daily_sharded(
@@ -235,14 +237,12 @@ def aggregate_daily_sharded(
     threshold: int = DEFAULT_INCLUSION_THRESHOLD,
     processes: int | None = None,
 ) -> list[DailyDeletionRecord]:
-    """Group account-disjoint shards in worker processes, merge, then threshold.
+    """Group shards in worker processes, merge, then threshold.
 
     Each source is a picklable zero-argument callable returning an iterable
-    of notices. All notices for a given account-day must come from a single
-    source (shard by account_id hash). Workers return their groups before
-    any threshold is applied, so the parent sees every account-day of every
-    shard: one found in more than one shard raises ValueError, whatever its
-    counts. The result equals ``aggregate_daily`` over all the notices.
+    of notices, split from the others in any way. Workers group without a
+    threshold and the parent concatenates each account-day's IDs, so the
+    result equals ``aggregate_daily`` over all the notices.
     """
     from multiprocessing import get_context
 
@@ -253,44 +253,32 @@ def aggregate_daily_sharded(
     if processes is None:
         processes = min(len(sources), os.cpu_count() or 1)
     if processes <= 1 or len(sources) == 1:
-        groups = _merge_disjoint(map(_group_shard, sources))
+        groups = _merge(map(_group_shard, sources))
     else:
         # imap so the parent merges finished shards while others run
         with get_context().Pool(processes) as pool:
-            groups = _merge_disjoint(pool.imap(_group_shard, sources))
+            groups = _merge(pool.imap(_group_shard, sources))
     return _daily_records(groups, threshold)
 
 
 def _group_shard(source) -> dict[tuple[int, int], list[int]]:
-    return _group_deletions(source())
+    return _group(_notice_rows(source()))[0]
 
 
-def _merge_disjoint(
+def _merge(
     parts: Iterable[dict[tuple[int, int], list[int]]],
 ) -> dict[tuple[int, int], list[int]]:
+    """Each account-day's deleted tweet IDs from every part, concatenated."""
     groups: dict[tuple[int, int], list[int]] = {}
     for part in parts:
         for key, ids in part.items():
-            if key in groups:
-                account_id, ordinal = key
-                raise ValueError(
-                    f"shards are not account-disjoint: account {account_id} "
-                    f"day {date.fromordinal(ordinal)}"
-                )
-            groups[key] = ids
+            groups.setdefault(key, []).extend(ids)
     return groups
 
 
 def aggregate_unlikes(notices: Iterable[ComplianceNotice]) -> list[UnlikeRecord]:
     """Total unlike count per (liker, tweet) pair, sorted by the pair."""
-    counts: dict[tuple[int, int], int] = {}
-    unlike = NoticeKind.UNLIKE
-    for notice in notices:
-        if notice.kind is not unlike:
-            continue
-        key = (notice.actor_id, notice.object_id)
-        counts[key] = counts.get(key, 0) + 1
-    return _unlike_records(counts)
+    return _unlike_records(_group(_notice_rows(notices))[1])
 
 
 def aggregate_events(
@@ -300,46 +288,10 @@ def aggregate_events(
 
     Equal to ``(aggregate_daily(read_notices(path), threshold),
     aggregate_unlikes(read_notices(path)))``, with the same errors, but
-    builds no notice objects. A line that fully matches ``NOTICE_LINE`` is
-    read from its groups without a JSON decode and bucketed by its day group,
-    the first stamp of each distinct day parsed in full; any other line goes
-    through ``parse_notice_fields`` and ``parse_observed_at``.
+    builds no notice objects: it groups ``records.notice_rows(path)``.
     """
     _check_threshold(threshold)
-    groups: dict[tuple[int, int], list[int]] = {}
-    counts: dict[tuple[int, int], int] = {}
-    day_ordinals: dict[str, int] = {}
-    exact = NOTICE_LINE.fullmatch
-    kinds = _NOTICE_KINDS
-    tweet_delete = NoticeKind.TWEET_DELETE
-    unlike = NoticeKind.UNLIKE
-    for number, line in _lines(path):
-        match = exact(line)
-        if match is not None:
-            kind, actor_id, object_id, observed, day = match.groups()
-            kind = kinds[kind]
-            actor_id = int(actor_id)
-            object_id = int(object_id)
-            ordinal = day_ordinals.get(day)
-            if ordinal is None:
-                ordinal = parse_observed_at(observed, number).toordinal()
-                day_ordinals[day] = ordinal
-        else:
-            fields = _notice_fields(line, number)
-            if fields is None:
-                continue
-            kind, actor_id, object_id, observed = fields
-            ordinal = parse_observed_at(observed, number).toordinal()
-        if kind is tweet_delete:
-            key = (actor_id, ordinal)
-            ids = groups.get(key)
-            if ids is None:
-                groups[key] = [object_id]
-            else:
-                ids.append(object_id)
-        elif kind is unlike:
-            key = (actor_id, object_id)
-            counts[key] = counts.get(key, 0) + 1
+    groups, counts = _group(notice_rows(path))
     return _daily_records(groups, threshold), _unlike_records(counts)
 
 

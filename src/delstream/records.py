@@ -10,6 +10,8 @@ exact-form fast path: a line in the one form ``serialize_notice`` or
 ``serialize_snapshot`` writes (``NOTICE_LINE``, ``SNAPSHOT_LINE``) is read
 from the regex groups, without a JSON decode. Any other line goes through
 the general JSON path, which gives the same records and the same errors.
+No other module knows these forms: ``ingest`` reads events through
+``notice_rows`` and snapshots through ``read_snapshots``.
 
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
@@ -425,6 +427,33 @@ def read_notices(path) -> Iterator[ComplianceNotice]:
             yield ComplianceNotice(
                 kind, actor_id, object_id, parse_observed_at(observed_raw, number)
             )
+
+
+def notice_rows(path) -> Iterator[tuple[NoticeKind, int, int, int]]:
+    """The (kind, actor_id, object_id, UTC day ordinal) of each notice
+    ``read_notices`` yields, with the same skips and errors, but no notices.
+
+    A line that fully matches ``NOTICE_LINE`` is read from its groups and
+    dated by its day group, the first stamp of each day parsed in full.
+    """
+    day_ordinals: dict[str, int] = {}
+    exact = NOTICE_LINE.fullmatch
+    kinds = _NOTICE_KINDS
+    for number, line in _lines(path):
+        match = exact(line)
+        if match is not None:
+            kind, actor_id, object_id, observed, day = match.groups()
+            ordinal = day_ordinals.get(day)
+            if ordinal is None:
+                ordinal = parse_observed_at(observed, number).toordinal()
+                day_ordinals[day] = ordinal
+            yield kinds[kind], int(actor_id), int(object_id), ordinal
+        else:
+            fields = _notice_fields(line, number)
+            if fields is not None:
+                kind, actor_id, object_id, observed = fields
+                ordinal = parse_observed_at(observed, number).toordinal()
+                yield kind, actor_id, object_id, ordinal
 
 
 def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:

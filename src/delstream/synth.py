@@ -481,24 +481,33 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
 
 # -- declarative spec files and ground-truth serialization -------------------
 
-_PROFILE_FIELDS = {f.name for f in dataclasses.fields(BehaviorProfile)}
+#: The JSON types of a profile field, by the field's annotation; the items of
+#: a day list must be integers.
+_JSON_TYPES = {"ProfileKind": {str}, "float": {int, float}, "int": {int},
+               "tuple[int, ...]": {list}, "tuple[int, ...] | None": {list, type(None)}}
+_PROFILE_TYPES = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(BehaviorProfile)}
 
 
 def profile_from_dict(raw: dict) -> BehaviorProfile:
     if "kind" not in raw:
         raise ValueError("profile requires a 'kind'")
-    unknown = set(raw) - _PROFILE_FIELDS
+    unknown = raw.keys() - _PROFILE_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown profile fields: {sorted(unknown)}")
+    for name, value in raw.items():
+        items = value if type(value) is list else ()
+        if type(value) not in _PROFILE_TYPES[name] or not set(map(type, items)) <= {int}:
+            raise ValueError(f"profile field {name!r} has the wrong JSON type: {value!r}")
     return BehaviorProfile(**raw)
 
 
 def spec_from_dict(raw: dict) -> PopulationSpec:
     """Build a population spec from its declarative form.
 
-    Each cohort entry carries ``count`` plus the profile fields inline.
+    Each cohort entry carries ``count`` plus the profile fields inline. A
+    field of the wrong JSON type raises ValueError naming it.
     """
-    if not isinstance(raw, dict) or "cohorts" not in raw:
+    if not isinstance(raw, dict) or type(raw.get("cohorts")) is not list:
         raise ValueError("population spec requires a 'cohorts' list")
     cohorts = []
     for entry in raw["cohorts"]:
@@ -513,6 +522,8 @@ def spec_from_dict(raw: dict) -> PopulationSpec:
     if isinstance(days, bool) or not isinstance(days, int):
         raise ValueError("'days' must be an integer")
     start_raw = raw.get("start_day", "2021-04-26")
+    if type(start_raw) is not str:
+        raise ValueError(f"'start_day' must be a string, got {start_raw!r}")
     return PopulationSpec(tuple(cohorts), days, date.fromisoformat(start_raw))
 
 

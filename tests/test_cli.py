@@ -3,16 +3,19 @@ from __future__ import annotations
 import ast
 import csv
 import importlib.util
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from delstream import cli
@@ -40,6 +43,60 @@ SPEC = {
         },
     ],
 }
+
+
+#: A spec that generates a handful of events.
+_SMALL_SPEC = {
+    "days": 2,
+    "start_day": "2021-04-26",
+    "cohorts": [
+        {"kind": "flooder", "count": 1, "post_rate": 1, "cycle_posts": 2,
+         "cycles_per_day": 1, "flood_days": [1], "initial_count": 10},
+    ],
+}
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_int_list(value) -> bool:
+    return type(value) is list and all(type(item) is int for item in value)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+#: Whether a value has the JSON type of a spec field, a cohort's ``count``
+#: or a profile field.
+_SPEC_TYPES = {
+    "days": _is_int,
+    "start_day": lambda v: type(v) is str,
+    "cohorts": lambda v: type(v) is list,
+    "count": _is_int,
+    "kind": lambda v: type(v) is str,
+    "delete_days": lambda v: v is None or _is_int_list(v),
+    **dict.fromkeys(
+        ["post_rate", "delete_rate", "age_median_days", "age_sigma"], _is_number
+    ),
+    **dict.fromkeys(
+        ["min_daily_deletions", "cycle_posts", "cycles_per_day", "farm_size",
+         "farm_tweets", "farm_day", "spoke_unlikes", "initial_count", "seed"],
+        _is_int,
+    ),
+    **dict.fromkeys(["flood_days", "gap_days", "stale_days"], _is_int_list),
+}
+
+_json_scalars = st.one_of(
+    st.text(max_size=4), st.integers(-3, 3), st.floats(), st.booleans(), st.none()
+)
+#: Values of every JSON type: string, number, true/false, null, array, object.
+_json_values = st.one_of(
+    _json_scalars,
+    st.lists(_json_scalars, max_size=3),
+    st.dictionaries(st.text(max_size=3), _json_scalars, max_size=2),
+)
 
 
 def write_spec(path: Path, spec=SPEC) -> Path:
@@ -382,6 +439,44 @@ class TestExitCodes:
         Path("spec.json").write_text('{"cohorts": [{"kind": "idle"}]}')
         assert run("generate", "--spec", "spec.json", "--out", "out") == 3
 
+    @given(field=st.sampled_from(sorted(_SPEC_TYPES)), value=_json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_spec_field_of_the_wrong_json_type_exit_3(self, field, value):
+        assume(not _SPEC_TYPES[field](value))
+        spec = json.loads(json.dumps(_SMALL_SPEC))
+        target = spec if field in ("days", "start_day", "cohorts") else spec["cohorts"][0]
+        target[field] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as directory, redirect_stderr(err):
+            spec_path = write_spec(Path(directory), spec)
+            out = Path(directory) / "out"
+            assert run("generate", "--spec", spec_path, "--out", out) == 3
+            assert not out.exists()
+        assert err.getvalue().startswith("delstream: invalid input:")
+        assert field in err.getvalue()
+
+    @pytest.mark.parametrize("account", ["-5", "0", "1_000", "\u0661\u0662", "007", "+5"])
+    def test_bad_account_id_exit_3_with_its_line(
+        self, tmp_path, monkeypatch, capsys, account
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+        )
+        Path("allow.txt").write_text(f"# partner\n1\n{account}\n", encoding="utf-8")
+        argv = ["detect-flooding", "--timelines", "timelines.ndjson",
+                "--allowlist", "allow.txt", "--out", "v.csv"]
+        assert run(*argv) == 3
+        assert f"line 3: bad account ID {account!r}" in capsys.readouterr().err
+        Path("scores.csv").write_text(
+            f"account_id,bot_score\n1,0.5\n{account},0.5\n", encoding="utf-8"
+        )
+        argv = ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "scores.csv",
+                "--out", "out"]
+        assert run(*argv) == 3
+        assert f"line 3: bad row: bad account ID {account!r}" in capsys.readouterr().err
+        assert not Path("v.csv").exists() and not Path("out").exists()
+
     def test_empty_event_file_exit_0(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("events.ndjson").write_text("")
@@ -633,6 +728,19 @@ class TestPipeline:
             ]
         else:
             assert messages == []
+
+    def test_stats_warning_says_one_day(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        )
+        with caplog.at_level("WARNING", logger="delstream.cli"):
+            assert run("stats", "--timelines", "timelines.ndjson", "--out", "stats") == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "delstream.cli"]
+        assert messages == [
+            "the timelines span 1 day, fewer than the window of 30: "
+            "no account can be labelled thirty_day"
+        ]
 
     def test_unknown_config_key_exit_3(self, workspace):
         config = workspace / "bad.json"

@@ -326,19 +326,21 @@ class TestShardedAggregation:
         assert ingest.aggregate_daily_sharded(sources, processes=1) == expected
         assert ingest.aggregate_daily_sharded(sources, processes=2) == expected
 
-    def test_non_disjoint_shards_rejected(self):
+    def test_overlapping_shards_equal_single(self):
+        # the same notices in both shards: every account-day in both
         source = partial(_shard_notices, 0, 1, 12)
-        with pytest.raises(ValueError):
-            ingest.aggregate_daily_sharded([source, source], processes=1)
+        expected = ingest.aggregate_daily(source() + source())
+        assert ingest.aggregate_daily_sharded([source, source], processes=1) == expected
+        assert ingest.aggregate_daily_sharded([source, source], processes=2) == expected
 
-    def test_account_day_split_below_threshold_rejected(self):
+    def test_account_day_split_below_threshold_merged(self):
         # 8 + 8 notices of one account-day: each part alone is below the
         # threshold, together they are a record.
         notices = deletions(1, DAY0, 16)
-        assert len(ingest.aggregate_daily(notices, threshold=10)) == 1
+        expected = ingest.aggregate_daily(notices, threshold=10)
+        assert len(expected) == 1
         sources = [partial(list, notices[:8]), partial(list, notices[8:])]
-        with pytest.raises(ValueError, match="account 1 day 2021-04-26"):
-            ingest.aggregate_daily_sharded(sources, threshold=10, processes=1)
+        assert ingest.aggregate_daily_sharded(sources, 10, processes=1) == expected
 
     @given(
         notices=st.lists(_any_notice, max_size=60),
@@ -364,25 +366,15 @@ class TestShardedAggregation:
         threshold=st.integers(1, 4),
     )
     @settings(max_examples=100, deadline=None)
-    def test_any_partition_equals_single_or_raises_on_split_account_day(
-        self, assigned, threshold
-    ):
+    def test_any_partition_equals_single(self, assigned, threshold):
         parts = [[] for _ in range(3)]
-        shards_of_day: dict[tuple[int, date], set[int]] = {}
         for notice, shard in assigned:
             parts[shard].append(notice)
-            if notice.kind is NoticeKind.TWEET_DELETE:
-                key = (notice.actor_id, notice.observed_at.date())
-                shards_of_day.setdefault(key, set()).add(shard)
         sources = [partial(list, part) for part in parts]
-        if any(len(shards) > 1 for shards in shards_of_day.values()):
-            with pytest.raises(ValueError, match="not account-disjoint"):
-                ingest.aggregate_daily_sharded(sources, threshold, processes=1)
-        else:
-            notices = [notice for notice, _ in assigned]
-            assert ingest.aggregate_daily_sharded(
-                sources, threshold, processes=1
-            ) == ingest.aggregate_daily(notices, threshold)
+        notices = [notice for notice, _ in assigned]
+        assert ingest.aggregate_daily_sharded(
+            sources, threshold, processes=1
+        ) == ingest.aggregate_daily(notices, threshold)
 
 
 # -- one-pass aggregation of an event file ----------------------------------

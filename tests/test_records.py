@@ -290,10 +290,11 @@ class TestSnapshotValidation:
 
 # -- exact-form fast paths -------------------------------------------------
 #
-# ``ingest.aggregate_events`` and ``read_snapshots`` read a line in the one
-# form the package's writers produce from ``NOTICE_LINE``/``SNAPSHOT_LINE``
-# groups. The properties below hold them to the general JSON path on lines
-# that almost match: any difference in records, errors or line numbers fails.
+# ``notice_rows`` (which ``ingest.aggregate_events`` groups) and
+# ``read_snapshots`` read a line in the one form the package's writers
+# produce from ``NOTICE_LINE``/``SNAPSHOT_LINE`` groups. The properties below
+# hold them to the general JSON path on lines that almost match: any
+# difference in records, errors or line numbers fails.
 
 
 def _outcome(func):
@@ -518,8 +519,19 @@ class TestInvalidUtf8:
         path.write_bytes(b"\n" + SPEC_LINE.encode()[:-2] + raw + b'"}\n')
         for read in (
             r.read_notices,
+            r.notice_rows,
             r.read_snapshots,
             lambda p: ingest.aggregate_events(p)[0],
         ):
             with pytest.raises(r.RecordParseError, match="line 2: invalid UTF-8"):
                 list(read(path))
+
+
+def test_line_forms_are_known_only_to_records():
+    """Only ``records`` reads or writes the exact event and snapshot line forms."""
+    package = Path(r.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "records.py":
+            text = path.read_text(encoding="utf-8")
+            for name in ("NOTICE_LINE", "SNAPSHOT_LINE"):
+                assert name not in text, f"{path.name} refers to records.{name}"
