@@ -56,7 +56,8 @@ from .ingest import (
 )
 from .records import (
     RecordParseError,
-    _lines,
+    parse_account_id,
+    read_account_ids,
     read_csv,
     read_snapshots,
     write_csv,
@@ -108,26 +109,11 @@ def _resolve_timelines(path_arg) -> Path:
     return path / "timelines.ndjson" if path.is_dir() else path
 
 
-def _account_id(text: str, line_number: int = 0) -> int:
-    """A positive ASCII decimal ID without leading zeros, as every input takes."""
-    if not (text.isascii() and text.isdigit() and text[0] != "0"):
-        raise RecordParseError(f"bad account ID {text!r}", line_number)
-    return int(text)
-
-
-def _read_allowlist(path) -> frozenset[int]:
-    return frozenset(
-        _account_id(line, number)
-        for number, line in _lines(path)
-        if not line.startswith("#")
-    )
-
-
 def _read_bot_scores(path) -> dict[int, float]:
     scores: dict[int, float] = {}
 
     def score(row: dict[str, str]) -> None:
-        account_id = _account_id(row["account_id"])
+        account_id = parse_account_id(row["account_id"])
         if account_id in scores:
             raise ValueError(f"a second score for account {account_id}")
         value = float(row["bot_score"])
@@ -366,7 +352,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_detect_flooding(args) -> int:
     timelines = read_timelines(_resolve_timelines(args.timelines))
-    allowlist = _read_allowlist(args.allowlist) if args.allowlist else frozenset()
+    allowlist = frozenset(read_account_ids(args.allowlist) if args.allowlist else ())
     violations = detect(
         timelines,
         limit=args.limit,

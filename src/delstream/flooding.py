@@ -14,7 +14,7 @@ from datetime import date
 from typing import Collection, Iterable
 
 from .ingest import AccountTimeline
-from .records import read_csv, write_csv
+from .records import day_field, parse_account_id, read_csv, write_csv
 
 #: Platform cap on tweets posted per account per day.
 DEFAULT_DAILY_LIMIT = 2400
@@ -137,13 +137,16 @@ def write_violations(path, violations: Iterable[FloodingViolation]) -> int:
 
 
 def _violation_from_row(row: dict[str, str]) -> FloodingViolation:
+    stale = row["stale_suspect"]
+    if stale not in ("0", "1"):
+        raise ValueError(f"'stale_suspect' must be 0 or 1, got {stale!r}")
     return FloodingViolation(
-        int(row["account_id"]),
-        date.fromisoformat(row["day"]),
+        parse_account_id(row["account_id"]),
+        day_field(row["day"], "day"),
         int(row["count_diff"]),
         int(row["deletions"]),
         int(row["total_posted"]),
-        bool(int(row["stale_suspect"])),
+        stale == "1",
     )
 
 

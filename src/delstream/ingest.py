@@ -12,9 +12,10 @@ file, from notices otherwise. One builder thresholds and sorts the deletion
 groups, so a sharded run equals a single one for any partition.
 
 The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
-the file framing around them (lines, blank lines, JSON errors with line
-numbers) is ``records.read_ndjson`` and ``records.write_ndjson``. A daily
-deletion record keeps its tweet IDs, which coordination reads. A timeline
+each ``*_from_dict`` checks its fields with the ``records`` field checks
+(every ID positive, every age at least 0) and raises without a line number,
+which the file framing, ``records.read_ndjson``, adds. A daily deletion
+record keeps its tweet IDs, which coordination reads. A timeline
 keeps only what ``estimate``, ``detect-flooding`` and ``stats`` read: each
 snapshot's day, status and count (``records.SnapshotDay``), the account's
 description, and each deletion day's count and ages (``DeletionDay``), and
@@ -37,9 +38,14 @@ from .records import (
     NoticeKind,
     RecordParseError,
     SnapshotDay,
-    _STATUSES,
+    day_field,
+    int_field,
+    int_list_field,
+    json_object,
     notice_rows,
     read_ndjson,
+    status_field,
+    str_field,
     write_ndjson,
 )
 
@@ -359,31 +365,18 @@ def daily_record_to_dict(record: DailyDeletionRecord) -> dict:
     }
 
 
-def _int(raw: dict, key: str) -> int:
-    value = raw[key]
-    if type(value) is not int:  # JSON true/false load as bool
-        raise TypeError(f"{key!r} must be an integer, got {type(value).__name__}")
-    return value
-
-
-def _ints(raw: dict, key: str) -> tuple[int, ...]:
-    values = tuple(raw[key])
-    if not set(map(type, values)) <= {int}:
-        raise TypeError(f"{key!r} must hold only integers")
-    return values
-
-
-def daily_record_from_dict(raw: dict, line_number: int = 0) -> DailyDeletionRecord:
+def daily_record_from_dict(raw: dict) -> DailyDeletionRecord:
     try:
+        raw = json_object(raw)
         return DailyDeletionRecord(
-            _int(raw, "account_id"),
-            date.fromisoformat(raw["day"]),
-            _int(raw, "deletion_count"),
-            _ints(raw, "deleted_ages_days"),
-            _ints(raw, "tweet_ids"),
+            int_field(raw.get("account_id"), "account_id", 1),
+            day_field(raw.get("day"), "day"),
+            int_field(raw.get("deletion_count"), "deletion_count", 1),
+            int_list_field(raw.get("deleted_ages_days"), "deleted_ages_days", 0),
+            int_list_field(raw.get("tweet_ids"), "tweet_ids", 1),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise RecordParseError(f"bad deletion record: {err}", line_number) from None
+    except ValueError as err:
+        raise RecordParseError(f"bad deletion record: {err}") from None
 
 
 def unlike_record_to_dict(record: UnlikeRecord) -> dict:
@@ -394,13 +387,16 @@ def unlike_record_to_dict(record: UnlikeRecord) -> dict:
     }
 
 
-def unlike_record_from_dict(raw: dict, line_number: int = 0) -> UnlikeRecord:
+def unlike_record_from_dict(raw: dict) -> UnlikeRecord:
     try:
+        raw = json_object(raw)
         return UnlikeRecord(
-            _int(raw, "liker_id"), _int(raw, "tweet_id"), _int(raw, "unlike_count")
+            int_field(raw.get("liker_id"), "liker_id", 1),
+            int_field(raw.get("tweet_id"), "tweet_id", 1),
+            int_field(raw.get("unlike_count"), "unlike_count", 1),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise RecordParseError(f"bad unlike record: {err}", line_number) from None
+    except ValueError as err:
+        raise RecordParseError(f"bad unlike record: {err}") from None
 
 
 def timeline_to_dict(timeline: AccountTimeline) -> dict:
@@ -425,54 +421,48 @@ def timeline_to_dict(timeline: AccountTimeline) -> dict:
 
 
 def _rows(raw: dict, key: str) -> list[list]:
-    rows = raw[key]
+    rows = raw.get(key)
     if type(rows) is not list or not all(
         type(row) is list and len(row) == 3 for row in rows
     ):
-        raise TypeError(f"{key!r} must be a list of three-item lists")
+        raise RecordParseError(f"{key!r} must be a list of three-item lists")
     return rows
 
 
-def timeline_from_dict(raw: dict, line_number: int = 0) -> AccountTimeline:
+def timeline_from_dict(raw: dict) -> AccountTimeline:
     """Read ``timeline_to_dict``'s form back.
 
     Snapshots are ``SnapshotDay`` rows and deletion days ``DeletionDay``s,
     without tweet IDs; the description is the timeline's.
     """
     try:
-        if type(raw) is not dict:
-            raise TypeError("record must be a JSON object")
-        account_id = _int(raw, "account_id")
+        raw = json_object(raw)
+        account_id = int_field(raw.get("account_id"), "account_id", 1)
         snapshot_rows = _rows(raw, "snapshots")
-        description = raw.get("description", "")
-        if type(description) is not str:
-            raise TypeError("'description' must be a string")
+        description = str_field(raw.get("description", ""), "description")
         if description and not snapshot_rows:
             raise ValueError("a description without snapshots")
-        snapshots = []
-        for day, status_raw, count in snapshot_rows:
-            if count is not None and type(count) is not int:
-                raise TypeError("'statuses_count' must be an integer or null")
-            status = _STATUSES.get(status_raw) if type(status_raw) is str else None
-            if status is None:
-                raise ValueError(f"unknown status {status_raw!r}")
-            snapshots.append(
-                SnapshotDay(account_id, date.fromisoformat(day), count, status)
+        snapshots = tuple(
+            SnapshotDay(
+                account_id,
+                day_field(day, "snapshot_day"),
+                None if count is None else int_field(count, "statuses_count", 0),
+                status_field(status),
             )
-        deletion_days = []
-        for day, count, ages in _rows(raw, "deletion_days"):
-            if type(count) is not int:
-                raise TypeError("'deletion_count' must be an integer")
-            if type(ages) is not list or not set(map(type, ages)) <= {int}:
-                raise TypeError("'deleted_ages_days' must be a list of integers")
-            deletion_days.append(
-                DeletionDay(account_id, date.fromisoformat(day), count, tuple(ages))
-            )
-        return AccountTimeline(
-            account_id, tuple(snapshots), tuple(deletion_days), description
+            for day, status, count in snapshot_rows
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise RecordParseError(f"bad timeline: {err}", line_number) from None
+        deletion_days = tuple(
+            DeletionDay(
+                account_id,
+                day_field(day, "day"),
+                int_field(count, "deletion_count", 1),
+                int_list_field(ages, "deleted_ages_days", 0),
+            )
+            for day, count, ages in _rows(raw, "deletion_days")
+        )
+        return AccountTimeline(account_id, snapshots, deletion_days, description)
+    except ValueError as err:
+        raise RecordParseError(f"bad timeline: {err}") from None
 
 
 def write_daily_records(path, records) -> int:

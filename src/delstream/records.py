@@ -1,9 +1,13 @@
 """Canonical event and snapshot records, their wire forms, and ID-to-time decoding.
 
 Every file the package reads or writes is framed here (``read_ndjson``,
-``write_ndjson``, ``read_csv``, ``write_csv``, ``write_json``); other modules
-supply only the conversion of one record to and from a dict or a CSV row.
-A line that is not valid UTF-8 is a RecordParseError naming its line.
+``write_ndjson``, ``read_csv``, ``write_csv``, ``read_account_ids``,
+``write_json``); other modules supply only the conversion of one record to
+and from a dict or a CSV row, checking each field with the field checks
+here (``int_field`` and the rest), so that every ID in every input is a
+positive integer. Decoders take no line number: each reader here re-raises
+its decoder's ValueError as a RecordParseError naming the line, as it does
+for a line that is not valid UTF-8.
 
 The two inputs that grow with the collection, events and snapshots, have an
 exact-form fast path: a line in the one form ``serialize_notice`` or
@@ -91,16 +95,16 @@ def ms_to_datetime(ms: int) -> datetime:
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC.
 
-    Raises ValueError for a malformed value and for one whose UTC time falls
-    outside the datetime range (``0001-01-01T00:30:00+01:00``).
+    Reads an event's ``observed_at`` and a snapshot's ``created_at`` and
+    ``queried_at``. Raises RecordParseError for a malformed value and for one
+    whose UTC time falls outside the datetime range
+    (``0001-01-01T00:30:00+01:00``).
     """
-    dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        return dt.replace(tzinfo=_UTC)
     try:
-        return dt.astimezone(_UTC)
-    except OverflowError:
-        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
+        dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+        return dt.replace(tzinfo=_UTC) if dt.tzinfo is None else dt.astimezone(_UTC)
+    except (ValueError, OverflowError):
+        raise RecordParseError(f"bad timestamp {value!r}") from None
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -231,85 +235,118 @@ def decode_creation_time(tweet_id: int) -> TweetCreationTime:
     return TweetCreationTime(tweet_id, None if ms is None else ms_to_datetime(ms))
 
 
-def _load(line: str, line_number: int):
+def _load(line: str):
     try:
         return json.loads(line)
     except json.JSONDecodeError as err:
-        raise RecordParseError(f"invalid JSON: {err}", line_number) from None
+        raise RecordParseError(f"invalid JSON: {err}") from None
 
 
 def _dumps(raw: dict) -> str:
     return json.dumps(raw, separators=(",", ":"))
 
 
-def _require_id(raw: dict, key: str, line_number: int) -> int:
-    value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RecordParseError(f"missing or non-integer {key!r}", line_number)
-    if value <= 0:
-        raise RecordParseError(f"{key!r} must be positive, got {value}", line_number)
+# Field checks: each raises RecordParseError naming the field, without a line.
+
+
+def json_object(value: object) -> dict:
+    """``value`` if it is a JSON object."""
+    if type(value) is not dict:
+        raise RecordParseError("record must be a JSON object")
     return value
 
 
-def parse_notice_fields(
-    line: str, line_number: int = 0
-) -> tuple[NoticeKind, int, int, str]:
+def int_field(value: object, name: str, minimum: int) -> int:
+    """``value`` if it is an int, not a bool, of at least ``minimum`` (1 for an ID)."""
+    if type(value) is not int or value < minimum:
+        message = f"{name!r} must be an integer >= {minimum}, got {value!r:.40}"
+        raise RecordParseError(message)
+    return value
+
+
+def int_list_field(value: object, name: str, minimum: int) -> tuple[int, ...]:
+    """``value`` as a tuple if it is a list of integers, each at least ``minimum``."""
+    if type(value) is not list or not set(map(type, value)) <= {int} or (
+        value and min(value) < minimum
+    ):
+        raise RecordParseError(f"{name!r} must be a list of integers >= {minimum}")
+    return tuple(value)
+
+
+def str_field(value: object, name: str) -> str:
+    """``value`` if it is a string."""
+    if type(value) is not str:
+        raise RecordParseError(f"{name!r} must be a string, got {value!r:.40}")
+    return value
+
+
+def day_field(value: object, name: str) -> date:
+    """The date an ISO day string names."""
+    try:
+        return date.fromisoformat(value)
+    except (TypeError, ValueError):
+        message = f"{name!r} must be an ISO day, got {value!r:.40}"
+        raise RecordParseError(message) from None
+
+
+def timestamp_field(value: object, name: str) -> datetime | None:
+    """None for null, else ``parse_timestamp`` of a string."""
+    return None if value is None else parse_timestamp(str_field(value, name))
+
+
+def status_field(value: object) -> AccountStatus:
+    """The AccountStatus a status string names."""
+    status = _STATUSES.get(value) if type(value) is str else None
+    if status is None:
+        raise RecordParseError(f"unknown status {value!r:.40}")
+    return status
+
+
+def parse_account_id(text: str) -> int:
+    """A positive ASCII decimal account ID without leading zeros, sign or
+    padding, as every text input (allowlist, CSV cells) takes it."""
+    if not (text.isascii() and text.isdigit() and text[0] != "0"):
+        raise RecordParseError(f"bad account ID {text!r}")
+    return int(text)
+
+
+def _at_line(err: ValueError, number: int) -> RecordParseError:
+    """A decoder's error as a RecordParseError naming line ``number``."""
+    if not isinstance(err, RecordParseError):
+        err = RecordParseError(str(err))
+    err.line_number = number
+    return err
+
+
+def parse_notice_fields(line: str) -> tuple[NoticeKind, int, int, str]:
     """Decode and check one serialized event record, all but its timestamp.
 
     Returns (kind, actor_id, object_id, observed_at text); pass the text to
-    ``parse_observed_at``. Unknown extra fields are ignored. Raises
+    ``parse_timestamp``. Unknown extra fields are ignored. Raises
     RecordParseError for malformed records and UnknownKindError (a subclass)
     for records whose kind is outside the supported set.
     """
-    raw = _load(line, line_number)
-    if not isinstance(raw, dict):
-        raise RecordParseError("record must be a JSON object", line_number)
-
-    kind_raw = raw.get("kind")
-    if not isinstance(kind_raw, str):
-        raise RecordParseError("missing or non-string 'kind'", line_number)
+    raw = json_object(_load(line))
+    kind_raw = str_field(raw.get("kind"), "kind")
     kind = _NOTICE_KINDS.get(kind_raw)
     if kind is None:
-        raise UnknownKindError(f"unknown kind {kind_raw!r}", line_number)
-
-    actor_id = _require_id(raw, "actor_id", line_number)
-    object_id = _require_id(raw, "object_id", line_number)
-
-    observed_raw = raw.get("observed_at")
-    if not isinstance(observed_raw, str):
-        raise RecordParseError("missing or non-string 'observed_at'", line_number)
-    return kind, actor_id, object_id, observed_raw
+        raise UnknownKindError(f"unknown kind {kind_raw!r}")
+    return (
+        kind,
+        int_field(raw.get("actor_id"), "actor_id", 1),
+        int_field(raw.get("object_id"), "object_id", 1),
+        str_field(raw.get("observed_at"), "observed_at"),
+    )
 
 
-def parse_observed_at(value: str, line_number: int = 0) -> datetime:
-    """``parse_timestamp`` as a RecordParseError naming the line.
-
-    Reads an event's ``observed_at`` and a snapshot's ``created_at`` and
-    ``queried_at``.
-    """
-    try:
-        return parse_timestamp(value)
-    except ValueError:
-        raise RecordParseError(f"bad timestamp {value!r}", line_number) from None
-
-
-def _parse_day(value: str, line_number: int) -> date:
-    try:
-        return date.fromisoformat(value)
-    except ValueError:
-        raise RecordParseError(f"bad date {value!r}", line_number) from None
-
-
-def parse_notice(line: str, line_number: int = 0) -> ComplianceNotice:
+def parse_notice(line: str) -> ComplianceNotice:
     """Parse one serialized event record. Unknown extra fields are ignored.
 
     Raises RecordParseError for malformed records and UnknownKindError
     (a subclass) for records whose kind is outside the supported set.
     """
-    kind, actor_id, object_id, observed_raw = parse_notice_fields(line, line_number)
-    return ComplianceNotice(
-        kind, actor_id, object_id, parse_observed_at(observed_raw, line_number)
-    )
+    kind, actor_id, object_id, observed_raw = parse_notice_fields(line)
+    return ComplianceNotice(kind, actor_id, object_id, parse_timestamp(observed_raw))
 
 
 def notice_to_dict(notice: ComplianceNotice) -> dict:
@@ -341,76 +378,26 @@ def snapshot_to_dict(snapshot: AccountSnapshot) -> dict:
     }
 
 
-def snapshot_from_dict(raw: dict, line_number: int = 0) -> AccountSnapshot:
-    if not isinstance(raw, dict):
-        raise RecordParseError("record must be a JSON object", line_number)
-    account_id = _require_id(raw, "account_id", line_number)
-
-    day_raw = raw.get("snapshot_day")
-    if not isinstance(day_raw, str):
-        raise RecordParseError("missing or non-string 'snapshot_day'", line_number)
-    snapshot_day = _parse_day(day_raw, line_number)
-
+def snapshot_from_dict(raw: dict) -> AccountSnapshot:
+    raw = json_object(raw)
     count = raw.get("statuses_count")
-    if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
-        raise RecordParseError("'statuses_count' must be an integer or null", line_number)
-
-    status_raw = raw.get("status")
-    if not isinstance(status_raw, str):
-        raise RecordParseError("missing or non-string 'status'", line_number)
-    try:
-        status = AccountStatus(status_raw)
-    except ValueError:
-        raise RecordParseError(f"unknown status {status_raw!r}", line_number) from None
-
-    description = raw.get("description", "")
-    if not isinstance(description, str):
-        raise RecordParseError("'description' must be a string", line_number)
-
-    timestamps: dict[str, datetime | None] = {}
-    for key in ("created_at", "queried_at"):
-        value = raw.get(key)
-        if value is None:
-            timestamps[key] = None
-        elif isinstance(value, str):
-            timestamps[key] = parse_observed_at(value, line_number)
-        else:
-            raise RecordParseError(f"{key!r} must be a string or null", line_number)
-
-    return _snapshot(
-        line_number,
-        account_id,
-        snapshot_day,
-        count,
-        status,
-        description,
-        timestamps["created_at"],
-        timestamps["queried_at"],
+    return AccountSnapshot(
+        int_field(raw.get("account_id"), "account_id", 1),
+        day_field(raw.get("snapshot_day"), "snapshot_day"),
+        None if count is None else int_field(count, "statuses_count", 0),
+        status_field(raw.get("status")),
+        str_field(raw.get("description", ""), "description"),
+        timestamp_field(raw.get("created_at"), "created_at"),
+        timestamp_field(raw.get("queried_at"), "queried_at"),
     )
 
 
-def _snapshot(line_number: int, *fields) -> AccountSnapshot:
-    try:
-        return AccountSnapshot(*fields)
-    except ValueError as err:
-        raise RecordParseError(str(err), line_number) from None
-
-
-def parse_snapshot(line: str, line_number: int = 0) -> AccountSnapshot:
-    return snapshot_from_dict(_load(line, line_number), line_number)
+def parse_snapshot(line: str) -> AccountSnapshot:
+    return snapshot_from_dict(_load(line))
 
 
 def serialize_snapshot(snapshot: AccountSnapshot) -> str:
     return _dumps(snapshot_to_dict(snapshot))
-
-
-def _notice_fields(line: str, line_number: int):
-    """``parse_notice_fields``, or None with a warning for an unknown kind."""
-    try:
-        return parse_notice_fields(line, line_number)
-    except UnknownKindError as err:
-        logger.warning("skipping event: %s", err)
-        return None
 
 
 def read_notices(path) -> Iterator[ComplianceNotice]:
@@ -421,12 +408,12 @@ def read_notices(path) -> Iterator[ComplianceNotice]:
     number.
     """
     for number, line in _lines(path):
-        fields = _notice_fields(line, number)
-        if fields is not None:
-            kind, actor_id, object_id, observed_raw = fields
-            yield ComplianceNotice(
-                kind, actor_id, object_id, parse_observed_at(observed_raw, number)
-            )
+        try:
+            yield parse_notice(line)
+        except UnknownKindError as err:
+            logger.warning("skipping event: %s", _at_line(err, number))
+        except ValueError as err:
+            raise _at_line(err, number) from None
 
 
 def notice_rows(path) -> Iterator[tuple[NoticeKind, int, int, int]]:
@@ -440,20 +427,21 @@ def notice_rows(path) -> Iterator[tuple[NoticeKind, int, int, int]]:
     exact = NOTICE_LINE.fullmatch
     kinds = _NOTICE_KINDS
     for number, line in _lines(path):
-        match = exact(line)
-        if match is not None:
-            kind, actor_id, object_id, observed, day = match.groups()
-            ordinal = day_ordinals.get(day)
-            if ordinal is None:
-                ordinal = parse_observed_at(observed, number).toordinal()
-                day_ordinals[day] = ordinal
-            yield kinds[kind], int(actor_id), int(object_id), ordinal
-        else:
-            fields = _notice_fields(line, number)
-            if fields is not None:
-                kind, actor_id, object_id, observed = fields
-                ordinal = parse_observed_at(observed, number).toordinal()
-                yield kind, actor_id, object_id, ordinal
+        try:
+            match = exact(line)
+            if match is not None:
+                kind, actor_id, object_id, observed, day = match.groups()
+                ordinal = day_ordinals.get(day)
+                if ordinal is None:
+                    ordinal = day_ordinals[day] = parse_timestamp(observed).toordinal()
+                yield kinds[kind], int(actor_id), int(object_id), ordinal
+            else:
+                kind, actor_id, object_id, observed = parse_notice_fields(line)
+                yield kind, actor_id, object_id, parse_timestamp(observed).toordinal()
+        except UnknownKindError as err:
+            logger.warning("skipping event: %s", _at_line(err, number))
+        except ValueError as err:
+            raise _at_line(err, number) from None
 
 
 def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:
@@ -471,36 +459,38 @@ def read_snapshots(path) -> Iterator[AccountSnapshot]:
     days: dict[str, date] = {}
     stamps: dict[str, datetime] = {}
 
-    def timestamp(value: str | None, number: int) -> datetime | None:
+    def timestamp(value: str | None) -> datetime | None:
         if value is None:
             return None
         parsed = stamps.get(value)
         if parsed is None:
-            parsed = stamps[value] = parse_observed_at(value, number)
+            parsed = stamps[value] = parse_timestamp(value)
         return parsed
 
     exact = SNAPSHOT_LINE.fullmatch
     for number, line in _lines(path):
-        match = exact(line)
-        if match is None:
-            yield snapshot_from_dict(_load(line, number), number)
-            continue
-        account_id, day_raw, count, status, description, created, queried = (
-            match.groups()
-        )
-        day = days.get(day_raw)
-        if day is None:
-            day = days[day_raw] = _parse_day(day_raw, number)
-        yield _snapshot(
-            number,
-            int(account_id),
-            day,
-            None if count == "null" else int(count),
-            _STATUSES[status],
-            description,
-            timestamp(created, number),
-            timestamp(queried, number),
-        )
+        try:
+            match = exact(line)
+            if match is None:
+                yield snapshot_from_dict(_load(line))
+            else:
+                account_id, day_raw, count, status, description, created, queried = (
+                    match.groups()
+                )
+                day = days.get(day_raw)
+                if day is None:
+                    day = days[day_raw] = day_field(day_raw, "snapshot_day")
+                yield AccountSnapshot(
+                    int(account_id),
+                    day,
+                    None if count == "null" else int(count),
+                    _STATUSES[status],
+                    description,
+                    timestamp(created),
+                    timestamp(queried),
+                )
+        except ValueError as err:
+            raise _at_line(err, number) from None
 
 
 def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
@@ -525,13 +515,31 @@ def _lines(path) -> Iterator[tuple[int, str]]:
                 yield number, line
 
 
-def read_ndjson(path, from_dict: Callable[[object, int], T]) -> Iterator[T]:
-    """Yield ``from_dict(value, line_number)`` per non-blank line of an NDJSON file.
+def read_ndjson(path, from_dict: Callable[[object], T]) -> Iterator[T]:
+    """Yield ``from_dict(value)`` per non-blank line of an NDJSON file.
 
-    A line that is not JSON raises RecordParseError with its line number.
+    A line that is not JSON, or whose value ``from_dict`` rejects with
+    ValueError, raises RecordParseError with its line number.
     """
     for number, line in _lines(path):
-        yield from_dict(_load(line, number), number)
+        try:
+            yield from_dict(_load(line))
+        except ValueError as err:
+            raise _at_line(err, number) from None
+
+
+def read_account_ids(path) -> Iterator[int]:
+    """Yield the account ID on each line of a text file (``parse_account_id``).
+
+    Blank lines and lines that start with ``#`` are skipped; a bad ID raises
+    RecordParseError with its line number.
+    """
+    for number, line in _lines(path):
+        if not line.startswith("#"):
+            try:
+                yield parse_account_id(line)
+            except ValueError as err:
+                raise _at_line(err, number) from None
 
 
 def write_ndjson(path, items: Iterable[T], to_dict: Callable[[T], dict]) -> int:

@@ -38,6 +38,8 @@ from .records import (
     AccountStatus,
     ComplianceNotice,
     NoticeKind,
+    day_field,
+    int_field,
     ms_to_datetime,
     write_json,
 )
@@ -54,6 +56,9 @@ class ProfileKind(str, Enum):
     LIKE_FARM_SPOKE = "like_farm_spoke"
     IDLE = "idle"
 
+
+#: Days an account is created before the window starts, picked by its ID.
+_ACCOUNT_AGE_DAYS = range(300, 2300)
 
 #: Per-day deletion ceiling observed for bulk-deletion tooling that walks the
 #: most recent retrievable timeline page.
@@ -96,8 +101,10 @@ class BehaviorProfile:
             value = getattr(self, name)
             if value is not None and not isinstance(value, tuple):
                 object.__setattr__(self, name, tuple(value))
-        if self.post_rate < 0 or self.delete_rate < 0:
-            raise ValueError("rates must be non-negative")
+        for name in ("post_rate", "delete_rate", "age_median_days", "age_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.min_daily_deletions < 1:
             raise ValueError("min_daily_deletions must be >= 1")
         if self.cycle_posts < 1 or self.cycles_per_day < 1:
@@ -127,6 +134,12 @@ class PopulationSpec:
     def __post_init__(self):
         if self.days < 1:
             raise ValueError(f"days must be >= 1, got {self.days}")
+        # The oldest account's creation day and the last query day must exist.
+        start = self.start_day.toordinal()
+        if start - _ACCOUNT_AGE_DAYS[-1] < 1 or start + self.days > date.max.toordinal():
+            raise ValueError(
+                f"start_day {self.start_day} with days={self.days} leaves the date range"
+            )
         if not isinstance(self.cohorts, tuple):
             object.__setattr__(self, "cohorts", tuple(self.cohorts))
 
@@ -322,7 +335,7 @@ def _snapshots(
     description = pool[int(rng.integers(len(pool)))]
     created_at = ms_to_datetime(
         _day_start_ms(start_day, 0)
-        - (300 + (account.account_id * 37) % 2000) * _DAY_MS
+        - _ACCOUNT_AGE_DAYS[account.account_id * 37 % len(_ACCOUNT_AGE_DAYS)] * _DAY_MS
     )
     gap_days = set(profile.gap_days)
     stale_days = set(profile.stale_days)
@@ -514,17 +527,13 @@ def spec_from_dict(raw: dict) -> PopulationSpec:
         if not isinstance(entry, dict) or "count" not in entry:
             raise ValueError("each cohort requires a 'count'")
         entry = dict(entry)
-        count = entry.pop("count")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(f"cohort count must be a non-negative integer, got {count!r}")
+        count = int_field(entry.pop("count"), "count", 0)
         cohorts.append(Cohort(profile_from_dict(entry), count))
-    days = raw.get("days", 30)
-    if isinstance(days, bool) or not isinstance(days, int):
-        raise ValueError("'days' must be an integer")
-    start_raw = raw.get("start_day", "2021-04-26")
-    if type(start_raw) is not str:
-        raise ValueError(f"'start_day' must be a string, got {start_raw!r}")
-    return PopulationSpec(tuple(cohorts), days, date.fromisoformat(start_raw))
+    return PopulationSpec(
+        tuple(cohorts),
+        int_field(raw.get("days", 30), "days", 1),
+        day_field(raw.get("start_day", "2021-04-26"), "start_day"),
+    )
 
 
 def read_population_spec(path) -> PopulationSpec:

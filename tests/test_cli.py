@@ -99,6 +99,72 @@ _json_values = st.one_of(
 )
 
 
+_GOOD_RECORDS = {
+    "daily.ndjson": {"account_id": 1, "day": "2021-04-26", "deletion_count": 2,
+                     "deleted_ages_days": [3], "tweet_ids": [5, 6]},
+    "unlikes.ndjson": {"liker_id": 2, "tweet_id": 5, "unlike_count": 5},
+    "timelines.ndjson": {"account_id": 1, "snapshots": [["2021-04-26", "active", 5]],
+                         "description": "", "deletion_days": [["2021-04-26", 10, [1]]]},
+}
+_BAD_JSON_IDS = st.sampled_from([0, -5, True, "5", 5.0])
+_BAD_TEXT_IDS = st.sampled_from(
+    ["0", "-5", "true", "5.0", "007", "+5", "1_000", "\u0661\u0662", " 5"])
+_BAD_AGES = st.integers(max_value=-1)
+
+
+def _second_record(name: str, *keys):
+    """The good record of ``name``, then a copy with the value at ``keys``."""
+    def text(value) -> str:
+        good = _GOOD_RECORDS[name]
+        bad = target = json.loads(json.dumps(good))
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return f"{json.dumps(good)}\n{json.dumps(bad)}\n"
+    return text
+
+
+_COORDINATION = [["detect-coordination", "--deletions", "daily.ndjson", "--unlikes",
+                  "unlikes.ndjson", "--min-component", "1", "--out", "out"]]
+_ON_TIMELINES = [[stage, "--timelines", "timelines.ndjson", "--out", out]
+                 for stage, out in (("estimate", "out"), ("stats", "out"),
+                                    ("detect-flooding", "out.csv"))]
+_VIOLATIONS = ("account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
+               "1,2021-04-26,10,2500,2510,0\n{},2021-04-26,10,2500,2510,0\n")
+
+#: Case -> (the input file, its text given the bad value, stage argvs, the
+#: line of the bad value, bad values).
+_BAD_FIELD_CASES = {
+    "daily account_id": ("daily.ndjson", _second_record("daily.ndjson", "account_id"),
+                         _COORDINATION, 2, _BAD_JSON_IDS),
+    "daily tweet_ids": ("daily.ndjson", _second_record("daily.ndjson", "tweet_ids", 1),
+                        _COORDINATION, 2, _BAD_JSON_IDS),
+    "daily age": ("daily.ndjson", _second_record("daily.ndjson", "deleted_ages_days", 0),
+                  _COORDINATION, 2, _BAD_AGES),
+    "unlike liker_id": ("unlikes.ndjson", _second_record("unlikes.ndjson", "liker_id"),
+                        _COORDINATION, 2, _BAD_JSON_IDS),
+    "unlike tweet_id": ("unlikes.ndjson", _second_record("unlikes.ndjson", "tweet_id"),
+                        _COORDINATION, 2, _BAD_JSON_IDS),
+    "timeline account_id": ("timelines.ndjson",
+                            _second_record("timelines.ndjson", "account_id"),
+                            _ON_TIMELINES, 2, _BAD_JSON_IDS),
+    "timeline age": ("timelines.ndjson",
+                     _second_record("timelines.ndjson", "deletion_days", 0, 2, 0),
+                     _ON_TIMELINES, 2, _BAD_AGES),
+    "violations account_id": ("v.csv", _VIOLATIONS.format, [
+        ["stats", "--timelines", "timelines.ndjson", "--violations", "v.csv",
+         "--out", "out"]], 3, _BAD_TEXT_IDS),
+    "bot-scores account_id": ("b.csv", "account_id,bot_score\n1,0.5\n{},0.5\n".format, [
+        ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "b.csv",
+         "--out", "out"]], 3, _BAD_TEXT_IDS),
+    # Lines are stripped of surrounding whitespace, as in every line-framed
+    # input, so an allowlist line " 5" is the ID 5.
+    "allowlist": ("allow.txt", "# partners\n1\n{}\n".format, [
+        ["detect-flooding", "--timelines", "timelines.ndjson", "--allowlist",
+         "allow.txt", "--out", "out.csv"]], 3, _BAD_TEXT_IDS.filter(lambda v: v != " 5")),
+}
+
+
 def write_spec(path: Path, spec=SPEC) -> Path:
     spec_path = path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -455,6 +521,22 @@ class TestExitCodes:
         assert err.getvalue().startswith("delstream: invalid input:")
         assert field in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("start_day", "0001-01-01"), ("start_day", "9999-12-30"),
+         ("post_rate", float("nan")), ("delete_rate", float("nan")),
+         ("age_median_days", float("nan")), ("age_median_days", -5),
+         ("age_sigma", float("nan")), ("age_sigma", float("inf"))],
+    )
+    def test_spec_value_out_of_range_exit_3(self, tmp_path, capsys, field, value):
+        spec = json.loads(json.dumps(_SMALL_SPEC))
+        spec["cohorts"][0].update(kind="normal_deleter", delete_rate=12, age_median_days=30)
+        (spec if field == "start_day" else spec["cohorts"][0])[field] = value
+        out = tmp_path / "out"
+        assert run("generate", "--spec", write_spec(tmp_path, spec), "--out", out) == 3
+        assert not out.exists()
+        assert field in capsys.readouterr().err
+
     @pytest.mark.parametrize("account", ["-5", "0", "1_000", "\u0661\u0662", "007", "+5"])
     def test_bad_account_id_exit_3_with_its_line(
         self, tmp_path, monkeypatch, capsys, account
@@ -476,6 +558,26 @@ class TestExitCodes:
         assert run(*argv) == 3
         assert f"line 3: bad row: bad account ID {account!r}" in capsys.readouterr().err
         assert not Path("v.csv").exists() and not Path("out").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bad_id_or_age_in_any_analysis_input_exit_3_with_its_line(self, data):
+        """Every ID field of every input of the analysis stages is a positive
+        integer, in JSON and in text, and every age is at least 0."""
+        case = data.draw(st.sampled_from(sorted(_BAD_FIELD_CASES)), label="case")
+        name, text, argvs, line, values = _BAD_FIELD_CASES[case]
+        value = data.draw(values, label="value")
+        argv = data.draw(st.sampled_from(argvs), label="argv")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as directory, redirect_stderr(err):
+            root = Path(directory)
+            for good, record in _GOOD_RECORDS.items():
+                (root / good).write_text(json.dumps(record) + "\n")
+            (root / name).write_text(text(value), encoding="utf-8")
+            assert run(*[root / a if "." in a or a == "out" else a for a in argv]) == 3
+            assert not (root / "out").exists() and not (root / "out.csv").exists()
+        assert err.getvalue().startswith(f"delstream: invalid input: line {line}:")
+        assert "Traceback" not in err.getvalue()
 
     def test_empty_event_file_exit_0(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from delstream import flooding
 from delstream.ingest import AccountTimeline, DailyDeletionRecord
-from delstream.records import AccountSnapshot, AccountStatus
+from delstream.records import AccountSnapshot, AccountStatus, RecordParseError
 
 UTC = timezone.utc
 DAY0 = date(2021, 4, 26)
@@ -193,3 +193,28 @@ class TestInvariants:
         path = tmp_path / "violations.csv"
         flooding.write_violations(path, violations)
         assert flooding.read_violations(path) == violations
+
+    @pytest.mark.parametrize(
+        "account_id, stale, error",
+        [
+            ("1", "7", "'stale_suspect' must be 0 or 1, got '7'"),
+            ("1", "-1", "'stale_suspect' must be 0 or 1, got '-1'"),
+            ("1", "", "'stale_suspect' must be 0 or 1, got ''"),
+            ("1", "true", "'stale_suspect' must be 0 or 1, got 'true'"),
+            ("١٢", "0", "bad account ID '١٢'"),
+            (" 1_0", "0", "bad account ID ' 1_0'"),
+            ("-3", "1", "bad account ID '-3'"),
+        ],
+    )
+    def test_csv_bad_account_id_or_stale_flag_names_its_line(
+        self, tmp_path, account_id, stale, error
+    ):
+        path = tmp_path / "violations.csv"
+        path.write_text(
+            "account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
+            "1,2021-04-26,10,2500,2510,1\n"
+            f"{account_id},2021-04-27,10,2500,2510,{stale}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RecordParseError, match=f"^line 3: bad row: {error}$"):
+            flooding.read_violations(path)

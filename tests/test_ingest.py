@@ -596,6 +596,12 @@ class TestAggregateEvents:
         assert err.value.line_number == 2
 
 
+def _two_lines(tmp_path: Path, first: dict, second: dict) -> Path:
+    path = tmp_path / "records.ndjson"
+    path.write_text(f"{json.dumps(first)}\n{json.dumps(second)}\n")
+    return path
+
+
 class TestSerialization:
     def test_daily_record_roundtrip(self, tmp_path):
         records = ingest.aggregate_daily(deletions(4, DAY0, 11))
@@ -621,7 +627,7 @@ class TestSerialization:
             ("deleted_ages_days", [0.5]),
         ],
     )
-    def test_daily_record_non_integer_rejected(self, field, value):
+    def test_daily_record_non_integer_rejected(self, tmp_path, field, value):
         raw = {
             "account_id": 7,
             "day": "2021-04-26",
@@ -629,28 +635,28 @@ class TestSerialization:
             "deleted_ages_days": [3],
             "tweet_ids": [5],
         }
-        ingest.daily_record_from_dict(raw)
+        path = _two_lines(tmp_path, raw, {**raw, field: value})
         with pytest.raises(RecordParseError, match=field) as err:
-            ingest.daily_record_from_dict({**raw, field: value}, line_number=9)
-        assert err.value.line_number == 9
+            list(ingest.read_daily_records(path))
+        assert err.value.line_number == 2
 
     @pytest.mark.parametrize(
         "field, value",
         [("liker_id", [1]), ("tweet_id", "5"), ("tweet_id", True), ("unlike_count", 5.0)],
     )
-    def test_unlike_record_non_integer_rejected(self, field, value):
+    def test_unlike_record_non_integer_rejected(self, tmp_path, field, value):
         raw = {"liker_id": 1, "tweet_id": 5, "unlike_count": 5}
-        ingest.unlike_record_from_dict(raw)
+        path = _two_lines(tmp_path, raw, {**raw, field: value})
         with pytest.raises(RecordParseError, match=field) as err:
-            ingest.unlike_record_from_dict({**raw, field: value}, line_number=2)
+            list(ingest.read_unlike_records(path))
         assert err.value.line_number == 2
 
-    def test_timeline_non_integer_account_rejected(self):
+    def test_timeline_non_integer_account_rejected(self, tmp_path):
         raw = {"account_id": 1, "snapshots": [], "deletion_days": []}
-        ingest.timeline_from_dict(raw)
+        path = _two_lines(tmp_path, raw, {**raw, "account_id": "1"})
         with pytest.raises(RecordParseError, match="account_id") as err:
-            ingest.timeline_from_dict({**raw, "account_id": "1"}, line_number=3)
-        assert err.value.line_number == 3
+            list(ingest.read_timelines(path))
+        assert err.value.line_number == 2
 
     def test_timeline_roundtrip(self, tmp_path):
         records = ingest.aggregate_daily(deletions(1, DAY0, 10))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import random
 import tempfile
@@ -26,6 +27,13 @@ SPEC_LINE = (
 )
 
 
+def _read_second_line(tmp_path: Path, line: str) -> list:
+    """``read_notices`` over a file of SPEC_LINE, then ``line``."""
+    path = tmp_path / "events.ndjson"
+    path.write_text(f"{SPEC_LINE}\n{line}\n", encoding="utf-8")
+    return list(r.read_notices(path))
+
+
 class TestParseNotice:
     def test_tweet_delete_fields(self):
         notice = r.parse_notice(SPEC_LINE)
@@ -34,11 +42,11 @@ class TestParseNotice:
         assert notice.object_id == 9000000000000000000
         assert notice.observed_at == datetime(2021, 4, 26, 0, 0, 1, tzinfo=UTC)
 
-    def test_missing_object_id(self):
+    def test_missing_object_id(self, tmp_path):
         line = '{"kind":"unlike","actor_id":1,"observed_at":"2021-04-26T00:00:01Z"}'
         with pytest.raises(r.RecordParseError) as err:
-            r.parse_notice(line, line_number=7)
-        assert err.value.line_number == 7
+            _read_second_line(tmp_path, line)
+        assert err.value.line_number == 2
         assert not isinstance(err.value, r.UnknownKindError)
 
     def test_unknown_kind_is_skip_signal(self):
@@ -50,9 +58,9 @@ class TestParseNotice:
         line = SPEC_LINE[:-1] + ',"extra":"whatever","nested":{"a":1}}'
         assert r.parse_notice(line) == r.parse_notice(SPEC_LINE)
 
-    def test_invalid_json(self):
-        with pytest.raises(r.RecordParseError):
-            r.parse_notice("{not json", line_number=3)
+    def test_invalid_json(self, tmp_path):
+        with pytest.raises(r.RecordParseError, match="line 2: invalid JSON"):
+            _read_second_line(tmp_path, "{not json")
 
     def test_bool_id_rejected(self):
         line = '{"kind":"unlike","actor_id":true,"object_id":2,"observed_at":"2021-04-26T00:00:01Z"}'
@@ -67,11 +75,11 @@ class TestParseNotice:
     @pytest.mark.parametrize(
         "stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]
     )
-    def test_timestamp_outside_range_in_utc_rejected(self, stamp):
+    def test_timestamp_outside_range_in_utc_rejected(self, tmp_path, stamp):
         line = f'{{"kind":"unlike","actor_id":1,"object_id":2,"observed_at":"{stamp}"}}'
         with pytest.raises(r.RecordParseError, match="bad timestamp") as err:
-            r.parse_notice(line, line_number=4)
-        assert err.value.line_number == 4
+            _read_second_line(tmp_path, line)
+        assert err.value.line_number == 2
         with pytest.raises(ValueError):
             r.parse_timestamp(stamp)
 
@@ -535,3 +543,37 @@ def test_line_forms_are_known_only_to_records():
             text = path.read_text(encoding="utf-8")
             for name in ("NOTICE_LINE", "SNAPSHOT_LINE"):
                 assert name not in text, f"{path.name} refers to records.{name}"
+
+
+def test_only_records_numbers_lines():
+    """No function in the package takes a ``line_number`` but
+    ``RecordParseError.__init__``, and no module but ``records`` sets one: the
+    decoders raise without it and the readers in ``records`` add the line."""
+    package = Path(r.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        exempt = [
+            item
+            for node in nodes
+            if isinstance(node, ast.ClassDef) and node.name == "RecordParseError"
+            for item in node.body
+            if path.name == "records.py" and getattr(item, "name", None) == "__init__"
+        ]
+        for node in nodes:
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                assert "line_number" not in names or any(node is e for e in exempt), (
+                    f"{where} takes a line_number"
+                )
+            if path.name == "records.py":
+                continue
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "line_number", f"{where} sets a line number"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "RecordParseError", "UnknownKindError"
+            ):
+                assert len(node.args) == 1 and not node.keywords, (
+                    f"{where} raises with a line number"
+                )

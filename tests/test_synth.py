@@ -271,6 +271,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             synth.generate(spec, seed=0)
 
+    @pytest.mark.parametrize(
+        "start_day, days",
+        [("0001-01-01", 1), ("0007-04-18", 30), ("9999-12-30", 2), ("9999-12-31", 1)],
+    )
+    def test_start_day_whose_dates_leave_the_range_rejected(self, start_day, days):
+        raw = {"days": days, "start_day": start_day, "cohorts": [{"kind": "idle", "count": 1}]}
+        with pytest.raises(ValueError, match="^start_day .* leaves the date range$"):
+            synth.spec_from_dict(raw)
+
+    @pytest.mark.parametrize("start_day, days", [("0007-04-19", 1), ("9999-12-30", 1)])
+    def test_start_day_at_the_edge_of_the_range_generates(self, start_day, days):
+        raw = {"days": days, "start_day": start_day,
+               "cohorts": [{"kind": "normal_deleter", "count": 3, "post_rate": 2}]}
+        dataset = synth.generate(synth.spec_from_dict(raw), seed=0)
+        assert len(dataset.snapshots) == 3 * days
+
+    @pytest.mark.parametrize(
+        "field", ["post_rate", "delete_rate", "age_median_days", "age_sigma"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -5])
+    def test_float_field_not_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            synth.BehaviorProfile(kind=synth.ProfileKind.NORMAL_DELETER, **{field: value})
+
 
 class TestSpecFiles:
     def test_roundtrip_via_dict(self):
