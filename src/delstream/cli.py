@@ -505,7 +505,10 @@ def _apply_config_defaults(argv: list[str], registry: dict) -> None:
         return
     config_path = known.config
     with open(config_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{config_path}: config is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
     sub = registry[known.subcommand]

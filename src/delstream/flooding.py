@@ -14,7 +14,7 @@ from datetime import date
 from typing import Collection, Iterable
 
 from .ingest import AccountTimeline
-from .records import day_field, parse_account_id, read_csv, write_csv
+from .records import day_field, int_text_field, parse_account_id, read_csv, write_csv
 
 #: Platform cap on tweets posted per account per day.
 DEFAULT_DAILY_LIMIT = 2400
@@ -143,9 +143,9 @@ def _violation_from_row(row: dict[str, str]) -> FloodingViolation:
     return FloodingViolation(
         parse_account_id(row["account_id"]),
         day_field(row["day"], "day"),
-        int(row["count_diff"]),
-        int(row["deletions"]),
-        int(row["total_posted"]),
+        int_text_field(row["count_diff"], "count_diff"),
+        int_text_field(row["deletions"], "deletions"),
+        int_text_field(row["total_posted"], "total_posted"),
         stale == "1",
     )
 

@@ -14,8 +14,14 @@ exact-form fast path: a line in the one form ``serialize_notice`` or
 ``serialize_snapshot`` writes (``NOTICE_LINE``, ``SNAPSHOT_LINE``) is read
 from the regex groups, without a JSON decode. Any other line goes through
 the general JSON path, which gives the same records and the same errors.
-No other module knows these forms: ``ingest`` reads events through
-``notice_rows`` and snapshots through ``read_snapshots``.
+``records`` writes these forms as well as reading them: the two serializers
+format the line directly, byte for byte the compact JSON of
+``notice_to_dict`` or ``snapshot_to_dict``, and take that dict path only
+for a field the form cannot hold, such as a bool ID. The description, and
+every other line written (``write_ndjson``), goes through one module-level
+JSON encoder. No other module knows these forms: ``ingest`` reads events
+through ``notice_rows`` and snapshots through ``read_snapshots``, and
+``synth`` writes them through ``write_notices`` and ``write_snapshots``.
 
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
@@ -108,7 +114,15 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(_UTC).isoformat().replace("+00:00", "Z")
+    """``dt.astimezone(timezone.utc).isoformat()`` with ``Z`` for ``+00:00``.
+
+    A naive ``dt`` is taken as local time, as ``astimezone`` takes it. The
+    date and the time of day are formatted apart, which skips formatting
+    the offset; a ``dt`` already in UTC skips ``astimezone`` too.
+    """
+    if dt.tzinfo is not _UTC:
+        dt = dt.astimezone(_UTC)
+    return f"{dt.date().isoformat()}T{dt.time().isoformat()}Z"
 
 
 # Pieces of the exact forms below, all compiled with re.ASCII: without it \d
@@ -163,7 +177,7 @@ class ComplianceNotice:
         ts = self.observed_at
         if ts.tzinfo is None:
             raise ValueError("observed_at must be timezone-aware")
-        if ts.utcoffset():
+        if ts.tzinfo is not _UTC and ts.utcoffset():
             object.__setattr__(self, "observed_at", ts.astimezone(_UTC))
 
 
@@ -240,10 +254,12 @@ def _load(line: str):
         return json.loads(line)
     except json.JSONDecodeError as err:
         raise RecordParseError(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise RecordParseError("invalid JSON: nested too deeply") from None
 
 
-def _dumps(raw: dict) -> str:
-    return json.dumps(raw, separators=(",", ":"))
+#: The compact JSON text of a value; one encoder for every line written.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # Field checks: each raises RecordParseError naming the field, without a line.
@@ -310,6 +326,19 @@ def parse_account_id(text: str) -> int:
     return int(text)
 
 
+#: The text ``str(int)`` writes: ASCII digits, no leading zero, and a ``-``
+#: only before a nonzero value.
+_INT_TEXT = re.compile(r"-?[1-9][0-9]*|0")
+
+
+def int_text_field(text: str, name: str) -> int:
+    """The integer ``text`` writes in the form ``str(int)`` gives, as a CSV
+    cell holds it: no padding, ``+``, ``_``, leading zero or ``-0``."""
+    if _INT_TEXT.fullmatch(text) is None:
+        raise RecordParseError(f"{name!r} must be an integer, got {text!r:.40}")
+    return int(text)
+
+
 def _at_line(err: ValueError, number: int) -> RecordParseError:
     """A decoder's error as a RecordParseError naming line ``number``."""
     if not isinstance(err, RecordParseError):
@@ -358,8 +387,20 @@ def notice_to_dict(notice: ComplianceNotice) -> dict:
     }
 
 
+#: The start of a notice line, up to the actor ID, by kind.
+_NOTICE_HEADS = {kind: f'{{"kind":"{kind.value}","actor_id":' for kind in NoticeKind}
+
+
 def serialize_notice(notice: ComplianceNotice) -> str:
-    return _dumps(notice_to_dict(notice))
+    """The notice in the form ``NOTICE_LINE`` reads: the compact JSON of
+    ``notice_to_dict``, formatted directly when each field is of the type
+    the form holds (an ID exactly an int, so not a bool), else encoded."""
+    actor_id, object_id, observed_at = notice.actor_id, notice.object_id, notice.observed_at
+    if (type(actor_id) is not int or type(object_id) is not int
+            or type(observed_at) is not datetime):
+        return _encode(notice_to_dict(notice))
+    return (f'{_NOTICE_HEADS[notice.kind]}{actor_id},"object_id":{object_id},'
+            f'"observed_at":"{format_timestamp(observed_at)}"}}')
 
 
 def snapshot_to_dict(snapshot: AccountSnapshot) -> dict:
@@ -396,8 +437,39 @@ def parse_snapshot(line: str) -> AccountSnapshot:
     return snapshot_from_dict(_load(line))
 
 
+#: A status as its JSON text.
+_STATUS_TEXTS = {status: f'"{status.value}"' for status in AccountStatus}
+
+
+def _stamp_text(value: datetime | None) -> str | None:
+    """A snapshot timestamp as its JSON text; None if the form cannot hold it."""
+    if value is None:
+        return "null"
+    return f'"{format_timestamp(value)}"' if type(value) is datetime else None
+
+
+def _snapshot_line(
+    snapshot: AccountSnapshot, stamp: Callable[[datetime | None], str | None]
+) -> str:
+    """``serialize_snapshot``, with each timestamp's JSON text from ``stamp``."""
+    account_id, day, count = snapshot.account_id, snapshot.snapshot_day, snapshot.statuses_count
+    created, queried = stamp(snapshot.created_at), stamp(snapshot.queried_at)
+    if (type(account_id) is not int or type(day) is not date
+            or not (count is None or type(count) is int)
+            or created is None or queried is None):
+        return _encode(snapshot_to_dict(snapshot))
+    return (f'{{"account_id":{account_id},"snapshot_day":"{day.isoformat()}",'
+            f'"statuses_count":{"null" if count is None else count},'
+            f'"status":{_STATUS_TEXTS[snapshot.status]},'
+            f'"description":{_encode(snapshot.description)},'
+            f'"created_at":{created},"queried_at":{queried}}}')
+
+
 def serialize_snapshot(snapshot: AccountSnapshot) -> str:
-    return _dumps(snapshot_to_dict(snapshot))
+    """The snapshot as the compact JSON of ``snapshot_to_dict``, formatted
+    directly like ``serialize_notice``, the description encoded as JSON; the
+    form ``SNAPSHOT_LINE`` reads when the description needs no escape."""
+    return _snapshot_line(snapshot, _stamp_text)
 
 
 def read_notices(path) -> Iterator[ComplianceNotice]:
@@ -445,7 +517,8 @@ def notice_rows(path) -> Iterator[tuple[NoticeKind, int, int, int]]:
 
 
 def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:
-    return write_ndjson(path, notices, notice_to_dict)
+    """Write one ``serialize_notice`` line per notice; returns the number written."""
+    return _write_lines(path, map(serialize_notice, notices))
 
 
 def read_snapshots(path) -> Iterator[AccountSnapshot]:
@@ -494,7 +567,19 @@ def read_snapshots(path) -> Iterator[AccountSnapshot]:
 
 
 def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
-    return write_ndjson(path, snapshots, snapshot_to_dict)
+    """Write one ``serialize_snapshot`` line per snapshot; returns the number
+    written. Each distinct UTC timestamp is formatted once per call."""
+    stamps: dict[datetime, str] = {}
+
+    def stamp(value: datetime | None) -> str | None:
+        if type(value) is not datetime or value.tzinfo is not _UTC:
+            return _stamp_text(value)
+        text = stamps.get(value)
+        if text is None:
+            text = stamps[value] = _stamp_text(value)
+        return text
+
+    return _write_lines(path, (_snapshot_line(s, stamp) for s in snapshots))
 
 
 def _lines(path) -> Iterator[tuple[int, str]]:
@@ -544,11 +629,15 @@ def read_account_ids(path) -> Iterator[int]:
 
 def write_ndjson(path, items: Iterable[T], to_dict: Callable[[T], dict]) -> int:
     """Write each item as one compact JSON line; returns the number written."""
+    return _write_lines(path, (_encode(to_dict(item)) for item in items))
+
+
+def _write_lines(path, lines: Iterable[str]) -> int:
+    """Write each line and a newline; returns the number of lines."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(_dumps(to_dict(item)))
-            fh.write("\n")
+        for line in lines:
+            fh.write(f"{line}\n")
             count += 1
     return count
 

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -299,13 +300,13 @@ def _deletion_notices(
         ages_ms = None
         if aged:
             ages = rng.lognormal(mean=log_median, sigma=profile.age_sigma, size=count)
-            ages_ms = (ages * _DAY_MS).astype(np.int64)
+            ages_ms = (ages * _DAY_MS).astype(np.int64).tolist()
         for index in range(count):
             at_ms = _event_ms(day_start, index, count)
             if ages_ms is None:
                 created_ms = at_ms - 1_800_000
             else:
-                created_ms = at_ms - int(ages_ms[index])
+                created_ms = at_ms - ages_ms[index]
             tweet_id = alloc.for_creation_ms(created_ms)
             if (
                 profile.kind is ProfileKind.LIKE_FARM_HUB
@@ -476,7 +477,8 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
                     truth_posts[spoke_id] = (0,) * spec.days
                     truth_deletions[spoke_id] = (0,) * spec.days
 
-    notices.sort(key=lambda n: (n.observed_at, n.kind.value, n.actor_id, n.object_id))
+    # NoticeKind is a str enum, so its members order as their values do.
+    notices.sort(key=attrgetter("observed_at", "kind", "actor_id", "object_id"))
     snapshots.sort(key=lambda s: (s.snapshot_day, s.account_id))
     truth = GroundTruth(
         spec.days,
@@ -538,7 +540,11 @@ def spec_from_dict(raw: dict) -> PopulationSpec:
 
 def read_population_spec(path) -> PopulationSpec:
     with open(path, encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("population spec is nested too deeply") from None
+    return spec_from_dict(raw)
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:

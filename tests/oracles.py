@@ -4,11 +4,14 @@ Everything here is deliberately naive (brute force, nested loops, textbook
 union-find) and shares no code with the implementations under test. The
 numpy-based references are the code the package's pure-Python CCDF,
 quantiles, means, medians and estimate scoring, and its blocked permutation
-test, replaced; the package must match them bit for bit.
+test, replaced, and the ``json.dumps`` writers the path its directly
+formatted event and snapshot lines replaced; the package must match them
+bit for bit.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
@@ -55,6 +58,50 @@ def count_unlikes_oracle(notices):
         if notice.kind.value == "unlike":
             counts[(notice.actor_id, notice.object_id)] += 1
     return dict(counts)
+
+
+def format_timestamp_oracle(dt) -> str:
+    return dt.astimezone(UTC).isoformat().replace("+00:00", "Z")
+
+
+def notice_to_dict_oracle(notice) -> dict:
+    return {
+        "kind": notice.kind.value,
+        "actor_id": notice.actor_id,
+        "object_id": notice.object_id,
+        "observed_at": format_timestamp_oracle(notice.observed_at),
+    }
+
+
+def snapshot_to_dict_oracle(snapshot) -> dict:
+    def stamp(value):
+        return None if value is None else format_timestamp_oracle(value)
+
+    return {
+        "account_id": snapshot.account_id,
+        "snapshot_day": snapshot.snapshot_day.isoformat(),
+        "statuses_count": snapshot.statuses_count,
+        "status": snapshot.status.value,
+        "description": snapshot.description,
+        "created_at": stamp(snapshot.created_at),
+        "queried_at": stamp(snapshot.queried_at),
+    }
+
+
+def line_oracle(raw) -> str:
+    """One NDJSON line as the package wrote every line before it formatted
+    event and snapshot lines directly: a fresh ``json.dumps`` per line."""
+    return json.dumps(raw, separators=(",", ":"))
+
+
+def write_ndjson_oracle(path, items, to_dict) -> int:
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for item in items:
+            fh.write(line_oracle(to_dict(item)))
+            fh.write("\n")
+            count += 1
+    return count
 
 
 def slim(timeline):

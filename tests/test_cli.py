@@ -579,6 +579,60 @@ class TestExitCodes:
         assert err.getvalue().startswith(f"delstream: invalid input: line {line}:")
         assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("stage", ["detect-coordination", "aggregate"])
+    def test_deeply_nested_json_exit_3_with_its_line(
+        self, tmp_path, monkeypatch, capsys, stage
+    ):
+        monkeypatch.chdir(tmp_path)
+        for good, record in _GOOD_RECORDS.items():
+            Path(good).write_text(json.dumps(record) + "\n")
+        event = {"kind": "unlike", "actor_id": 1, "object_id": 2,
+                 "observed_at": "2021-04-26T00:00:01Z"}
+        deep = "[" * 200_000 + "]" * 200_000
+        name, argv = {
+            "detect-coordination": ("daily.ndjson", _COORDINATION[0]),
+            "aggregate": ("events.ndjson", ["aggregate", "--events", "events.ndjson",
+                                            "--out", "out"]),
+        }[stage]
+        first = _GOOD_RECORDS.get(name, event)
+        Path(name).write_text(f"{json.dumps(first)}\n{deep}\n")
+        assert run(*argv) == 3
+        assert "line 2: invalid JSON" in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--spec", "deep.json", "--out", "out"],
+        ["estimate", "--timelines", "timelines.ndjson", "--config", "deep.json",
+         "--out", "out"],
+    ])
+    def test_deeply_nested_spec_or_config_exit_3(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(json.dumps(_GOOD_RECORDS["timelines.ndjson"]))
+        Path("deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        assert run(*argv) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("field", ["count_diff", "deletions", "total_posted"])
+    @pytest.mark.parametrize("value", ["\u0661\u0662", " 12", "1_2", "+5", "-0"])
+    def test_violation_count_not_in_str_int_form_exit_3(
+        self, tmp_path, monkeypatch, capsys, field, value
+    ):
+        """The count cells of a violations row are integers in the form
+        ``str(int)`` writes, as ``detect-flooding`` writes them."""
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(json.dumps(_GOOD_RECORDS["timelines.ndjson"]))
+        header, good = _VIOLATIONS.splitlines()[:2]
+        cells = good.split(",")
+        cells[header.split(",").index(field)] = value
+        Path("v.csv").write_text(f"{header}\n{good}\n{','.join(cells)}\n", encoding="utf-8")
+        argv = ["stats", "--timelines", "timelines.ndjson", "--violations", "v.csv",
+                "--out", "out"]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert f"line 3: bad row: {field!r} must be an integer" in err
+        assert not Path("out").exists()
+
     def test_empty_event_file_exit_0(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("events.ndjson").write_text("")

@@ -6,7 +6,7 @@ import random
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterator
 
@@ -509,6 +509,163 @@ class TestExactFormFastPath:
         needs_escape = json.dumps(description) != f'"{description}"'
         match = r.SNAPSHOT_LINE.fullmatch(r.serialize_snapshot(snapshot))
         assert (match is None) == needs_escape
+
+
+# -- writers against the json.dumps path they replaced -------------------------
+#
+# ``serialize_notice`` and ``serialize_snapshot`` format the line forms
+# directly; every written byte must equal a fresh ``json.dumps`` of the old
+# dicts (``oracles.line_oracle``), including for the fields the forms cannot
+# hold, which go through the dicts.
+
+_zones = st.one_of(
+    st.just(UTC),
+    st.just(timezone(timedelta(0), "GMT")),  # zero offset, but not UTC itself
+    st.integers(-1439, 1439).map(lambda minutes: timezone(timedelta(minutes=minutes))),
+)
+_written_stamps = st.builds(
+    lambda moment, zone, whole: moment.replace(
+        tzinfo=zone, microsecond=0 if whole else moment.microsecond
+    ),
+    st.datetimes(min_value=datetime(2006, 3, 21), max_value=datetime(2035, 1, 1)),
+    _zones,
+    st.booleans(),
+)
+# few values as well, so that stamps repeat within one file
+_maybe_stamps = st.one_of(
+    st.none(),
+    st.sampled_from([datetime(2021, 4, 27, 0, 35, tzinfo=UTC),
+                     datetime(2021, 4, 27, 1, 35, tzinfo=timezone(timedelta(hours=1)))]),
+    _written_stamps,
+)
+_written_ids = st.one_of(st.integers(1, 2**70), st.just(True))
+_written_descriptions = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+_written_notices = st.builds(
+    r.ComplianceNotice,
+    st.sampled_from(list(r.NoticeKind)),
+    _written_ids,
+    _written_ids,
+    _written_stamps,
+)
+
+
+@st.composite
+def _written_snapshots(draw):
+    status = draw(st.sampled_from(list(r.AccountStatus)))
+    counts = st.one_of(st.integers(0, 2**70), st.booleans())
+    if status is not r.AccountStatus.ACTIVE:
+        counts = st.one_of(st.none(), counts)
+    return r.AccountSnapshot(
+        draw(_written_ids),
+        draw(st.dates(date(1, 1, 1), date(9999, 12, 31))),
+        draw(counts),
+        status,
+        draw(_written_descriptions),
+        draw(_maybe_stamps),
+        draw(_maybe_stamps),
+    )
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _written_descriptions),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_written_descriptions, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _written_bytes(write, items, *to_dict) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "out.ndjson"
+        assert write(path, items, *to_dict) == len(items)
+        return path.read_bytes()
+
+
+class TestWritersEqualTheOracle:
+    @given(_written_notices)
+    @settings(max_examples=400)
+    def test_serialize_notice(self, notice):
+        assert r.serialize_notice(notice) == oracles.line_oracle(
+            oracles.notice_to_dict_oracle(notice)
+        )
+
+    @given(_written_snapshots())
+    @settings(max_examples=400)
+    def test_serialize_snapshot(self, snapshot):
+        assert r.serialize_snapshot(snapshot) == oracles.line_oracle(
+            oracles.snapshot_to_dict_oracle(snapshot)
+        )
+
+    @given(
+        st.lists(_written_notices, max_size=6),
+        st.lists(_written_snapshots(), max_size=6),
+        st.lists(_json_values, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_writers(self, notices, snapshots, values):
+        oracle = oracles.write_ndjson_oracle
+        assert _written_bytes(r.write_notices, notices) == (
+            _written_bytes(oracle, notices, oracles.notice_to_dict_oracle)
+        )
+        assert _written_bytes(r.write_snapshots, snapshots) == (
+            _written_bytes(oracle, snapshots, oracles.snapshot_to_dict_oracle)
+        )
+        same = lambda value: value  # noqa: E731
+        assert _written_bytes(r.write_ndjson, values, same) == (
+            _written_bytes(oracle, values, same)
+        )
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_generated_files(self, tmp_path, seed):
+        """``generate``'s event and snapshot files, byte for byte as the oracle
+        writes the same dataset, and its notices in the order of the old sort
+        key (``kind.value`` in place of the str enum)."""
+        spec = synth.spec_from_dict({"days": 6, "cohorts": [
+            {"kind": "normal_deleter", "count": 5, "post_rate": 4, "delete_rate": 15,
+             "age_median_days": 120, "gap_days": [2], "stale_days": [3]},
+            {"kind": "mass_deleter", "count": 1, "delete_rate": 400, "delete_days": [1],
+             "age_median_days": 57, "initial_count": 20000},
+            {"kind": "flooder", "count": 1, "flood_days": [4], "cycle_posts": 50},
+            {"kind": "like_farm_hub", "count": 2, "farm_size": 4, "farm_day": 2},
+            {"kind": "idle", "count": 3, "post_rate": 2},
+        ]})
+        dataset = synth.generate(spec, seed)
+        kinds = {n.kind for n in dataset.notices}
+        assert kinds == set(r.NoticeKind)
+        assert list(dataset.notices) == sorted(
+            dataset.notices,
+            key=lambda n: (n.observed_at, n.kind.value, n.actor_id, n.object_id),
+        )
+        synth.write_dataset(dataset, tmp_path / "data")
+        oracles.write_ndjson_oracle(
+            tmp_path / "events", dataset.notices, oracles.notice_to_dict_oracle
+        )
+        oracles.write_ndjson_oracle(
+            tmp_path / "snapshots", dataset.snapshots, oracles.snapshot_to_dict_oracle
+        )
+        for name in ("events", "snapshots"):
+            written = (tmp_path / "data" / f"{name}.ndjson").read_bytes()
+            assert written == (tmp_path / name).read_bytes()
+
+
+@given(st.integers(-(2**70), 2**70))
+def test_int_text_field_reads_what_str_writes(value):
+    assert r.int_text_field(str(value), "n") == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "+5", "-0", "00", "012", "-012", " 12", "12 ", "1_2",
+             "\u0661\u0662", "1.0", "1e3", "0x1f", "12\n"],
+)
+def test_int_text_field_rejects_other_forms(text):
+    with pytest.raises(r.RecordParseError, match="'n' must be an integer"):
+        r.int_text_field(text, "n")
 
 
 class TestInvalidUtf8:
