@@ -15,11 +15,12 @@ The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
 each ``*_from_dict`` checks its fields with the ``records`` field checks
 (every ID positive, every age at least 0) and raises without a line number,
 which the file framing, ``records.read_ndjson``, adds. A daily deletion
-record keeps its tweet IDs, which coordination reads. A timeline
-keeps only what ``estimate``, ``detect-flooding`` and ``stats`` read: each
-snapshot's day, status and count (``records.SnapshotDay``), the account's
-description, and each deletion day's count and ages (``DeletionDay``), and
-it reads back as exactly that.
+record holds its account, day and tweet IDs, which coordination reads; only
+``build_timelines`` derives tweet ages from the IDs. A timeline keeps only
+what ``estimate``, ``detect-flooding`` and ``stats`` read: each snapshot's
+day, status and count (``records.SnapshotDay``), the account's description,
+and each deletion day's count and ages (``DeletionDay``), and it reads back
+as exactly that.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class DeletionDay:
 
     ``deleted_ages_days`` holds the whole-day age of each deleted tweet whose
     ID carries a decodable creation time; undecodable IDs are excluded, so it
-    may be shorter than ``deletion_count``. It is sorted.
+    may be shorter than ``deletion_count``. ``build_timelines`` sorts it; the
+    timeline reader does not check the order, and no analysis relies on it.
     """
 
     account_id: int
@@ -82,20 +84,24 @@ class DeletionDay:
 
 
 @dataclass(frozen=True, slots=True)
-class DailyDeletionRecord(DeletionDay):
-    """A ``DeletionDay`` that keeps the deleted tweet IDs, sorted.
+class DailyDeletionRecord:
+    """The tweets one account deleted on one UTC day, by ID, sorted.
 
-    ``tweet_ids`` serves the coordination graph; the timeline analyses read
-    only the ``DeletionDay`` fields.
+    ``tweet_ids`` serves the coordination graph; ``build_timelines`` turns
+    the record into the timeline's ``DeletionDay``.
     """
 
+    account_id: int
+    day: date
     tweet_ids: tuple[int, ...]
 
     def __post_init__(self):
-        # Zero-argument super() fails in slots dataclasses before Python 3.14.
-        DeletionDay.__post_init__(self)
-        if len(self.tweet_ids) != self.deletion_count:
-            raise ValueError("tweet_ids must list exactly deletion_count IDs")
+        if not self.tweet_ids:
+            raise ValueError("tweet_ids must not be empty")
+
+    @property
+    def deletion_count(self) -> int:
+        return len(self.tweet_ids)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,8 +122,8 @@ class AccountTimeline:
     """Day-ordered snapshots and deletion days for one account.
 
     ``description`` is the profile description of the last snapshot. Read
-    back from ``timelines.ndjson``, the rows are ``SnapshotDay``s and
-    ``DeletionDay``s; ``build_timelines`` keeps the full records.
+    back from ``timelines.ndjson``, the snapshots are ``SnapshotDay``s;
+    deletion days are ``DeletionDay``s, built or read back.
     """
 
     account_id: int
@@ -186,32 +192,15 @@ def _notice_rows(
 def _daily_records(
     groups: dict[tuple[int, int], list[int]], threshold: int
 ) -> list[DailyDeletionRecord]:
-    """Records for the groups of at least ``threshold`` deletions, sorted.
-
-    Sorts the ID lists of the kept groups in place.
-    """
+    """Records for the groups of at least ``threshold`` deletions, sorted;
+    sorts the ID lists of the kept groups in place."""
     records = []
     for (account_id, ordinal), ids in groups.items():
-        if len(ids) < threshold:
-            continue
-        day_start_ms = (ordinal - _UNIX_EPOCH_ORDINAL) * _DAY_MS
-        ages = []
-        for tweet_id in ids:
-            if tweet_id < MIN_TIME_ENCODED_ID:
-                continue
-            age = (day_start_ms - SNOWFLAKE_EPOCH_MS - (tweet_id >> 22)) // _DAY_MS
-            ages.append(age if age > 0 else 0)
-        ids.sort()
-        ages.sort()
-        records.append(
-            DailyDeletionRecord(
-                account_id,
-                date.fromordinal(ordinal),
-                len(ids),
-                tuple(ages),
-                tuple(ids),
+        if len(ids) >= threshold:
+            ids.sort()
+            records.append(
+                DailyDeletionRecord(account_id, date.fromordinal(ordinal), tuple(ids))
             )
-        )
     records.sort(key=lambda r: (r.account_id, r.day))
     return records
 
@@ -229,10 +218,7 @@ def aggregate_daily(
 ) -> list[DailyDeletionRecord]:
     """Group deletion notices by (account, UTC day), keeping days >= threshold.
 
-    Tweet ages are measured in whole days from the start of the deletion day
-    to the ID-encoded creation time, clamped at zero; undecodable IDs
-    contribute to the count but not to the age multiset. Output is sorted by
-    (account_id, day) and independent of input order.
+    Output is sorted by (account_id, day) and independent of input order.
     """
     _check_threshold(threshold)
     return _daily_records(_group(_notice_rows(notices))[0], threshold)
@@ -307,9 +293,11 @@ def build_timelines(
 ) -> list[AccountTimeline]:
     """Outer-join snapshots and deletion records into per-account timelines.
 
+    A record's ages are the whole days from the start of its day to each
+    ID-encoded creation time, clamped at zero; undecodable IDs have none.
     Accounts with any deleted-status snapshot are excluded entirely (their
     deletions are platform-driven teardown, not behavior). Duplicate
-    (account, day) snapshots are corrupt input and raise.
+    (account, day) snapshots or records are corrupt input and raise.
     """
     snaps_by_account: dict[int, dict[date, AccountSnapshot]] = {}
     removed: set[int] = set()
@@ -324,28 +312,33 @@ def build_timelines(
         if snapshot.status is AccountStatus.DELETED:
             removed.add(snapshot.account_id)
 
-    records_by_account: dict[int, dict[date, DailyDeletionRecord]] = {}
+    days_by_account: dict[int, dict[date, DeletionDay]] = {}
     for record in daily_records:
-        per_account = records_by_account.setdefault(record.account_id, {})
-        if record.day in per_account:
+        account_id, day, ids = record.account_id, record.day, record.tweet_ids
+        per_account = days_by_account.setdefault(account_id, {})
+        if day in per_account:
             raise ValueError(
-                f"duplicate deletion record for account {record.account_id} "
-                f"on {record.day}"
+                f"duplicate deletion record for account {account_id} on {day}"
             )
-        per_account[record.day] = record
+        start_ms = (day.toordinal() - _UNIX_EPOCH_ORDINAL) * _DAY_MS - SNOWFLAKE_EPOCH_MS
+        ages = [(start_ms - (i >> 22)) // _DAY_MS for i in ids if i >= MIN_TIME_ENCODED_ID]
+        ages = [age if age > 0 else 0 for age in ages]
+        ages.sort()
+        per_account[day] = DeletionDay(account_id, day, len(ids), tuple(ages))
 
     timelines = []
-    for account_id in sorted(set(snaps_by_account) | set(records_by_account)):
+    for account_id in sorted(set(snaps_by_account) | set(days_by_account)):
         if account_id in removed:
             continue
-        snaps = snaps_by_account.get(account_id, {})
-        records = records_by_account.get(account_id, {})
+        # popped, so each account's day dicts are freed as its timeline is built
+        snaps = snaps_by_account.pop(account_id, {})
+        days = days_by_account.pop(account_id, {})
         ordered = tuple(snaps[d] for d in sorted(snaps))
         timelines.append(
             AccountTimeline(
                 account_id,
                 ordered,
-                tuple(records[d] for d in sorted(records)),
+                tuple(days[d] for d in sorted(days)),
                 ordered[-1].description if ordered else "",
             )
         )
@@ -359,20 +352,18 @@ def daily_record_to_dict(record: DailyDeletionRecord) -> dict:
     return {
         "account_id": record.account_id,
         "day": record.day.isoformat(),
-        "deletion_count": record.deletion_count,
-        "deleted_ages_days": list(record.deleted_ages_days),
         "tweet_ids": list(record.tweet_ids),
     }
 
 
 def daily_record_from_dict(raw: dict) -> DailyDeletionRecord:
+    """Read ``daily_record_to_dict``'s form back, ignoring other keys, such
+    as the ``deletion_count`` and ``deleted_ages_days`` earlier runs wrote."""
     try:
         raw = json_object(raw)
         return DailyDeletionRecord(
             int_field(raw.get("account_id"), "account_id", 1),
             day_field(raw.get("day"), "day"),
-            int_field(raw.get("deletion_count"), "deletion_count", 1),
-            int_list_field(raw.get("deleted_ages_days"), "deleted_ages_days", 0),
             int_list_field(raw.get("tweet_ids"), "tweet_ids", 1),
         )
     except ValueError as err:

@@ -31,6 +31,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import re
@@ -95,7 +96,7 @@ class UnknownKindError(RecordParseError):
 
 def ms_to_datetime(ms: int) -> datetime:
     """UTC datetime for a millisecond Unix timestamp (exact, no float round-off)."""
-    return _UNIX_EPOCH + timedelta(milliseconds=ms)
+    return _UNIX_EPOCH + timedelta(0, 0, 0, ms)
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -128,6 +129,7 @@ def format_timestamp(dt: datetime) -> str:
 # Pieces of the exact forms below, all compiled with re.ASCII: without it \d
 # accepts non-ASCII digits, which int() reads and json.loads rejects.
 _DAY = r"\d{4}-\d\d-\d\d"
+_DAY_FORM = re.compile(_DAY, re.ASCII)
 _TIME_OF_DAY = r"T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d{6})?Z"
 #: A positive integer without leading zeros, at most 19 digits.
 _ID = r"[1-9]\d{0,18}"
@@ -296,13 +298,22 @@ def str_field(value: object, name: str) -> str:
     return value
 
 
+@functools.lru_cache(maxsize=4096)
+def _iso_day(text: str) -> date:
+    if _DAY_FORM.fullmatch(text) is None:
+        raise ValueError(text)
+    return date.fromisoformat(text)
+
+
 def day_field(value: object, name: str) -> date:
-    """The date an ISO day string names."""
+    """The date a ``YYYY-MM-DD`` string names, on every Python (3.11's
+    ``date.fromisoformat`` also reads ``20210426``); recent ones are cached."""
     try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError):
-        message = f"{name!r} must be an ISO day, got {value!r:.40}"
-        raise RecordParseError(message) from None
+        if type(value) is str:
+            return _iso_day(value)
+    except ValueError:
+        pass
+    raise RecordParseError(f"{name!r} must be an ISO day, got {value!r:.40}")
 
 
 def timestamp_field(value: object, name: str) -> datetime | None:
@@ -526,10 +537,9 @@ def read_snapshots(path) -> Iterator[AccountSnapshot]:
     snapshot_from_dict)``, with the same errors.
 
     A line that fully matches ``SNAPSHOT_LINE`` is read from its groups, each
-    distinct day and timestamp string converted once per call; any other
-    line is decoded as JSON.
+    distinct timestamp string converted once per call (and each day once, by
+    ``day_field``); any other line is decoded as JSON.
     """
-    days: dict[str, date] = {}
     stamps: dict[str, datetime] = {}
 
     def timestamp(value: str | None) -> datetime | None:
@@ -550,12 +560,9 @@ def read_snapshots(path) -> Iterator[AccountSnapshot]:
                 account_id, day_raw, count, status, description, created, queried = (
                     match.groups()
                 )
-                day = days.get(day_raw)
-                if day is None:
-                    day = days[day_raw] = day_field(day_raw, "snapshot_day")
                 yield AccountSnapshot(
                     int(account_id),
-                    day,
+                    day_field(day_raw, "snapshot_day"),
                     None if count == "null" else int(count),
                     _STATUSES[status],
                     description,

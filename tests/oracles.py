@@ -16,7 +16,7 @@ import math
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 
-from delstream.ingest import AccountTimeline, DeletionDay
+from delstream.ingest import AccountTimeline
 from delstream.records import SnapshotDay
 
 UTC = timezone.utc
@@ -105,20 +105,15 @@ def write_ndjson_oracle(path, items, to_dict) -> int:
 
 
 def slim(timeline):
-    """The timeline as ``timelines.ndjson`` carries it.
-
-    Snapshots keep only their day, count and status, and deletion days lose
-    their tweet IDs; the timeline keeps its description.
-    """
+    """The timeline as ``timelines.ndjson`` carries it: snapshots keep only
+    their day, count and status, and the timeline keeps its description."""
     kept = tuple(
         SnapshotDay(s.account_id, s.snapshot_day, s.statuses_count, s.status)
         for s in timeline.snapshots
     )
-    days = tuple(
-        DeletionDay(r.account_id, r.day, r.deletion_count, r.deleted_ages_days)
-        for r in timeline.deletion_days
+    return AccountTimeline(
+        timeline.account_id, kept, timeline.deletion_days, timeline.description
     )
-    return AccountTimeline(timeline.account_id, kept, days, timeline.description)
 
 
 def ks_brute_force(a, b) -> float:

@@ -53,9 +53,7 @@ def make_timeline(account_id, counts, deletions):
         for offset, count in sorted(counts.items())
     )
     records = tuple(
-        ingest.DailyDeletionRecord(
-            account_id, day(offset), count, (), tuple(range(1, count + 1))
-        )
+        ingest.DeletionDay(account_id, day(offset), count, ())
         for offset, count in sorted(deletions.items())
     )
     return ingest.AccountTimeline(account_id, snapshots, records)
@@ -252,7 +250,7 @@ def test_c5_coordination_oracle():
     for hub in range(1, 1_001):
         tweet_id = 10_000 + hub
         records.append(
-            ingest.DailyDeletionRecord(hub, day(0), 1, (), (tweet_id,))
+            ingest.DailyDeletionRecord(hub, day(0), (tweet_id,))
         )
         for _ in range(100):
             unlikes.append(ingest.UnlikeRecord(next_spoke, tweet_id, 5))

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from delstream import behavior as b
 from delstream.flooding import FloodingViolation
-from delstream.ingest import AccountTimeline, DailyDeletionRecord
+from delstream.ingest import AccountTimeline, DeletionDay
 from delstream.records import AccountSnapshot, AccountStatus
 
 DAY0 = date(2021, 4, 26)
@@ -20,13 +20,7 @@ def day(offset: int) -> date:
 
 def timeline(account_id: int, deleting_days, per_day=20, ages=()) -> AccountTimeline:
     records = tuple(
-        DailyDeletionRecord(
-            account_id,
-            day(offset),
-            per_day,
-            tuple(sorted(ages)),
-            tuple(range(1, per_day + 1)),
-        )
+        DeletionDay(account_id, day(offset), per_day, tuple(sorted(ages)))
         for offset in sorted(deleting_days)
     )
     return AccountTimeline(account_id, (), records)
@@ -75,8 +69,8 @@ class TestSummarize:
 
     def test_mean_daily_deletions(self):
         records = (
-            DailyDeletionRecord(1, day(0), 10, (), tuple(range(1, 11))),
-            DailyDeletionRecord(1, day(1), 30, (), tuple(range(1, 31))),
+            DeletionDay(1, day(0), 10, ()),
+            DeletionDay(1, day(1), 30, ()),
         )
         [summary] = b.summarize([AccountTimeline(1, (), records)], [])
         assert summary.mean_daily_deletions == 20.0
@@ -203,11 +197,7 @@ class TestDailyVolumeCcdf:
         records = []
         for account in range(1, 2001):
             count = 10 + min(int(rng.paretovariate(1.2)), 50_000)
-            records.append(
-                DailyDeletionRecord(
-                    account, DAY0, count, (), tuple(range(1, count + 1))
-                )
-            )
+            records.append(DeletionDay(account, DAY0, count, ()))
         points = b.daily_volume_ccdf(records)
         fractions = [fraction for _, fraction in points]
         assert fractions[0] == 1.0

@@ -12,12 +12,14 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
+from datetime import date
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from delstream import cli
 from delstream.flooding import read_violations
 from delstream.synth import read_ground_truth
@@ -100,8 +102,7 @@ _json_values = st.one_of(
 
 
 _GOOD_RECORDS = {
-    "daily.ndjson": {"account_id": 1, "day": "2021-04-26", "deletion_count": 2,
-                     "deleted_ages_days": [3], "tweet_ids": [5, 6]},
+    "daily.ndjson": {"account_id": 1, "day": "2021-04-26", "tweet_ids": [5, 6]},
     "unlikes.ndjson": {"liker_id": 2, "tweet_id": 5, "unlike_count": 5},
     "timelines.ndjson": {"account_id": 1, "snapshots": [["2021-04-26", "active", 5]],
                          "description": "", "deletion_days": [["2021-04-26", 10, [1]]]},
@@ -110,6 +111,11 @@ _BAD_JSON_IDS = st.sampled_from([0, -5, True, "5", 5.0])
 _BAD_TEXT_IDS = st.sampled_from(
     ["0", "-5", "true", "5.0", "007", "+5", "1_000", "\u0661\u0662", " 5"])
 _BAD_AGES = st.integers(max_value=-1)
+#: Day values that are not ``YYYY-MM-DD``; Python 3.11+ reads the first two
+#: as ISO 8601 dates.
+_BAD_DAYS = st.sampled_from(
+    ["20210426", "2021-W17-1", "2021-W17", "2021-116", "2021-04-26T00:00",
+     "2021-4-26", "2021-02-30", " 2021-04-26", "\u0662021-04-26", 20210426, None])
 
 
 def _second_record(name: str, *keys):
@@ -131,6 +137,8 @@ _ON_TIMELINES = [[stage, "--timelines", "timelines.ndjson", "--out", out]
                                     ("detect-flooding", "out.csv"))]
 _VIOLATIONS = ("account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
                "1,2021-04-26,10,2500,2510,0\n{},2021-04-26,10,2500,2510,0\n")
+_STATS_ON_VIOLATIONS = [["stats", "--timelines", "timelines.ndjson", "--violations",
+                         "v.csv", "--out", "out"]]
 
 #: Case -> (the input file, its text given the bad value, stage argvs, the
 #: line of the bad value, bad values).
@@ -139,8 +147,8 @@ _BAD_FIELD_CASES = {
                          _COORDINATION, 2, _BAD_JSON_IDS),
     "daily tweet_ids": ("daily.ndjson", _second_record("daily.ndjson", "tweet_ids", 1),
                         _COORDINATION, 2, _BAD_JSON_IDS),
-    "daily age": ("daily.ndjson", _second_record("daily.ndjson", "deleted_ages_days", 0),
-                  _COORDINATION, 2, _BAD_AGES),
+    "daily day": ("daily.ndjson", _second_record("daily.ndjson", "day"),
+                  _COORDINATION, 2, _BAD_DAYS),
     "unlike liker_id": ("unlikes.ndjson", _second_record("unlikes.ndjson", "liker_id"),
                         _COORDINATION, 2, _BAD_JSON_IDS),
     "unlike tweet_id": ("unlikes.ndjson", _second_record("unlikes.ndjson", "tweet_id"),
@@ -151,9 +159,13 @@ _BAD_FIELD_CASES = {
     "timeline age": ("timelines.ndjson",
                      _second_record("timelines.ndjson", "deletion_days", 0, 2, 0),
                      _ON_TIMELINES, 2, _BAD_AGES),
-    "violations account_id": ("v.csv", _VIOLATIONS.format, [
-        ["stats", "--timelines", "timelines.ndjson", "--violations", "v.csv",
-         "--out", "out"]], 3, _BAD_TEXT_IDS),
+    "timeline day": ("timelines.ndjson",
+                     _second_record("timelines.ndjson", "deletion_days", 0, 0),
+                     _ON_TIMELINES, 2, _BAD_DAYS),
+    "violations account_id": ("v.csv", _VIOLATIONS.format, _STATS_ON_VIOLATIONS, 3,
+                              _BAD_TEXT_IDS),
+    "violations day": ("v.csv", _VIOLATIONS.replace("{},2021-04-26", "1,{}").format,
+                       _STATS_ON_VIOLATIONS, 3, _BAD_DAYS),
     "bot-scores account_id": ("b.csv", "account_id,bot_score\n1,0.5\n{},0.5\n".format, [
         ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "b.csv",
          "--out", "out"]], 3, _BAD_TEXT_IDS),
@@ -563,7 +575,8 @@ class TestExitCodes:
     @given(st.data())
     def test_bad_id_or_age_in_any_analysis_input_exit_3_with_its_line(self, data):
         """Every ID field of every input of the analysis stages is a positive
-        integer, in JSON and in text, and every age is at least 0."""
+        integer, in JSON and in text, every age is at least 0, and every day
+        is ``YYYY-MM-DD``."""
         case = data.draw(st.sampled_from(sorted(_BAD_FIELD_CASES)), label="case")
         name, text, argvs, line, values = _BAD_FIELD_CASES[case]
         value = data.draw(values, label="value")
@@ -578,6 +591,20 @@ class TestExitCodes:
             assert not (root / "out").exists() and not (root / "out.csv").exists()
         assert err.getvalue().startswith(f"delstream: invalid input: line {line}:")
         assert "Traceback" not in err.getvalue()
+
+    def test_daily_record_without_ids_exit_3_with_its_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        good = _GOOD_RECORDS["daily.ndjson"]
+        Path("daily.ndjson").write_text(
+            f"{json.dumps(good)}\n{json.dumps({**good, 'tweet_ids': []})}\n"
+        )
+        Path("unlikes.ndjson").write_text(json.dumps(_GOOD_RECORDS["unlikes.ndjson"]) + "\n")
+        assert run(*_COORDINATION[0]) == 3
+        err = capsys.readouterr().err
+        assert "line 2: bad deletion record: tweet_ids must not be empty" in err
+        assert not Path("out").exists()
 
     @pytest.mark.parametrize("stage", ["detect-coordination", "aggregate"])
     def test_deeply_nested_json_exit_3_with_its_line(
@@ -785,6 +812,36 @@ class TestPipeline:
         assert manifest["parameters"]["liker_edges_before"] >= manifest["parameters"][
             "liker_edges_after"
         ]
+
+    def test_detect_coordination_reads_an_earlier_runs_daily_file_alike(self, workspace):
+        """The daily deletions file in the form earlier runs wrote, with each
+        line's ``deletion_count`` and ``deleted_ages_days``, gives the same
+        graph, byte for byte."""
+        current = workspace / "agg" / "daily_deletions.ndjson"
+        earlier = workspace / "earlier_daily_deletions.ndjson"
+        lines = []
+        for line in current.read_text().splitlines():
+            raw = json.loads(line)
+            assert list(raw) == ["account_id", "day", "tweet_ids"]
+            day = date.fromisoformat(raw["day"])
+            ages = [oracles.age_days_oracle(day, i) for i in raw["tweet_ids"]]
+            lines.append(json.dumps({
+                "account_id": raw["account_id"],
+                "day": raw["day"],
+                "deletion_count": len(raw["tweet_ids"]),
+                "deleted_ages_days": sorted(age for age in ages if age is not None),
+                "tweet_ids": raw["tweet_ids"],
+            }, separators=(",", ":")))
+        earlier.write_text("".join(f"{line}\n" for line in lines))
+        for deletions, out in ((current, "coord"), (earlier, "coord_earlier")):
+            argv = ["detect-coordination", "--deletions", deletions,
+                    "--unlikes", "agg/unlikes.ndjson", "--out", out]
+            assert run(*argv) == 0
+        assert (workspace / "coord" / "edges.csv").read_text().count("\n") > 1
+        for name in ("edges.csv", "nodes.csv", "components.csv"):
+            assert (workspace / "coord_earlier" / name).read_bytes() == (
+                workspace / "coord" / name
+            ).read_bytes()
 
     def test_config_file_defaults_with_flag_override(self, workspace):
         config = workspace / "flood.json"

@@ -15,8 +15,7 @@ DAY0 = date(2021, 4, 26)
 
 
 def deletion(account_id: int, tweet_ids) -> DailyDeletionRecord:
-    tweet_ids = tuple(tweet_ids)
-    return DailyDeletionRecord(account_id, DAY0, len(tweet_ids), (), tuple(sorted(tweet_ids)))
+    return DailyDeletionRecord(account_id, DAY0, tuple(sorted(tweet_ids)))
 
 
 def unlike(liker_id: int, tweet_id: int, count: int) -> UnlikeRecord:
@@ -270,11 +269,7 @@ class TestPipeline:
 _deletion_records = st.lists(
     st.builds(
         lambda account_id, day, tweet_ids: DailyDeletionRecord(
-            account_id,
-            DAY0 + timedelta(days=day),
-            len(tweet_ids),
-            (),
-            tuple(sorted(tweet_ids)),
+            account_id, DAY0 + timedelta(days=day), tuple(sorted(tweet_ids))
         ),
         st.integers(1, 8),
         st.integers(0, 3),
@@ -299,7 +294,7 @@ class TestPipelineEqualsSteps:
         records=[
             deletion(1, [10, 11]),  # tweet 10 deleted by accounts 1 and 2
             deletion(2, [10, 12]),
-            DailyDeletionRecord(2, DAY0 + timedelta(days=1), 2, (), (12, 13)),
+            DailyDeletionRecord(2, DAY0 + timedelta(days=1), (12, 13)),
             deletion(5, [20, 21, 22]),  # a liker that deletes other tweets
         ],
         unlikes=[
@@ -334,7 +329,7 @@ class TestPipelineEqualsSteps:
     def test_deletion_total_counts_distinct_tweets_over_all_records(self):
         records = [
             deletion(1, [10, 11, 11]),
-            DailyDeletionRecord(1, DAY0 + timedelta(days=1), 2, (), (11, 12)),
+            DailyDeletionRecord(1, DAY0 + timedelta(days=1), (11, 12)),
         ]
         graph = c.detect_coordination(records, [unlike(2, 10, 5)], min_component=1)
         assert graph.node(1).deletion_total == 3

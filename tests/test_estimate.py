@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from delstream import estimate as e
-from delstream.ingest import AccountTimeline, DailyDeletionRecord, DeletionDay
+from delstream.ingest import AccountTimeline, DeletionDay
 from delstream.records import AccountSnapshot, AccountStatus
 
 UTC = timezone.utc
@@ -20,10 +20,8 @@ def day(offset: int) -> date:
     return DAY0 + timedelta(days=offset)
 
 
-def record(account_id: int, offset: int, count: int) -> DailyDeletionRecord:
-    return DailyDeletionRecord(
-        account_id, day(offset), count, (), tuple(range(1, count + 1))
-    )
+def record(account_id: int, offset: int, count: int) -> DeletionDay:
+    return DeletionDay(account_id, day(offset), count, ())
 
 
 def active_snap(account_id: int, offset: int, count: int) -> AccountSnapshot:

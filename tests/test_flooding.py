@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delstream import flooding
-from delstream.ingest import AccountTimeline, DailyDeletionRecord
+from delstream.ingest import AccountTimeline, DeletionDay
 from delstream.records import AccountSnapshot, AccountStatus, RecordParseError
 
 UTC = timezone.utc
@@ -19,10 +19,8 @@ def day(offset: int) -> date:
     return DAY0 + timedelta(days=offset)
 
 
-def record(account_id: int, offset: int, count: int) -> DailyDeletionRecord:
-    return DailyDeletionRecord(
-        account_id, day(offset), count, (), tuple(range(1, count + 1))
-    )
+def record(account_id: int, offset: int, count: int) -> DeletionDay:
+    return DeletionDay(account_id, day(offset), count, ())
 
 
 def timeline(account_id: int, counts: dict[int, int | None],

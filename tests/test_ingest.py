@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import tempfile
+from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -132,7 +134,9 @@ class TestAggregateDaily:
             ComplianceNotice(NoticeKind.TWEET_DELETE, 1, tweet_id, at(day, 20))
             for tweet_id in ids
         ]
-        record = ingest.aggregate_daily(notices, threshold=10)[0]
+        records = ingest.aggregate_daily(notices, threshold=10)
+        [timeline] = ingest.build_timelines([], records)
+        [record] = timeline.deletion_days
         assert record.deletion_count == 11
         assert len(record.deleted_ages_days) == 10  # undecodable ID excluded
         assert sorted(record.deleted_ages_days)[:3] == [0, 4, 5]
@@ -214,7 +218,8 @@ class TestBuildTimelines:
         records = ingest.aggregate_daily(deletions(5, DAY0, 10))
         timelines = ingest.build_timelines([], records)
         assert timelines[0].snapshots == ()
-        assert timelines[0].deletion_days == tuple(records)
+        age = oracles.age_days_oracle(DAY0, 10**18)
+        assert timelines[0].deletion_days == (ingest.DeletionDay(5, DAY0, 10, (age,) * 10),)
 
     def test_snapshot_only_account(self):
         timelines = ingest.build_timelines([snap(3, DAY0, 50)], [])
@@ -243,11 +248,7 @@ class TestBuildTimelines:
             for offset in sorted(rng.sample(range(10), rng.randrange(0, 3))):
                 records.append(
                     ingest.DailyDeletionRecord(
-                        account,
-                        DAY0 + timedelta(days=offset),
-                        10,
-                        (),
-                        tuple(range(1, 11)),
+                        account, DAY0 + timedelta(days=offset), tuple(range(1, 11))
                     )
                 )
         timelines = ingest.build_timelines(snapshots, records)
@@ -257,7 +258,15 @@ class TestBuildTimelines:
         for s in sorted(snapshots, key=lambda s: (s.account_id, s.snapshot_day)):
             paired.setdefault(s.account_id, ([], []))[0].append(s)
         for rec in sorted(records, key=lambda r: (r.account_id, r.day)):
-            paired.setdefault(rec.account_id, ([], []))[1].append(rec)
+            ages = [oracles.age_days_oracle(rec.day, i) for i in rec.tweet_ids]
+            paired.setdefault(rec.account_id, ([], []))[1].append(
+                ingest.DeletionDay(
+                    rec.account_id,
+                    rec.day,
+                    len(rec.tweet_ids),
+                    tuple(sorted(a for a in ages if a is not None)),
+                )
+            )
         assert len(timelines) == len(paired)
         for timeline in timelines:
             snaps, recs = paired[timeline.account_id]
@@ -609,6 +618,36 @@ class TestSerialization:
         ingest.write_daily_records(path, records)
         assert list(ingest.read_daily_records(path)) == records
 
+    def test_daily_record_form_holds_only_the_ids(self, tmp_path):
+        record = ingest.DailyDeletionRecord(42, date(2021, 4, 27), (1234, 5 << 22))
+        assert [f.name for f in fields(record)] == ["account_id", "day", "tweet_ids"]
+        assert record.deletion_count == 2
+        path = tmp_path / "daily.ndjson"
+        ingest.write_daily_records(path, [record])
+        assert path.read_text() == (
+            '{"account_id":42,"day":"2021-04-27","tweet_ids":[1234,20971520]}\n'
+        )
+
+    def test_earlier_runs_daily_line_reads_to_the_same_record(self, tmp_path):
+        current = {"account_id": 42, "day": "2021-04-27",
+                   "tweet_ids": [1234, 1251442846725046277]}
+        earlier = {"account_id": 42, "day": "2021-04-27", "deletion_count": 2,
+                   "deleted_ages_days": [373], "tweet_ids": [1234, 1251442846725046277]}
+        path = _two_lines(tmp_path, earlier, current)
+        record = ingest.DailyDeletionRecord(
+            42, date(2021, 4, 27), (1234, 1251442846725046277)
+        )
+        assert list(ingest.read_daily_records(path)) == [record, record]
+
+    def test_daily_record_without_ids_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="tweet_ids must not be empty"):
+            ingest.DailyDeletionRecord(7, DAY0, ())
+        raw = {"account_id": 7, "day": "2021-04-26", "tweet_ids": [5]}
+        path = _two_lines(tmp_path, raw, {**raw, "tweet_ids": []})
+        with pytest.raises(RecordParseError, match="tweet_ids must not be empty") as err:
+            list(ingest.read_daily_records(path))
+        assert err.value.line_number == 2
+
     def test_unlike_roundtrip(self, tmp_path):
         records = [ingest.UnlikeRecord(1, 2, 5), ingest.UnlikeRecord(3, 4, 1)]
         path = tmp_path / "unlikes.ndjson"
@@ -620,21 +659,13 @@ class TestSerialization:
         [
             ("account_id", "7"),
             ("account_id", True),
-            ("deletion_count", 1.0),
             ("tweet_ids", [[5]]),
             ("tweet_ids", ["5"]),
             ("tweet_ids", [False]),
-            ("deleted_ages_days", [0.5]),
         ],
     )
     def test_daily_record_non_integer_rejected(self, tmp_path, field, value):
-        raw = {
-            "account_id": 7,
-            "day": "2021-04-26",
-            "deletion_count": 1,
-            "deleted_ages_days": [3],
-            "tweet_ids": [5],
-        }
+        raw = {"account_id": 7, "day": "2021-04-26", "tweet_ids": [5]}
         path = _two_lines(tmp_path, raw, {**raw, field: value})
         with pytest.raises(RecordParseError, match=field) as err:
             list(ingest.read_daily_records(path))
@@ -695,10 +726,9 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
     for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=5))):
         count = draw(st.integers(1, 30))
         ages = sorted(draw(st.lists(st.integers(0, 4000), max_size=count)))
-        ids = sorted(draw(st.lists(st.integers(1, 2**63), min_size=count, max_size=count)))
         records.append(
-            ingest.DailyDeletionRecord(
-                account_id, DAY0 + timedelta(days=offset), count, tuple(ages), tuple(ids)
+            ingest.DeletionDay(
+                account_id, DAY0 + timedelta(days=offset), count, tuple(ages)
             )
         )
     description = draw(_DESCRIPTIONS) if snapshots else ""
@@ -753,7 +783,7 @@ class TestTimelineForm:
             7,
             (snap(7, DAY0, 5, description="old"),
              snap(7, DAY0 + timedelta(days=1), None, AccountStatus.SUSPENDED, "new")),
-            (ingest.DailyDeletionRecord(7, DAY0, 2, (3,), (11, 12)),),
+            (ingest.DeletionDay(7, DAY0, 2, (3,)),),
             description="new",
         )
         path = tmp_path / "timelines.ndjson"
@@ -769,3 +799,90 @@ class TestTimelineForm:
         raw = {"account_id": 7, "snapshots": [["2021-04-26", "active", 5]],
                "deletion_days": []}
         assert ingest.timeline_from_dict(raw).description == ""
+
+
+_DAY_MS = 86_400_000
+
+
+def _tweet_ids(day: date):
+    """Undecodable IDs, IDs created up to 3,000 days before ``day`` or up to
+    two days after its start (ages clamped at 0), and any other ID."""
+    start_ms = (day - date(1970, 1, 1)).days * _DAY_MS - SNOWFLAKE_EPOCH_MS
+    created = st.integers(-3000 * _DAY_MS, 2 * _DAY_MS).map(lambda ms: start_ms + ms)
+    return st.one_of(
+        st.integers(1, (1 << 22) - 1),
+        st.builds(lambda ms, low: ms << 22 | low, created, st.integers(0, (1 << 22) - 1)),
+        st.integers(1 << 22, 2**63 - 1),
+    )
+
+
+@st.composite
+def _daily_record_lists(draw) -> list[ingest.DailyDeletionRecord]:
+    records = []
+    for account_id in sorted(draw(st.sets(st.integers(1, 2**40), max_size=4))):
+        for offset in sorted(draw(st.sets(st.integers(0, 400), min_size=1, max_size=3))):
+            day = DAY0 + timedelta(days=offset)
+            ids = draw(st.lists(_tweet_ids(day), min_size=1, max_size=12))
+            records.append(ingest.DailyDeletionRecord(account_id, day, tuple(sorted(ids))))
+    return records
+
+
+class TestBuiltTimelines:
+    @settings(max_examples=300, deadline=None)
+    @given(_daily_record_lists())
+    @example([ingest.DailyDeletionRecord(
+        42,
+        date(2021, 4, 27),
+        # undecodable, 373 days old, created 8 hours after the day's start
+        (1234, 1251442846725046277, snowflake(at(date(2021, 4, 27), 8))),
+    )])
+    def test_deletion_days_are_what_the_reader_returns(self, records):
+        built = ingest.build_timelines([], records)
+        assert _written_and_read(built) == built
+        ids = {(r.account_id, r.day): r.tweet_ids for r in records}
+        for timeline in built:
+            for row in timeline.deletion_days:
+                ages = [oracles.age_days_oracle(row.day, i) for i in ids[row.account_id, row.day]]
+                assert row.deletion_count == len(ages)
+                assert row.deleted_ages_days == tuple(
+                    sorted(age for age in ages if age is not None)
+                )
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_FORMS = {
+    "daily_deletions.ndjson": (ingest.read_daily_records, ingest.write_daily_records),
+    "unlikes.ndjson": (ingest.read_unlike_records, ingest.write_unlike_records),
+    "timelines.ndjson": (ingest.read_timelines, ingest.write_timelines),
+}
+
+
+def _readme_examples() -> dict[str, str]:
+    """The example line of each file in README's "Intermediate files"
+    section, by the file name that opens the paragraph before it."""
+    text = _README.read_text(encoding="utf-8")
+    section = text.split("\n## Intermediate files\n", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"\n`(\w+\.ndjson)`, read by .*?```json\n(.*?)\n```", section, re.S))
+
+
+class TestReadmeExamples:
+    def test_every_intermediate_file_has_an_example(self):
+        assert sorted(_readme_examples()) == sorted(_FORMS)
+
+    @pytest.mark.parametrize("name", sorted(_FORMS))
+    def test_example_reads_back_and_rewrites_byte_for_byte(self, tmp_path, name):
+        read, write = _FORMS[name]
+        example = tmp_path / "example.ndjson"
+        example.write_text(_readme_examples()[name] + "\n", encoding="utf-8")
+        rewritten = tmp_path / name
+        assert write(rewritten, list(read(example))) == 1
+        assert rewritten.read_bytes() == example.read_bytes()
+
+    def test_daily_example_builds_the_timeline_examples_deletion_day(self, tmp_path):
+        examples = _readme_examples()
+        path = tmp_path / "daily_deletions.ndjson"
+        path.write_text(examples["daily_deletions.ndjson"] + "\n", encoding="utf-8")
+        [timeline] = ingest.build_timelines([], ingest.read_daily_records(path))
+        rows = json.loads(json.dumps(ingest.timeline_to_dict(timeline)["deletion_days"]))
+        assert rows == [["2021-04-27", 2, [373]]]
+        assert rows == json.loads(examples["timelines.ndjson"])["deletion_days"]

@@ -668,6 +668,34 @@ def test_int_text_field_rejects_other_forms(text):
         r.int_text_field(text, "n")
 
 
+@given(st.dates())
+def test_day_field_reads_what_isoformat_writes(day):
+    assert r.day_field(day.isoformat(), "day") == day
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["20210426", "2021-W17-1", "2021W171", "2021-W17", "2021-116", "2021-04-26T00:00",
+     "2021-4-26", "2021-02-30", " 2021-04-26", "2021-04-26 ", "\u0662021-04-26", "",
+     20210426, None, ["2021-04-26"]],
+)
+def test_day_field_rejects_other_forms(value):
+    """Only ``YYYY-MM-DD``, on every Python: 3.11's ``date.fromisoformat``
+    also reads the basic and week forms."""
+    with pytest.raises(r.RecordParseError, match="'day' must be an ISO day"):
+        r.day_field(value, "day")
+
+
+@pytest.mark.parametrize("day", ["20210426", "2021-W17-1"])
+def test_snapshot_day_in_another_iso_form_names_its_line(tmp_path, day):
+    good = {"account_id": 1, "snapshot_day": "2021-04-26", "statuses_count": 5,
+            "status": "active"}
+    path = tmp_path / "snapshots.ndjson"
+    path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'snapshot_day': day})}\n")
+    with pytest.raises(r.RecordParseError, match="line 2: .*'snapshot_day'"):
+        list(r.read_snapshots(path))
+
+
 class TestInvalidUtf8:
     def test_names_its_line(self, tmp_path):
         path = tmp_path / "input.ndjson"

@@ -147,8 +147,9 @@ class TestProfiles:
         data = synth.generate(spec, seed=5)
         records = ingest.aggregate_daily(data.notices)
         assert records
-        for record in records:
-            assert len(record.deleted_ages_days) < record.deletion_count
+        for timeline in ingest.build_timelines([], records):
+            for record in timeline.deletion_days:
+                assert len(record.deleted_ages_days) < record.deletion_count
 
     def test_gap_days_drop_snapshots_and_feed_gap_estimates(self):
         spec = synth.PopulationSpec(
