@@ -139,7 +139,7 @@ def _cmd_generate(args) -> int:
             "days": spec.days,
             "start_day": spec.start_day.isoformat(),
             "accounts": len(dataset.truth.kinds),
-            "events": len(dataset.notices),
+            "events": len(dataset.rows),
         },
     )
     return 0

@@ -21,7 +21,9 @@ for a field the form cannot hold, such as a bool ID. The description, and
 every other line written (``write_ndjson``), goes through one module-level
 JSON encoder. No other module knows these forms: ``ingest`` reads events
 through ``notice_rows`` and snapshots through ``read_snapshots``, and
-``synth`` writes them through ``write_notices`` and ``write_snapshots``.
+``synth`` writes them through ``write_notice_rows`` and ``write_snapshots``.
+``serialize_notice`` and ``write_notice_rows`` build the event line in one
+place, ``_notice_line``.
 
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
@@ -65,6 +67,11 @@ class NoticeKind(str, Enum):
 #: the enum's constructor.
 _NOTICE_KINDS = {kind.value: kind for kind in NoticeKind}
 
+#: An event without its notice: (observed_at in Unix ms, kind value,
+#: actor_id, object_id). Rows sort in the order of their notices'
+#: (observed_at, kind, actor_id, object_id), as NoticeKind is a str enum.
+NoticeRow = tuple[int, str, int, int]
+
 
 class AccountStatus(str, Enum):
     ACTIVE = "active"
@@ -103,15 +110,19 @@ def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values are taken as UTC.
 
     Reads an event's ``observed_at`` and a snapshot's ``created_at`` and
-    ``queried_at``. Raises RecordParseError for a malformed value and for one
-    whose UTC time falls outside the datetime range
+    ``queried_at``, in ``_TIMESTAMP_FORM`` once each ``Z`` is read as
+    ``+00:00``, on every Python. Raises RecordParseError for any other form
+    and for one whose UTC time falls outside the datetime range
     (``0001-01-01T00:30:00+01:00``).
     """
+    text = value.replace("Z", "+00:00")
     try:
-        dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
-        return dt.replace(tzinfo=_UTC) if dt.tzinfo is None else dt.astimezone(_UTC)
+        if _TIMESTAMP_FORM.fullmatch(text) is not None:
+            dt = datetime.fromisoformat(text)
+            return dt.replace(tzinfo=_UTC) if dt.tzinfo is None else dt.astimezone(_UTC)
     except (ValueError, OverflowError):
-        raise RecordParseError(f"bad timestamp {value!r}") from None
+        pass
+    raise RecordParseError(f"bad timestamp {value!r}")
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -133,6 +144,16 @@ _DAY_FORM = re.compile(_DAY, re.ASCII)
 _TIME_OF_DAY = r"T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d{6})?Z"
 #: A positive integer without leading zeros, at most 19 digits.
 _ID = r"[1-9]\d{0,18}"
+
+#: The timestamp forms Python 3.10's ``datetime.fromisoformat`` documents,
+#: ``YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]]`` with ``*``
+#: any one character: the forms every version reads alike. 3.11 also reads
+#: the basic, week, comma-fraction and ``+HHMM`` forms.
+_TIMESTAMP_FORM = re.compile(
+    rf"{_DAY}(?:.(?:[01]\d|2[0-3])(?::[0-5]\d(?::[0-5]\d(?:\.\d{{3}}(?:\d{{3}})?)?)?)?"
+    r"(?:[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?",
+    re.ASCII | re.DOTALL,
+)
 
 #: The one line form ``serialize_notice`` writes. Groups: kind, actor_id,
 #: object_id, observed_at and its day; the stamp is UTC, so the day group is
@@ -398,8 +419,16 @@ def notice_to_dict(notice: ComplianceNotice) -> dict:
     }
 
 
-#: The start of a notice line, up to the actor ID, by kind.
-_NOTICE_HEADS = {kind: f'{{"kind":"{kind.value}","actor_id":' for kind in NoticeKind}
+#: The start of a notice line, up to the actor ID, by kind value; NoticeKind
+#: is a str enum, so a member finds its value's entry.
+_NOTICE_HEADS = {kind.value: f'{{"kind":"{kind.value}","actor_id":' for kind in NoticeKind}
+
+
+def _notice_line(kind: str, actor_id: int, object_id: int, stamp: str) -> str:
+    """The ``NOTICE_LINE`` text of a notice whose fields the form holds, its
+    ``observed_at`` formatted by ``format_timestamp``."""
+    return (f'{_NOTICE_HEADS[kind]}{actor_id},"object_id":{object_id},'
+            f'"observed_at":"{stamp}"}}')
 
 
 def serialize_notice(notice: ComplianceNotice) -> str:
@@ -410,8 +439,7 @@ def serialize_notice(notice: ComplianceNotice) -> str:
     if (type(actor_id) is not int or type(object_id) is not int
             or type(observed_at) is not datetime):
         return _encode(notice_to_dict(notice))
-    return (f'{_NOTICE_HEADS[notice.kind]}{actor_id},"object_id":{object_id},'
-            f'"observed_at":"{format_timestamp(observed_at)}"}}')
+    return _notice_line(notice.kind, actor_id, object_id, format_timestamp(observed_at))
 
 
 def snapshot_to_dict(snapshot: AccountSnapshot) -> dict:
@@ -530,6 +558,27 @@ def notice_rows(path) -> Iterator[tuple[NoticeKind, int, int, int]]:
 def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:
     """Write one ``serialize_notice`` line per notice; returns the number written."""
     return _write_lines(path, map(serialize_notice, notices))
+
+
+def write_notice_rows(path, rows: Iterable[NoticeRow]) -> int:
+    """Write, for each row, the ``serialize_notice`` line of its notice;
+    returns the number written. Equal to ``write_notices`` over
+    ``ComplianceNotice(kind, actor_id, object_id, ms_to_datetime(at_ms))``.
+
+    Each row is ``(at_ms, kind value, actor_id, object_id)``, its IDs
+    positive ints, as ``synth.generate`` builds it. The stamp is formatted
+    once per run of rows with equal ``at_ms``, so sorted rows format each
+    distinct stamp once, and no notice is built.
+    """
+
+    def lines() -> Iterator[str]:
+        last_ms = stamp = None
+        for at_ms, kind, actor_id, object_id in rows:
+            if at_ms != last_ms:
+                last_ms, stamp = at_ms, format_timestamp(ms_to_datetime(at_ms))
+            yield _notice_line(kind, actor_id, object_id, stamp)
+
+    return _write_lines(path, lines())
 
 
 def read_snapshots(path) -> Iterator[AccountSnapshot]:

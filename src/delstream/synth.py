@@ -20,12 +20,12 @@ for type checkers, so that CLI stages which never call them, such as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from enum import Enum
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,6 +39,7 @@ from .records import (
     AccountStatus,
     ComplianceNotice,
     NoticeKind,
+    NoticeRow,
     day_field,
     int_field,
     ms_to_datetime,
@@ -170,9 +171,29 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    notices: tuple[ComplianceNotice, ...]
+    """A generated dataset.
+
+    ``rows`` holds the events as ``records.NoticeRow`` tuples
+    ``(at_ms, kind value, actor_id, object_id)``, sorted, so in the order of
+    the notices' (observed_at, kind, actor_id, object_id); ``write_dataset``
+    writes them without building a notice. ``notices`` is the same events as
+    ``ComplianceNotice`` objects, built from the rows on first access.
+    """
+
+    rows: tuple[NoticeRow, ...]
     snapshots: tuple[AccountSnapshot, ...]
     truth: GroundTruth
+
+    @functools.cached_property
+    def notices(self) -> tuple[ComplianceNotice, ...]:
+        kinds = {kind.value: kind for kind in NoticeKind}
+        notices = []
+        last_ms = observed_at = None
+        for at_ms, kind, actor_id, object_id in self.rows:
+            if at_ms != last_ms:  # equal stamps share one datetime
+                last_ms, observed_at = at_ms, ms_to_datetime(at_ms)
+            notices.append(ComplianceNotice(kinds[kind], actor_id, object_id, observed_at))
+        return tuple(notices)
 
 
 _DESCRIPTIONS = {
@@ -215,7 +236,9 @@ _DESCRIPTIONS = {
 
 
 class _IdAllocator:
-    """Unique tweet IDs: time-encoded when creation is in range, legacy below."""
+    """Unique positive tweet IDs: time-encoded when creation is in range,
+    legacy below. A creation time at the scheme's epoch whose sequence
+    field wraps to 0 would give ID 0, which raises ValueError."""
 
     def __init__(self):
         self._sequence = 0
@@ -228,9 +251,10 @@ class _IdAllocator:
                 raise ValueError("legacy ID space exhausted")
             return self._legacy
         self._sequence += 1
-        return ((created_ms - SNOWFLAKE_EPOCH_MS) << 22) | (
-            self._sequence & 0x3FFFFF
-        )
+        tweet_id = ((created_ms - SNOWFLAKE_EPOCH_MS) << 22) | (self._sequence & 0x3FFFFF)
+        if tweet_id <= 0:
+            raise ValueError(f"object_id must be positive, got {tweet_id}")
+        return tweet_id
 
 
 def _day_start_ms(start_day: date, day_index: int) -> int:
@@ -284,14 +308,17 @@ def _deletion_notices(
     rng: np.random.Generator,
     start_day: date,
     alloc: _IdAllocator,
-    notices: list,
+    rows: list[NoticeRow],
 ) -> list[int]:
-    """Emit deletion events for the account; returns farm-day tweet IDs."""
+    """Append the account's deletion rows; returns farm-day tweet IDs."""
     import numpy as np
 
     profile = account.profile
     aged = profile.age_median_days > 0
     log_median = math.log(profile.age_median_days) if aged else 0.0
+    farm_day = profile.farm_day if profile.kind is ProfileKind.LIKE_FARM_HUB else None
+    actor_id = account.account_id
+    delete = NoticeKind.TWEET_DELETE.value
     farm_tweet_ids: list[int] = []
     for day, count in enumerate(account.deletions):
         if count == 0:
@@ -308,19 +335,9 @@ def _deletion_notices(
             else:
                 created_ms = at_ms - ages_ms[index]
             tweet_id = alloc.for_creation_ms(created_ms)
-            if (
-                profile.kind is ProfileKind.LIKE_FARM_HUB
-                and day == profile.farm_day
-            ):
+            if day == farm_day:
                 farm_tweet_ids.append(tweet_id)
-            notices.append(
-                ComplianceNotice(
-                    NoticeKind.TWEET_DELETE,
-                    account.account_id,
-                    tweet_id,
-                    ms_to_datetime(at_ms),
-                )
-            )
+            rows.append((at_ms, delete, actor_id, tweet_id))
     return farm_tweet_ids
 
 
@@ -328,9 +345,11 @@ def _snapshots(
     account: _Account,
     rng: np.random.Generator,
     start_day: date,
-    days: int,
+    day_stamps: list[tuple[date, datetime]],
     snapshots: list,
 ) -> None:
+    """Append the account's snapshots; ``day_stamps`` holds each window
+    day's (snapshot_day, queried_at), shared by every account."""
     profile = account.profile
     pool = _DESCRIPTIONS[profile.kind]
     description = pool[int(rng.integers(len(pool)))]
@@ -341,7 +360,7 @@ def _snapshots(
     gap_days = set(profile.gap_days)
     stale_days = set(profile.stale_days)
     running = profile.initial_count
-    for day in range(days):
+    for day, (snapshot_day, queried_at) in enumerate(day_stamps):
         running += account.posts[day] - account.deletions[day]
         if running < 0:
             raise ValueError(
@@ -351,7 +370,6 @@ def _snapshots(
         if day in gap_days:
             continue
         reported = running + (account.deletions[day] if day in stale_days else 0)
-        snapshot_day = start_day + timedelta(days=day)
         snapshots.append(
             AccountSnapshot(
                 account.account_id,
@@ -360,23 +378,20 @@ def _snapshots(
                 AccountStatus.ACTIVE,
                 description,
                 created_at,
-                ms_to_datetime(_day_start_ms(start_day, day + 1) + 35 * 60_000),
+                queried_at,
             )
         )
 
 
 def _unlike_notices(
-    farm: PlantedFarm, start_day: date, farm_day: int, notices: list
+    farm: PlantedFarm, start_day: date, farm_day: int, rows: list[NoticeRow]
 ) -> None:
     day_start = _day_start_ms(start_day, farm_day)
+    unlike = NoticeKind.UNLIKE.value
     for spoke_index, spoke_id in enumerate(farm.spoke_ids):
         for repeat in range(farm.spoke_unlikes):
             at_ms = day_start + 3_600_000 + spoke_index * 60_000 + repeat * 1_000
-            notices.append(
-                ComplianceNotice(
-                    NoticeKind.UNLIKE, spoke_id, farm.tweet_id, ms_to_datetime(at_ms)
-                )
-            )
+            rows.append((at_ms, unlike, spoke_id, farm.tweet_id))
 
 
 def _true_category(account: _Account, days: int) -> Category | None:
@@ -418,8 +433,15 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
     """
     import numpy as np
 
-    notices: list[ComplianceNotice] = []
+    rows: list[NoticeRow] = []
     snapshots: list[AccountSnapshot] = []
+    day_stamps = [
+        (
+            spec.start_day + timedelta(days=day),
+            ms_to_datetime(_day_start_ms(spec.start_day, day + 1) + 35 * 60_000),
+        )
+        for day in range(spec.days)
+    ]
     truth_posts: dict[int, tuple[int, ...]] = {}
     truth_deletions: dict[int, tuple[int, ...]] = {}
     categories: dict[int, Category] = {}
@@ -447,10 +469,8 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
                 next_id += profile.farm_size
 
             _plan_activity(account, rng, spec.days)
-            farm_tweets = _deletion_notices(
-                account, rng, spec.start_day, alloc, notices
-            )
-            _snapshots(account, rng, spec.start_day, spec.days, snapshots)
+            farm_tweets = _deletion_notices(account, rng, spec.start_day, alloc, rows)
+            _snapshots(account, rng, spec.start_day, day_stamps, snapshots)
 
             truth_posts[account.account_id] = tuple(account.posts)
             truth_deletions[account.account_id] = tuple(account.deletions)
@@ -471,14 +491,14 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
                     profile.spoke_unlikes,
                 )
                 farms.append(farm)
-                _unlike_notices(farm, spec.start_day, profile.farm_day, notices)
+                _unlike_notices(farm, spec.start_day, profile.farm_day, rows)
                 for spoke_id in spoke_ids:
                     kinds[spoke_id] = ProfileKind.LIKE_FARM_SPOKE
                     truth_posts[spoke_id] = (0,) * spec.days
                     truth_deletions[spoke_id] = (0,) * spec.days
 
-    # NoticeKind is a str enum, so its members order as their values do.
-    notices.sort(key=attrgetter("observed_at", "kind", "actor_id", "object_id"))
+    # In the notices' (observed_at, kind, actor_id, object_id) order.
+    rows.sort()
     snapshots.sort(key=lambda s: (s.snapshot_day, s.account_id))
     truth = GroundTruth(
         spec.days,
@@ -491,7 +511,7 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
         stale_days,
         tuple(farms),
     )
-    return SyntheticDataset(tuple(notices), tuple(snapshots), truth)
+    return SyntheticDataset(tuple(rows), tuple(snapshots), truth)
 
 
 # -- declarative spec files and ground-truth serialization -------------------
@@ -605,8 +625,11 @@ def read_ground_truth(path) -> GroundTruth:
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, str]:
-    """Write events, snapshots, and ground truth; returns the file names."""
-    from .records import write_notices, write_snapshots
+    """Write events, snapshots, and ground truth; returns the file names.
+
+    The events are written from ``dataset.rows``, so no notice is built.
+    """
+    from .records import write_notice_rows, write_snapshots
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -615,7 +638,7 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, str]:
         "snapshots": "snapshots.ndjson",
         "ground_truth": "ground_truth.json",
     }
-    write_notices(out / names["events"], dataset.notices)
+    write_notice_rows(out / names["events"], dataset.rows)
     write_snapshots(out / names["snapshots"], dataset.snapshots)
     write_ground_truth(out / names["ground_truth"], dataset.truth)
     return names

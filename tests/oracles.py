@@ -4,9 +4,10 @@ Everything here is deliberately naive (brute force, nested loops, textbook
 union-find) and shares no code with the implementations under test. The
 numpy-based references are the code the package's pure-Python CCDF,
 quantiles, means, medians and estimate scoring, and its blocked permutation
-test, replaced, and the ``json.dumps`` writers the path its directly
-formatted event and snapshot lines replaced; the package must match them
-bit for bit.
+test, replaced, the ``json.dumps`` writers the path its directly formatted
+event and snapshot lines replaced, and the notice objects ``generate`` built
+and sorted before it kept integer rows; the package must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import json
 import math
 from collections import defaultdict
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 from delstream.ingest import AccountTimeline
-from delstream.records import SnapshotDay
+from delstream.records import ComplianceNotice, NoticeKind, SnapshotDay
 
 UTC = timezone.utc
 
@@ -58,6 +60,13 @@ def count_unlikes_oracle(notices):
         if notice.kind.value == "unlike":
             counts[(notice.actor_id, notice.object_id)] += 1
     return dict(counts)
+
+
+def parse_timestamp_oracle(value: str) -> datetime:
+    """``records.parse_timestamp`` as it read stamps before it checked their
+    form: whatever this Python's ``datetime.fromisoformat`` reads."""
+    dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+    return dt.replace(tzinfo=UTC) if dt.tzinfo is None else dt.astimezone(UTC)
 
 
 def format_timestamp_oracle(dt) -> str:
@@ -102,6 +111,30 @@ def write_ndjson_oracle(path, items, to_dict) -> int:
             fh.write("\n")
             count += 1
     return count
+
+
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+
+
+def generated_notices_oracle(rows) -> list:
+    """The notices of ``generate``'s ``(at_ms, kind value, actor_id,
+    object_id)`` rows, in any order, as it built them before it kept rows:
+    one ComplianceNotice per row, sorted on its fields by ``attrgetter``."""
+    notices = [
+        ComplianceNotice(
+            NoticeKind(kind), actor_id, object_id,
+            _UNIX_EPOCH + timedelta(milliseconds=at_ms),
+        )
+        for at_ms, kind, actor_id, object_id in rows
+    ]
+    notices.sort(key=attrgetter("observed_at", "kind", "actor_id", "object_id"))
+    return notices
+
+
+def notice_lines_oracle(notices) -> bytes:
+    """The event file ``write_notices`` writes for ``notices``, one
+    ``json.dumps`` line per notice."""
+    return "".join(f"{line_oracle(notice_to_dict_oracle(n))}\n" for n in notices).encode()
 
 
 def slim(timeline):

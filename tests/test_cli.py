@@ -20,7 +20,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from delstream import cli
+from delstream import cli, records, synth
 from delstream.flooding import read_violations
 from delstream.synth import read_ground_truth
 
@@ -277,6 +277,51 @@ class TestExitCodes:
         )
         assert run("aggregate", "--events", "events.ndjson", "--out", "out") == 3
         assert "line 1: bad timestamp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["events.ndjson", "snapshots.ndjson"])
+    @pytest.mark.parametrize(
+        "stamp",
+        ["20210426T000000Z", "2021-04-26T00:00:00+0000", "2021-04-26T00:00:00,5Z",
+         "2021-W17-1T00:00:00Z"],
+    )
+    def test_timestamp_in_a_later_pythons_form_exit_3_with_its_line(
+        self, tmp_path, monkeypatch, capsys, name, stamp
+    ):
+        """Forms 3.11's ``fromisoformat`` reads and 3.10's does not, on the
+        general path of the event and the snapshot reader."""
+        monkeypatch.chdir(tmp_path)
+        event = {"kind": "tweet_delete", "actor_id": 1, "object_id": 2,
+                 "observed_at": "2021-04-26T00:00:01Z"}
+        snapshot = {"account_id": 1, "snapshot_day": "2021-04-26", "statuses_count": 5,
+                    "status": "active", "description": "", "created_at": None,
+                    "queried_at": "2021-04-27T00:35:00Z"}
+        good = {"events.ndjson": event, "snapshots.ndjson": snapshot}
+        field = {"events.ndjson": "observed_at", "snapshots.ndjson": "queried_at"}[name]
+        for each, record in good.items():
+            lines = [record, {**record, field: stamp}] if each == name else [record]
+            Path(each).write_text("".join(f"{json.dumps(x)}\n" for x in lines))
+        argv = ["aggregate", "--events", "events.ndjson", "--snapshots", "snapshots.ndjson",
+                "--out", "out"]
+        assert run(*argv) == 3
+        assert f"line 2: bad timestamp {stamp!r}" in capsys.readouterr().err
+
+    def test_tweet_id_zero_exit_3(self, tmp_path, monkeypatch, capsys):
+        """The first ID created at the ID scheme's epoch, its sequence field
+        wrapped to 0, is ID 0: 10,591 deletions on 2010-11-04, the 586th made
+        30 minutes after the epoch."""
+        monkeypatch.chdir(tmp_path)
+        init = synth._IdAllocator.__init__
+
+        def wrapped(self):
+            init(self)
+            self._sequence = 0x3FFFFF
+
+        monkeypatch.setattr(synth._IdAllocator, "__init__", wrapped)
+        write_spec(tmp_path, {"days": 1, "start_day": "2010-11-04", "cohorts": [
+            {"kind": "normal_deleter", "count": 1, "delete_rate": 1,
+             "min_daily_deletions": 10591}]})
+        assert run("generate", "--spec", "spec.json", "--seed", 1, "--out", "data") == 3
+        assert "object_id must be positive, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "deletion",
@@ -669,6 +714,22 @@ class TestExitCodes:
 
 
 class TestGenerate:
+    def test_builds_no_notice(self, tmp_path, monkeypatch):
+        """``generate`` writes its events from integer rows: with every
+        ComplianceNotice refused, it still writes them all, and the
+        manifest counts the lines of the event file."""
+
+        def refuse(notice):
+            raise AssertionError("generate built a ComplianceNotice")
+
+        monkeypatch.setattr(records.ComplianceNotice, "__post_init__", refuse)
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path)
+        assert run("generate", "--spec", "spec.json", "--seed", 5, "--out", "data") == 0
+        manifest = json.loads(Path("data/manifest.json").read_text())
+        lines = Path("data/events.ndjson").read_bytes().count(b"\n")
+        assert manifest["parameters"]["events"] == lines > 0
+
     def test_outputs_and_manifest(self, workspace):
         data = workspace / "data"
         for name in ("events.ndjson", "snapshots.ndjson", "ground_truth.json", "manifest.json"):

@@ -621,6 +621,28 @@ class TestWritersEqualTheOracle:
             _written_bytes(oracle, values, same)
         )
 
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([k.value for k in r.NoticeKind]),
+                           st.integers(1, 3), st.integers(1, 2**70)), max_size=12),
+        st.integers(0, 253402300799999 - 3),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_notice_rows(self, rows, base_ms, ordered):
+        """``write_notice_rows`` writes the oracle's lines for the rows'
+        notices, in the rows' order, sorted or not; rows a few milliseconds
+        apart, so that neighbours share a stamp or differ by 1 ms."""
+        rows = [(base_ms + offset, kind, actor_id, object_id)
+                for offset, kind, actor_id, object_id in rows]
+        if ordered:
+            rows.sort()
+        notices = [
+            r.ComplianceNotice(r.NoticeKind(kind), actor_id, object_id,
+                               datetime(1970, 1, 1, tzinfo=UTC) + timedelta(milliseconds=ms))
+            for ms, kind, actor_id, object_id in rows
+        ]
+        assert _written_bytes(r.write_notice_rows, rows) == oracles.notice_lines_oracle(notices)
+
     @pytest.mark.parametrize("seed", [3, 8])
     def test_generated_files(self, tmp_path, seed):
         """``generate``'s event and snapshot files, byte for byte as the oracle
@@ -684,6 +706,66 @@ def test_day_field_rejects_other_forms(value):
     also reads the basic and week forms."""
     with pytest.raises(r.RecordParseError, match="'day' must be an ISO day"):
         r.day_field(value, "day")
+
+
+#: Timestamps 3.11's ``datetime.fromisoformat`` reads and 3.10's does not.
+LATER_PYTHON_STAMPS = ["20210426T000000Z", "2021-04-26T00:00:00+0000",
+                       "2021-04-26T00:00:00,5Z", "2021-W17-1T00:00:00Z"]
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [*LATER_PYTHON_STAMPS, "2021-04-26T00:00:00.5Z", "2021-04-26T00:00:00.1234Z",
+     "2021-04-26T00:00:00+00:00:00.5", "2021-04-26T24:00:00Z", "2021-04-26T12.5",
+     "2021-04-26T", "2021-04-26T00:00:00+00", "\u0662021-04-26T00:00:00Z", ""],
+)
+def test_parse_timestamp_rejects_other_forms(stamp):
+    with pytest.raises(r.RecordParseError, match="^bad timestamp"):
+        r.parse_timestamp(stamp)
+
+
+_SEPARATORS = st.characters().filter(lambda c: c != "Z")
+
+
+@st.composite
+def _python310_stamps(draw) -> str:
+    """A stamp in a form 3.10's ``datetime.fromisoformat`` documents, with
+    an offset (``Z`` or ``±HH:MM[:SS[.ffffff]]``)."""
+    day = draw(st.dates()).isoformat()
+    two = lambda top: draw(st.integers(0, top))  # noqa: E731
+    time = f"{two(23):02d}"
+    fields = draw(st.integers(0, 3))
+    if fields >= 1:
+        time += f":{two(59):02d}"
+    if fields >= 2:
+        time += f":{two(59):02d}"
+    if fields == 3:
+        time += "." + draw(st.sampled_from(["{:03d}", "{:06d}"])).format(two(999))
+    offset = draw(st.sampled_from(["Z", "+", "-"]))
+    if offset != "Z":
+        offset += f"{two(23):02d}:{two(59):02d}"
+        seconds = draw(st.integers(0, 2))
+        if seconds:
+            offset += f":{two(59):02d}"
+        if seconds == 2:
+            offset += f".{two(999999):06d}"
+    return f"{day}{draw(_SEPARATORS)}{time}{offset}"
+
+
+@given(st.one_of(
+    st.datetimes(timezones=st.just(UTC)).map(r.format_timestamp), _python310_stamps()
+))
+@settings(max_examples=500)
+def test_parse_timestamp_reads_what_it_read_before(stamp):
+    """Each stamp ``format_timestamp`` writes, and each 3.10 form with an
+    offset, gives the instant (or the error) it gave before the form check."""
+    try:
+        expected = oracles.parse_timestamp_oracle(stamp)
+    except (ValueError, OverflowError):
+        with pytest.raises(r.RecordParseError, match="^bad timestamp"):
+            r.parse_timestamp(stamp)
+    else:
+        assert r.parse_timestamp(stamp) == expected
 
 
 @pytest.mark.parametrize("day", ["20210426", "2021-W17-1"])

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import random
+import tempfile
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from delstream import behavior, coordination, estimate, flooding, ingest, synth
-from delstream.records import NoticeKind, serialize_notice, serialize_snapshot
+from delstream.records import (
+    SNOWFLAKE_EPOCH_MS,
+    NoticeKind,
+    serialize_notice,
+    serialize_snapshot,
+)
 
 
 def cohort(kind, count, **params):
@@ -288,6 +299,15 @@ class TestValidation:
         dataset = synth.generate(synth.spec_from_dict(raw), seed=0)
         assert len(dataset.snapshots) == 3 * days
 
+    def test_id_zero_rejected(self):
+        """A creation time at the ID scheme's epoch whose sequence field wraps
+        to 0 would give tweet ID 0."""
+        alloc = synth._IdAllocator()
+        alloc._sequence = 0x3FFFFF
+        with pytest.raises(ValueError, match="^object_id must be positive, got 0$"):
+            alloc.for_creation_ms(SNOWFLAKE_EPOCH_MS)
+        assert alloc.for_creation_ms(SNOWFLAKE_EPOCH_MS) == 1
+
     @pytest.mark.parametrize(
         "field", ["post_rate", "delete_rate", "age_median_days", "age_sigma"]
     )
@@ -346,3 +366,86 @@ class TestPipelineTruth:
             if max(posts) > flooding.DEFAULT_DAILY_LIMIT
         }
         assert {v.account_id for v in violations} == truth_flooders
+
+
+_KINDS = ("normal_deleter", "mass_deleter", "flooder", "like_farm_hub", "idle")
+
+
+@st.composite
+def _specs(draw) -> dict:
+    """Small specs whose events often share a millisecond: each deleting
+    account's first deletion of a day, and each hub's first spoke unlike on
+    its farm day, fall at the day's 01:00, and a later cohort's accounts have
+    higher IDs than an earlier hub's spokes."""
+    days = draw(st.integers(1, 4))
+    day = st.integers(0, days - 1)
+    cohorts = []
+    for kind in draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4)):
+        cohort = {"kind": kind, "count": draw(st.integers(1, 3)),
+                  "post_rate": draw(st.integers(0, 3))}
+        if kind in ("normal_deleter", "mass_deleter"):
+            cohort.update(
+                delete_rate=draw(st.integers(1, 40)),
+                min_daily_deletions=draw(st.integers(1, 12)),
+                delete_days=sorted(draw(st.sets(day, min_size=1))),
+                age_median_days=draw(st.sampled_from([0, 30, 400, 4200])),
+            )
+        elif kind == "flooder":
+            cohort.update(flood_days=[draw(day)], cycle_posts=draw(st.integers(1, 40)),
+                          cycles_per_day=draw(st.integers(1, 3)))
+        elif kind == "like_farm_hub":
+            cohort.update(farm_size=draw(st.integers(1, 5)), farm_day=draw(day),
+                          farm_tweets=draw(st.integers(1, 12)),
+                          spoke_unlikes=draw(st.integers(1, 4)))
+        cohorts.append(cohort)
+    return {"days": days, "cohorts": cohorts}
+
+
+#: A hub whose spokes unlike at 01:00 next to deletions by accounts of
+#: higher IDs, and two deleters at the same instants.
+_TIES = {"days": 2, "cohorts": [
+    {"kind": "like_farm_hub", "count": 2, "farm_size": 3, "farm_day": 1,
+     "spoke_unlikes": 3},
+    {"kind": "normal_deleter", "count": 3, "delete_rate": 4, "min_daily_deletions": 6},
+]}
+
+#: Two flooders deleting 12,000 and 12,001 tweets on one day, every 6,600 ms
+#: and every 6,599.45 ms, so that neighbouring events are 1 ms apart.
+_DENSE = {"days": 1, "cohorts": [
+    {"kind": "flooder", "count": 1, "flood_days": [0]},
+    {"kind": "flooder", "count": 1, "flood_days": [0], "cycle_posts": 12001,
+     "cycles_per_day": 2},
+]}
+
+
+class TestRowsEqualTheObjectPath:
+    @given(_specs(), st.integers(0, 2**32 - 1))
+    @example(_TIES, 1)
+    @example(_TIES, 2)
+    @example(_DENSE, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_write_the_object_paths_bytes(self, raw, seed):
+        """The event file ``write_dataset`` writes from the rows, and
+        ``dataset.notices``, equal the notices ``generate`` built and sorted
+        before (``oracles.generated_notices_oracle``, fed the rows shuffled)
+        and their ``json.dumps`` lines."""
+        dataset = synth.generate(synth.spec_from_dict(raw), seed)
+        rows = list(dataset.rows)
+        random.Random(seed).shuffle(rows)
+        notices = oracles.generated_notices_oracle(rows)
+        assert dataset.notices == tuple(notices)
+        with tempfile.TemporaryDirectory() as directory:
+            synth.write_dataset(dataset, directory)
+            written = (Path(directory) / "events.ndjson").read_bytes()
+        assert written == oracles.notice_lines_oracle(notices)
+
+    def test_examples_hold_the_cases_they_name(self):
+        """Ties across kinds with the actors in the other order, ties across
+        actors, and neighbouring events 1 ms apart, in the examples above."""
+        ties = synth.generate(synth.spec_from_dict(_TIES), 1).rows
+        kinds_tied = [(a, b) for a, b in zip(ties, ties[1:]) if a[0] == b[0] and a[1] != b[1]]
+        assert any(a[2] > b[2] for a, b in kinds_tied)
+        assert any(a[0] == b[0] and a[1] == b[1] and a[2] < b[2]
+                   for a, b in zip(ties, ties[1:]))
+        dense = synth.generate(synth.spec_from_dict(_DENSE), 3).rows
+        assert any(b[0] - a[0] == 1 for a, b in zip(dense, dense[1:]))
