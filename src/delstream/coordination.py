@@ -73,9 +73,6 @@ class TripartiteNetwork:
     def likers(self) -> set[int]:
         return {liker_id for liker_id, _, _ in self.liker_edges}
 
-    def deleters(self) -> set[int]:
-        return {deleter_id for deleter_id, _ in self.deleter_edges}
-
 
 @dataclass(frozen=True, slots=True)
 class CoordinationNode:

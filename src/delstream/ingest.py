@@ -31,8 +31,10 @@ from datetime import date
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .records import (
+    DAY_MS,
     MIN_TIME_ENCODED_ID,
     SNOWFLAKE_EPOCH_MS,
+    UNIX_EPOCH_ORDINAL,
     AccountSnapshot,
     AccountStatus,
     ComplianceNotice,
@@ -52,9 +54,6 @@ from .records import (
 
 #: Account-days with fewer deletions than this are out of scope.
 DEFAULT_INCLUSION_THRESHOLD = 10
-
-_DAY_MS = 86_400_000
-_UNIX_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 class DuplicateSnapshotError(ValueError):
@@ -320,8 +319,8 @@ def build_timelines(
             raise ValueError(
                 f"duplicate deletion record for account {account_id} on {day}"
             )
-        start_ms = (day.toordinal() - _UNIX_EPOCH_ORDINAL) * _DAY_MS - SNOWFLAKE_EPOCH_MS
-        ages = [(start_ms - (i >> 22)) // _DAY_MS for i in ids if i >= MIN_TIME_ENCODED_ID]
+        start_ms = (day.toordinal() - UNIX_EPOCH_ORDINAL) * DAY_MS - SNOWFLAKE_EPOCH_MS
+        ages = [(start_ms - (i >> 22)) // DAY_MS for i in ids if i >= MIN_TIME_ENCODED_ID]
         ages = [age if age > 0 else 0 for age in ages]
         ages.sort()
         per_account[day] = DeletionDay(account_id, day, len(ids), tuple(ages))

@@ -54,6 +54,12 @@ SNOWFLAKE_EPOCH_MS = 1288834974657
 #: range used by the older sequential scheme and are reported undecodable.
 MIN_TIME_ENCODED_ID = 1 << 22
 
+#: Milliseconds in one UTC calendar day.
+DAY_MS = 86_400_000
+
+#: ``date.toordinal()`` of the Unix epoch, 1970-01-01.
+UNIX_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
 _UTC = timezone.utc
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=_UTC)
 

@@ -31,10 +31,12 @@ from typing import TYPE_CHECKING
 
 from .behavior import Category
 from .flooding import DEFAULT_DAILY_LIMIT
-from .ingest import DEFAULT_INCLUSION_THRESHOLD, _DAY_MS, _UNIX_EPOCH_ORDINAL
+from .ingest import DEFAULT_INCLUSION_THRESHOLD
 from .records import (
+    DAY_MS,
     MIN_TIME_ENCODED_ID,
     SNOWFLAKE_EPOCH_MS,
+    UNIX_EPOCH_ORDINAL,
     AccountSnapshot,
     AccountStatus,
     ComplianceNotice,
@@ -44,6 +46,8 @@ from .records import (
     int_field,
     ms_to_datetime,
     write_json,
+    write_notice_rows,
+    write_snapshots,
 )
 
 if TYPE_CHECKING:
@@ -236,29 +240,27 @@ _DESCRIPTIONS = {
 
 
 class _IdAllocator:
-    """Unique positive tweet IDs: time-encoded when creation is in range,
-    legacy below. A creation time at the scheme's epoch whose sequence
-    field wraps to 0 would give ID 0, which raises ValueError."""
+    """Unique positive tweet IDs: time-encoded (at least
+    ``MIN_TIME_ENCODED_ID``) when creation is after the scheme's epoch, and
+    legacy (below it) at or before the epoch, where the time field would be
+    0 and an encoded ID could equal a legacy one."""
 
     def __init__(self):
         self._sequence = 0
         self._legacy = 0
 
     def for_creation_ms(self, created_ms: int) -> int:
-        if created_ms < SNOWFLAKE_EPOCH_MS:
+        if created_ms <= SNOWFLAKE_EPOCH_MS:
             self._legacy += 1
             if self._legacy >= MIN_TIME_ENCODED_ID:
                 raise ValueError("legacy ID space exhausted")
             return self._legacy
         self._sequence += 1
-        tweet_id = ((created_ms - SNOWFLAKE_EPOCH_MS) << 22) | (self._sequence & 0x3FFFFF)
-        if tweet_id <= 0:
-            raise ValueError(f"object_id must be positive, got {tweet_id}")
-        return tweet_id
+        return ((created_ms - SNOWFLAKE_EPOCH_MS) << 22) | (self._sequence & 0x3FFFFF)
 
 
 def _day_start_ms(start_day: date, day_index: int) -> int:
-    return (start_day.toordinal() - _UNIX_EPOCH_ORDINAL + day_index) * _DAY_MS
+    return (start_day.toordinal() - UNIX_EPOCH_ORDINAL + day_index) * DAY_MS
 
 
 def _event_ms(day_start: int, index: int, count: int) -> int:
@@ -327,7 +329,7 @@ def _deletion_notices(
         ages_ms = None
         if aged:
             ages = rng.lognormal(mean=log_median, sigma=profile.age_sigma, size=count)
-            ages_ms = (ages * _DAY_MS).astype(np.int64).tolist()
+            ages_ms = (ages * DAY_MS).astype(np.int64).tolist()
         for index in range(count):
             at_ms = _event_ms(day_start, index, count)
             if ages_ms is None:
@@ -355,7 +357,7 @@ def _snapshots(
     description = pool[int(rng.integers(len(pool)))]
     created_at = ms_to_datetime(
         _day_start_ms(start_day, 0)
-        - _ACCOUNT_AGE_DAYS[account.account_id * 37 % len(_ACCOUNT_AGE_DAYS)] * _DAY_MS
+        - _ACCOUNT_AGE_DAYS[account.account_id * 37 % len(_ACCOUNT_AGE_DAYS)] * DAY_MS
     )
     gap_days = set(profile.gap_days)
     stale_days = set(profile.stale_days)
@@ -629,8 +631,6 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, str]:
 
     The events are written from ``dataset.rows``, so no notice is built.
     """
-    from .records import write_notice_rows, write_snapshots
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = {

@@ -305,23 +305,31 @@ class TestExitCodes:
         assert run(*argv) == 3
         assert f"line 2: bad timestamp {stamp!r}" in capsys.readouterr().err
 
-    def test_tweet_id_zero_exit_3(self, tmp_path, monkeypatch, capsys):
-        """The first ID created at the ID scheme's epoch, its sequence field
-        wrapped to 0, is ID 0: 10,591 deletions on 2010-11-04, the 586th made
-        30 minutes after the epoch."""
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_tweet_created_at_the_id_epoch_gets_a_unique_id(
+        self, tmp_path, monkeypatch, wrapped
+    ):
+        """10,591 deletions on 2010-11-04: the 586th is created 30 minutes
+        before it is deleted, exactly at the ID scheme's epoch, where a
+        time-encoded ID would be 0 (sequence field wrapped) or equal the
+        first legacy ID, 1."""
         monkeypatch.chdir(tmp_path)
-        init = synth._IdAllocator.__init__
+        if wrapped:
+            init = synth._IdAllocator.__init__
 
-        def wrapped(self):
-            init(self)
-            self._sequence = 0x3FFFFF
+            def wrapped_init(self):
+                init(self)
+                self._sequence = 0x3FFFFF
 
-        monkeypatch.setattr(synth._IdAllocator, "__init__", wrapped)
+            monkeypatch.setattr(synth._IdAllocator, "__init__", wrapped_init)
         write_spec(tmp_path, {"days": 1, "start_day": "2010-11-04", "cohorts": [
             {"kind": "normal_deleter", "count": 1, "delete_rate": 1,
              "min_daily_deletions": 10591}]})
-        assert run("generate", "--spec", "spec.json", "--seed", 1, "--out", "data") == 3
-        assert "object_id must be positive, got 0" in capsys.readouterr().err
+        assert run("generate", "--spec", "spec.json", "--seed", 1, "--out", "data") == 0
+        with open("data/events.ndjson", encoding="utf-8") as fh:
+            ids = [json.loads(line)["object_id"] for line in fh]
+        assert len(ids) == 10591
+        assert len(set(ids)) == 10591
 
     @pytest.mark.parametrize(
         "deletion",

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import oracles
 from delstream import behavior, coordination, estimate, flooding, ingest, synth
 from delstream.records import (
+    MIN_TIME_ENCODED_ID,
     SNOWFLAKE_EPOCH_MS,
     NoticeKind,
+    creation_ms,
     serialize_notice,
     serialize_snapshot,
 )
@@ -299,14 +301,24 @@ class TestValidation:
         dataset = synth.generate(synth.spec_from_dict(raw), seed=0)
         assert len(dataset.snapshots) == 3 * days
 
-    def test_id_zero_rejected(self):
-        """A creation time at the ID scheme's epoch whose sequence field wraps
-        to 0 would give tweet ID 0."""
+    @given(
+        offsets=st.lists(st.integers(-3, 3), min_size=1, max_size=20),
+        sequence=st.integers(0, 0x3FFFFF),
+    )
+    @example(offsets=[-5, 0], sequence=0)
+    @example(offsets=[0], sequence=0x3FFFFF)
+    def test_ids_time_encoded_exactly_after_the_epoch(self, offsets, sequence):
+        """A creation at the ID scheme's epoch has time field 0, so it takes a
+        legacy ID; a time-encoded one would lie in the legacy range."""
         alloc = synth._IdAllocator()
-        alloc._sequence = 0x3FFFFF
-        with pytest.raises(ValueError, match="^object_id must be positive, got 0$"):
-            alloc.for_creation_ms(SNOWFLAKE_EPOCH_MS)
-        assert alloc.for_creation_ms(SNOWFLAKE_EPOCH_MS) == 1
+        alloc._sequence = sequence
+        ids = [alloc.for_creation_ms(SNOWFLAKE_EPOCH_MS + offset) for offset in offsets]
+        assert len(set(ids)) == len(ids)
+        for offset, tweet_id in zip(offsets, ids):
+            assert tweet_id > 0
+            assert (tweet_id >= MIN_TIME_ENCODED_ID) == (offset > 0)
+            if offset > 0:
+                assert creation_ms(tweet_id) == SNOWFLAKE_EPOCH_MS + offset
 
     @pytest.mark.parametrize(
         "field", ["post_rate", "delete_rate", "age_median_days", "age_sigma"]
