@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Mapping
 from .estimate import ccdf
 from .flooding import FloodingViolation
 from .ingest import AccountTimeline, DeletionDay
-from .records import AccountStatus
+from .records import AccountStatus, check_at_least
 
 DEFAULT_WINDOW_DAYS = 30
 
@@ -79,8 +79,7 @@ def summarize(
     deletion frequency; the remaining accounts split by deleting-day count.
     Bot scores are externally supplied and joined as-is, never computed.
     """
-    if window_days < 1:
-        raise ValueError(f"window_days must be >= 1, got {window_days}")
+    check_at_least("window_days", window_days, 1)
     violators = {violation.account_id for violation in violations}
     scores = bot_scores or {}
     summaries = []
@@ -131,8 +130,7 @@ def frequency_buckets(
     account that deleted on more days than the window holds, raise
     ``ValueError``.
     """
-    if window_days < 1:
-        raise ValueError(f"window_days must be >= 1, got {window_days}")
+    check_at_least("window_days", window_days, 1)
     grouped: dict[int, list[float]] = {}
     for summary in summaries:
         if summary.deleting_days > window_days:
@@ -279,8 +277,7 @@ def profile_terms(
     Tokens are lowercased runs of word characters; ranking is by descending
     count with lexicographic tie-breaks.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    check_at_least("top_k", top_k, 1)
     stop = set(stopwords)
     counts: Counter = Counter()
     for text in descriptions:

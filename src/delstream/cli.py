@@ -56,9 +56,11 @@ from .ingest import (
 )
 from .records import (
     RecordParseError,
+    check_at_least,
     parse_account_id,
     read_account_ids,
     read_csv,
+    read_json,
     read_snapshots,
     write_csv,
     write_json,
@@ -163,10 +165,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.permutations < 0:
-        raise ValueError(f"--permutations must be >= 0, got {args.permutations}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    check_at_least("--permutations", args.permutations, 0)
+    check_at_least("--seed", args.seed, 0)
     timelines = list(read_timelines(_resolve_timelines(args.timelines)))
     estimates = [e for tl in timelines for e in estimate_timeline(tl)]
     actuals = [record for tl in timelines for record in tl.deletion_days]
@@ -504,11 +504,7 @@ def _apply_config_defaults(argv: list[str], registry: dict) -> None:
     if known.config is None or known.subcommand not in registry:
         return
     config_path = known.config
-    with open(config_path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{config_path}: config is nested too deeply") from None
+    raw = read_json(config_path, f"{config_path}: config")
     if not isinstance(raw, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
     sub = registry[known.subcommand]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from .ingest import DailyDeletionRecord, UnlikeRecord
+from .records import check_at_least
 
 #: A liker must have unliked the same tweet at least this many times to count.
 DEFAULT_MIN_UNLIKES = 5
@@ -155,16 +156,11 @@ def filter_unlikers(
     Likers left with no edges disappear with their edges; deleter edges are
     untouched.
     """
-    _check_at_least_one("min_unlikes", min_unlikes)
+    check_at_least("min_unlikes", min_unlikes, 1)
     kept = frozenset(
         edge for edge in net.liker_edges if edge[2] >= min_unlikes
     )
     return TripartiteNetwork(net.deleter_edges, kept)
-
-
-def _check_at_least_one(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _weakly_connected_components(
@@ -271,7 +267,7 @@ def filter_components(
     graph: CoordinationGraph, min_nodes: int = DEFAULT_MIN_COMPONENT
 ) -> CoordinationGraph:
     """Keep only weakly connected components with at least ``min_nodes`` nodes."""
-    _check_at_least_one("min_nodes", min_nodes)
+    check_at_least("min_nodes", min_nodes, 1)
     kept_components = tuple(
         members for members in graph.components if len(members) >= min_nodes
     )
@@ -299,8 +295,8 @@ def detect_coordination(
     once; a deletion record's tweets are looked at one by one only if one
     of them has an unlike record.
     """
-    _check_at_least_one("min_unlikes", min_unlikes)
-    _check_at_least_one("min_nodes", min_component)
+    check_at_least("min_unlikes", min_unlikes, 1)
+    check_at_least("min_nodes", min_component, 1)
 
     unlikers_of: dict[int, set[tuple[int, int]]] = {}
     for record in unlikes:

@@ -14,7 +14,9 @@ from datetime import date
 from typing import Collection, Iterable
 
 from .ingest import AccountTimeline
-from .records import day_field, int_text_field, parse_account_id, read_csv, write_csv
+from .records import (
+    check_at_least, day_field, int_text_field, parse_account_id, read_csv, write_csv,
+)
 
 #: Platform cap on tweets posted per account per day.
 DEFAULT_DAILY_LIMIT = 2400
@@ -78,8 +80,7 @@ def detect(
     Allow-listed accounts (e.g. partners sanctioned to exceed the limit) are
     suppressed. Output is ordered by (account_id, day).
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    check_at_least("limit", limit, 1)
     allowed = set(allowlist)
     violations = []
     for timeline in timelines:

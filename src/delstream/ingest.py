@@ -41,6 +41,7 @@ from .records import (
     NoticeKind,
     RecordParseError,
     SnapshotDay,
+    check_at_least,
     day_field,
     int_field,
     int_list_field,
@@ -154,11 +155,6 @@ class AccountTimeline:
         return self.snapshots[-1].status if self.snapshots else None
 
 
-def _check_threshold(threshold: int) -> None:
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-
-
 def _group(
     rows: Iterable[tuple[NoticeKind, int, int, int]],
 ) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], int]]:
@@ -219,7 +215,7 @@ def aggregate_daily(
 
     Output is sorted by (account_id, day) and independent of input order.
     """
-    _check_threshold(threshold)
+    check_at_least("threshold", threshold, 1)
     return _daily_records(_group(_notice_rows(notices))[0], threshold)
 
 
@@ -237,7 +233,7 @@ def aggregate_daily_sharded(
     """
     from multiprocessing import get_context
 
-    _check_threshold(threshold)
+    check_at_least("threshold", threshold, 1)
     sources = list(shard_sources)
     if not sources:
         return []
@@ -281,7 +277,7 @@ def aggregate_events(
     aggregate_unlikes(read_notices(path)))``, with the same errors, but
     builds no notice objects: it groups ``records.notice_rows(path)``.
     """
-    _check_threshold(threshold)
+    check_at_least("threshold", threshold, 1)
     groups, counts = _group(notice_rows(path))
     return _daily_records(groups, threshold), _unlike_records(counts)
 

@@ -2,10 +2,10 @@
 
 Every file the package reads or writes is framed here (``read_ndjson``,
 ``write_ndjson``, ``read_csv``, ``write_csv``, ``read_account_ids``,
-``write_json``); other modules supply only the conversion of one record to
-and from a dict or a CSV row, checking each field with the field checks
-here (``int_field`` and the rest), so that every ID in every input is a
-positive integer. Decoders take no line number: each reader here re-raises
+``read_json``, ``write_json``); other modules supply only the conversion of
+one record to and from a dict or a CSV row, checking each field with the
+field checks here (``int_field`` and the rest), so that every ID in every
+input is a positive integer. Decoders take no line number: each reader here re-raises
 its decoder's ValueError as a RecordParseError naming the line, as it does
 for a line that is not valid UTF-8.
 
@@ -15,15 +15,18 @@ exact-form fast path: a line in the one form ``serialize_notice`` or
 from the regex groups, without a JSON decode. Any other line goes through
 the general JSON path, which gives the same records and the same errors.
 ``records`` writes these forms as well as reading them: the two serializers
-format the line directly, byte for byte the compact JSON of
-``notice_to_dict`` or ``snapshot_to_dict``, and take that dict path only
-for a field the form cannot hold, such as a bool ID. The description, and
-every other line written (``write_ndjson``), goes through one module-level
-JSON encoder. No other module knows these forms: ``ingest`` reads events
-through ``notice_rows`` and snapshots through ``read_snapshots``, and
-``synth`` writes them through ``write_notice_rows`` and ``write_snapshots``.
-``serialize_notice`` and ``write_notice_rows`` build the event line in one
-place, ``_notice_line``.
+format the line directly, byte for byte the compact JSON of the record's
+fields. They need no other path, because ``ComplianceNotice``,
+``SnapshotDay`` and ``AccountSnapshot`` refuse, when built, any field the
+form cannot hold: an ID or count that is not exactly an int (a bool, a
+float), a ``datetime`` as the snapshot day, a description that is not a
+string, or a naive timestamp. The description, and every other line written
+(``write_ndjson``), goes through one module-level JSON encoder. No other
+module knows these forms: ``ingest`` reads events through ``notice_rows``
+and snapshots through ``read_snapshots``, and ``synth`` writes them
+through ``write_notice_rows`` and ``write_snapshots``. ``serialize_notice``
+and ``write_notice_rows`` build the event line in one place,
+``_notice_line``.
 
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
@@ -143,6 +146,19 @@ def format_timestamp(dt: datetime) -> str:
     return f"{dt.date().isoformat()}T{dt.time().isoformat()}Z"
 
 
+def _in_utc(value: object) -> bool:
+    """Whether ``value`` is a datetime in UTC itself, as every parsed one is."""
+    return type(value) is datetime and value.tzinfo is _UTC
+
+
+def _check_aware(value: object, name: str) -> None:
+    """Raise ValueError unless ``value`` is a timezone-aware datetime:
+    ``format_timestamp`` takes a naive one as local time, which
+    ``parse_timestamp`` reads back as UTC."""
+    if not isinstance(value, datetime) or value.utcoffset() is None:
+        raise ValueError(f"{name} must be a timezone-aware datetime, got {value!r:.40}")
+
+
 # Pieces of the exact forms below, all compiled with re.ASCII: without it \d
 # accepts non-ASCII digits, which int() reads and json.loads rejects.
 _DAY = r"\d{4}-\d\d-\d\d"
@@ -199,15 +215,15 @@ class ComplianceNotice:
     def __post_init__(self):
         if not isinstance(self.kind, NoticeKind):
             object.__setattr__(self, "kind", NoticeKind(self.kind))
-        if self.actor_id <= 0:
-            raise ValueError(f"actor_id must be positive, got {self.actor_id}")
-        if self.object_id <= 0:
-            raise ValueError(f"object_id must be positive, got {self.object_id}")
-        ts = self.observed_at
-        if ts.tzinfo is None:
-            raise ValueError("observed_at must be timezone-aware")
-        if ts.tzinfo is not _UTC and ts.utcoffset():
-            object.__setattr__(self, "observed_at", ts.astimezone(_UTC))
+        actor_id, object_id, ts = self.actor_id, self.object_id, self.observed_at
+        if type(actor_id) is not int or actor_id < 1:
+            raise ValueError(f"actor_id must be an int >= 1, got {actor_id!r:.40}")
+        if type(object_id) is not int or object_id < 1:
+            raise ValueError(f"object_id must be an int >= 1, got {object_id!r:.40}")
+        if not _in_utc(ts):
+            _check_aware(ts, "observed_at")
+            if ts.utcoffset():
+                object.__setattr__(self, "observed_at", ts.astimezone(_UTC))
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,13 +242,16 @@ class SnapshotDay:
     def __post_init__(self):
         if not isinstance(self.status, AccountStatus):
             object.__setattr__(self, "status", AccountStatus(self.status))
-        if self.account_id <= 0:
-            raise ValueError(f"account_id must be positive, got {self.account_id}")
-        if self.statuses_count is None:
+        account_id, day, count = self.account_id, self.snapshot_day, self.statuses_count
+        if type(account_id) is not int or account_id < 1:
+            raise ValueError(f"account_id must be an int >= 1, got {account_id!r:.40}")
+        if type(day) is not date:  # a datetime would write a full stamp
+            raise ValueError(f"snapshot_day must be a date, got {day!r:.40}")
+        if count is None:
             if self.status is AccountStatus.ACTIVE:
                 raise ValueError("active snapshots must carry a tweet count")
-        elif self.statuses_count < 0:
-            raise ValueError(f"statuses_count must be >= 0, got {self.statuses_count}")
+        elif type(count) is not int or count < 0:
+            raise ValueError(f"statuses_count must be an int >= 0, got {count!r:.40}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,6 +267,16 @@ class AccountSnapshot(SnapshotDay):
     description: str = ""
     created_at: datetime | None = None
     queried_at: datetime | None = None
+
+    def __post_init__(self):
+        # Zero-argument super() fails in a slots=True dataclass.
+        SnapshotDay.__post_init__(self)
+        if type(self.description) is not str:
+            raise ValueError(f"description must be a str, got {self.description!r:.40}")
+        if not (self.created_at is None or _in_utc(self.created_at)):
+            _check_aware(self.created_at, "created_at")
+        if not (self.queried_at is None or _in_utc(self.queried_at)):
+            _check_aware(self.queried_at, "queried_at")
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,6 +318,12 @@ def _load(line: str):
 
 #: The compact JSON text of a value; one encoder for every line written.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def check_at_least(name: str, value: int, minimum: int) -> None:
+    """Raise ValueError unless a parameter ``value`` is at least ``minimum``."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 # Field checks: each raises RecordParseError naming the field, without a line.
@@ -416,52 +451,24 @@ def parse_notice(line: str) -> ComplianceNotice:
     return ComplianceNotice(kind, actor_id, object_id, parse_timestamp(observed_raw))
 
 
-def notice_to_dict(notice: ComplianceNotice) -> dict:
-    return {
-        "kind": notice.kind.value,
-        "actor_id": notice.actor_id,
-        "object_id": notice.object_id,
-        "observed_at": format_timestamp(notice.observed_at),
-    }
-
-
 #: The start of a notice line, up to the actor ID, by kind value; NoticeKind
 #: is a str enum, so a member finds its value's entry.
 _NOTICE_HEADS = {kind.value: f'{{"kind":"{kind.value}","actor_id":' for kind in NoticeKind}
 
 
 def _notice_line(kind: str, actor_id: int, object_id: int, stamp: str) -> str:
-    """The ``NOTICE_LINE`` text of a notice whose fields the form holds, its
-    ``observed_at`` formatted by ``format_timestamp``."""
+    """The ``NOTICE_LINE`` text of a notice, its ``observed_at`` formatted by
+    ``format_timestamp``."""
     return (f'{_NOTICE_HEADS[kind]}{actor_id},"object_id":{object_id},'
             f'"observed_at":"{stamp}"}}')
 
 
 def serialize_notice(notice: ComplianceNotice) -> str:
-    """The notice in the form ``NOTICE_LINE`` reads: the compact JSON of
-    ``notice_to_dict``, formatted directly when each field is of the type
-    the form holds (an ID exactly an int, so not a bool), else encoded."""
-    actor_id, object_id, observed_at = notice.actor_id, notice.object_id, notice.observed_at
-    if (type(actor_id) is not int or type(object_id) is not int
-            or type(observed_at) is not datetime):
-        return _encode(notice_to_dict(notice))
-    return _notice_line(notice.kind, actor_id, object_id, format_timestamp(observed_at))
-
-
-def snapshot_to_dict(snapshot: AccountSnapshot) -> dict:
-    return {
-        "account_id": snapshot.account_id,
-        "snapshot_day": snapshot.snapshot_day.isoformat(),
-        "statuses_count": snapshot.statuses_count,
-        "status": snapshot.status.value,
-        "description": snapshot.description,
-        "created_at": None
-        if snapshot.created_at is None
-        else format_timestamp(snapshot.created_at),
-        "queried_at": None
-        if snapshot.queried_at is None
-        else format_timestamp(snapshot.queried_at),
-    }
+    """The notice in the form ``NOTICE_LINE`` reads: its fields as compact
+    JSON, the stamp by ``format_timestamp``. ``ComplianceNotice`` holds only
+    fields the form can write."""
+    return _notice_line(notice.kind, notice.actor_id, notice.object_id,
+                        format_timestamp(notice.observed_at))
 
 
 def snapshot_from_dict(raw: dict) -> AccountSnapshot:
@@ -486,34 +493,27 @@ def parse_snapshot(line: str) -> AccountSnapshot:
 _STATUS_TEXTS = {status: f'"{status.value}"' for status in AccountStatus}
 
 
-def _stamp_text(value: datetime | None) -> str | None:
-    """A snapshot timestamp as its JSON text; None if the form cannot hold it."""
-    if value is None:
-        return "null"
-    return f'"{format_timestamp(value)}"' if type(value) is datetime else None
+def _stamp_text(value: datetime | None) -> str:
+    """A snapshot timestamp as its JSON text."""
+    return "null" if value is None else f'"{format_timestamp(value)}"'
 
 
-def _snapshot_line(
-    snapshot: AccountSnapshot, stamp: Callable[[datetime | None], str | None]
-) -> str:
+def _snapshot_line(snapshot: AccountSnapshot, stamp: Callable[[datetime | None], str]) -> str:
     """``serialize_snapshot``, with each timestamp's JSON text from ``stamp``."""
-    account_id, day, count = snapshot.account_id, snapshot.snapshot_day, snapshot.statuses_count
-    created, queried = stamp(snapshot.created_at), stamp(snapshot.queried_at)
-    if (type(account_id) is not int or type(day) is not date
-            or not (count is None or type(count) is int)
-            or created is None or queried is None):
-        return _encode(snapshot_to_dict(snapshot))
-    return (f'{{"account_id":{account_id},"snapshot_day":"{day.isoformat()}",'
+    count = snapshot.statuses_count
+    return (f'{{"account_id":{snapshot.account_id},'
+            f'"snapshot_day":"{snapshot.snapshot_day.isoformat()}",'
             f'"statuses_count":{"null" if count is None else count},'
             f'"status":{_STATUS_TEXTS[snapshot.status]},'
             f'"description":{_encode(snapshot.description)},'
-            f'"created_at":{created},"queried_at":{queried}}}')
+            f'"created_at":{stamp(snapshot.created_at)},'
+            f'"queried_at":{stamp(snapshot.queried_at)}}}')
 
 
 def serialize_snapshot(snapshot: AccountSnapshot) -> str:
-    """The snapshot as the compact JSON of ``snapshot_to_dict``, formatted
-    directly like ``serialize_notice``, the description encoded as JSON; the
-    form ``SNAPSHOT_LINE`` reads when the description needs no escape."""
+    """The snapshot as compact JSON, its fields in declaration order, formatted
+    directly like ``serialize_notice`` and its description encoded as JSON:
+    the form ``SNAPSHOT_LINE`` reads when the description needs no escape."""
     return _snapshot_line(snapshot, _stamp_text)
 
 
@@ -630,12 +630,10 @@ def read_snapshots(path) -> Iterator[AccountSnapshot]:
 
 def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
     """Write one ``serialize_snapshot`` line per snapshot; returns the number
-    written. Each distinct UTC timestamp is formatted once per call."""
-    stamps: dict[datetime, str] = {}
+    written. Each distinct timestamp is formatted once per call."""
+    stamps: dict[datetime | None, str] = {}
 
-    def stamp(value: datetime | None) -> str | None:
-        if type(value) is not datetime or value.tzinfo is not _UTC:
-            return _stamp_text(value)
+    def stamp(value: datetime | None) -> str:
         text = stamps.get(value)
         if text is None:
             text = stamps[value] = _stamp_text(value)
@@ -702,6 +700,16 @@ def _write_lines(path, lines: Iterable[str]) -> int:
             fh.write(f"{line}\n")
             count += 1
     return count
+
+
+def read_json(path, name: str):
+    """The JSON document a whole file holds; ValueError naming ``name`` for
+    one nested too deeply to decode."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{name} is nested too deeply") from None
 
 
 def write_json(path, payload: dict) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -42,9 +41,11 @@ from .records import (
     ComplianceNotice,
     NoticeKind,
     NoticeRow,
+    check_at_least,
     day_field,
     int_field,
     ms_to_datetime,
+    read_json,
     write_json,
     write_notice_rows,
     write_snapshots,
@@ -138,8 +139,7 @@ class PopulationSpec:
     start_day: date = date(2021, 4, 26)
 
     def __post_init__(self):
-        if self.days < 1:
-            raise ValueError(f"days must be >= 1, got {self.days}")
+        check_at_least("days", self.days, 1)
         # The oldest account's creation day and the last query day must exist.
         start = self.start_day.toordinal()
         if start - _ACCOUNT_AGE_DAYS[-1] < 1 or start + self.days > date.max.toordinal():
@@ -561,12 +561,7 @@ def spec_from_dict(raw: dict) -> PopulationSpec:
 
 
 def read_population_spec(path) -> PopulationSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError:
-            raise ValueError("population spec is nested too deeply") from None
-    return spec_from_dict(raw)
+    return spec_from_dict(read_json(path, "population spec"))
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
@@ -622,8 +617,7 @@ def write_ground_truth(path, truth: GroundTruth) -> None:
 
 
 def read_ground_truth(path) -> GroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        return ground_truth_from_dict(json.load(fh))
+    return ground_truth_from_dict(read_json(path, "ground truth"))
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, str]:

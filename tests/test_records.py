@@ -6,7 +6,7 @@ import random
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 from typing import Iterator
 
@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from delstream import ingest
+from delstream import behavior, cli, coordination, flooding, ingest, synth
 from delstream import records as r
-from delstream import synth
 
 UTC = timezone.utc
 
@@ -515,8 +514,9 @@ class TestExactFormFastPath:
 #
 # ``serialize_notice`` and ``serialize_snapshot`` format the line forms
 # directly; every written byte must equal a fresh ``json.dumps`` of the old
-# dicts (``oracles.line_oracle``), including for the fields the forms cannot
-# hold, which go through the dicts.
+# dicts (``oracles.line_oracle``), for every record the constructors accept:
+# non-UTC zones, IDs and counts beyond the forms' 19 digits, and descriptions
+# that need escapes.
 
 _zones = st.one_of(
     st.just(UTC),
@@ -538,7 +538,7 @@ _maybe_stamps = st.one_of(
                      datetime(2021, 4, 27, 1, 35, tzinfo=timezone(timedelta(hours=1)))]),
     _written_stamps,
 )
-_written_ids = st.one_of(st.integers(1, 2**70), st.just(True))
+_written_ids = st.integers(1, 2**70)
 _written_descriptions = st.text(
     st.one_of(
         st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\ud800\U0001f600'),
@@ -558,7 +558,7 @@ _written_notices = st.builds(
 @st.composite
 def _written_snapshots(draw):
     status = draw(st.sampled_from(list(r.AccountStatus)))
-    counts = st.one_of(st.integers(0, 2**70), st.booleans())
+    counts = st.integers(0, 2**70)
     if status is not r.AccountStatus.ACTIVE:
         counts = st.one_of(st.none(), counts)
     return r.AccountSnapshot(
@@ -674,6 +674,74 @@ class TestWritersEqualTheOracle:
         for name in ("events", "snapshots"):
             written = (tmp_path / "data" / f"{name}.ndjson").read_bytes()
             assert written == (tmp_path / name).read_bytes()
+
+
+class TestWrittenRecordsReadBack:
+    """Every record the constructors accept reads back from what its writer
+    writes, through the fast path or the general one."""
+
+    @given(_written_notices)
+    @settings(max_examples=300)
+    def test_notice(self, notice):
+        assert r.parse_notice(r.serialize_notice(notice)) == notice
+
+    @given(_written_snapshots())
+    @settings(max_examples=300)
+    def test_snapshot(self, snapshot):
+        assert r.parse_snapshot(r.serialize_snapshot(snapshot)) == snapshot
+
+    @given(st.lists(_written_notices, max_size=6), st.lists(_written_snapshots(), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_files(self, notices, snapshots):
+        with tempfile.TemporaryDirectory() as directory:
+            events, snapshot_file = Path(directory) / "events", Path(directory) / "snapshots"
+            r.write_notices(events, notices)
+            r.write_snapshots(snapshot_file, snapshots)
+            assert list(r.read_notices(events)) == notices
+            assert list(r.read_snapshots(snapshot_file)) == snapshots
+
+
+class _NoOffset(tzinfo):
+    """A tzinfo that gives no offset: a datetime holding it is naive."""
+
+    def utcoffset(self, dt):
+        return None
+
+
+_NOTICE = r.ComplianceNotice(r.NoticeKind.UNLIKE, 1, 5, datetime(2021, 4, 26, tzinfo=UTC))
+_SNAPSHOT = r.AccountSnapshot(1, date(2021, 4, 26), 3, r.AccountStatus.ACTIVE)
+_SNAPSHOT_DAY = r.SnapshotDay(1, date(2021, 4, 26), 3, r.AccountStatus.ACTIVE)
+
+
+@pytest.mark.parametrize("record, change", [
+    (_NOTICE, {"actor_id": True}),
+    (_NOTICE, {"actor_id": 1.0}),
+    (_NOTICE, {"object_id": 5.0}),
+    (_NOTICE, {"object_id": False}),
+    (_NOTICE, {"observed_at": datetime(2021, 4, 26, tzinfo=_NoOffset())}),
+    (_NOTICE, {"observed_at": "2021-04-26T00:00:00Z"}),
+    (_NOTICE, {"observed_at": date(2021, 4, 26)}),
+    (_SNAPSHOT_DAY, {"account_id": True}),
+    (_SNAPSHOT_DAY, {"statuses_count": 3.0}),
+    (_SNAPSHOT_DAY, {"snapshot_day": datetime(2021, 4, 26)}),
+    (_SNAPSHOT, {"account_id": True}),
+    (_SNAPSHOT, {"account_id": 1.0}),
+    (_SNAPSHOT, {"statuses_count": True}),
+    (_SNAPSHOT, {"statuses_count": False}),
+    (_SNAPSHOT, {"snapshot_day": datetime(2021, 4, 26)}),
+    (_SNAPSHOT, {"snapshot_day": datetime(2021, 4, 26, tzinfo=UTC)}),
+    (_SNAPSHOT, {"snapshot_day": "2021-04-26"}),
+    (_SNAPSHOT, {"description": None}),
+    (_SNAPSHOT, {"description": b"bio"}),
+    (_SNAPSHOT, {"created_at": datetime(2021, 4, 26)}),
+    (_SNAPSHOT, {"queried_at": datetime(2021, 4, 26)}),
+    (_SNAPSHOT, {"created_at": datetime(2021, 4, 26, tzinfo=_NoOffset())}),
+    (_SNAPSHOT, {"created_at": "2021-04-26T00:00:00Z"}),
+    (_SNAPSHOT, {"queried_at": date(2021, 4, 26)}),
+])
+def test_constructor_refuses_a_field_its_line_cannot_write(record, change):
+    with pytest.raises(ValueError):
+        replace(record, **change)
 
 
 @given(st.integers(-(2**70), 2**70))
@@ -844,3 +912,52 @@ def test_only_records_numbers_lines():
                 assert len(node.args) == 1 and not node.keywords, (
                     f"{where} raises with a line number"
                 )
+
+
+def _estimate(*flags):
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(["estimate", "--timelines", "unread", "--out", "unwritten", *flags])
+    return args.func(args)
+
+
+_EMPTY_GRAPH = coordination.detect_coordination([], [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: r.check_at_least("n", 2, 3), "n must be >= 3, got 2"),
+    (lambda: ingest.aggregate_daily([], 0), "threshold must be >= 1, got 0"),
+    (lambda: ingest.aggregate_daily_sharded([], -1), "threshold must be >= 1, got -1"),
+    (lambda: ingest.aggregate_events("unread", 0), "threshold must be >= 1, got 0"),
+    (lambda: coordination.filter_unlikers(
+        coordination.TripartiteNetwork(frozenset(), frozenset()), 0),
+     "min_unlikes must be >= 1, got 0"),
+    (lambda: coordination.filter_components(_EMPTY_GRAPH, 0), "min_nodes must be >= 1, got 0"),
+    (lambda: coordination.detect_coordination([], [], min_unlikes=0),
+     "min_unlikes must be >= 1, got 0"),
+    (lambda: coordination.detect_coordination([], [], min_component=-2),
+     "min_nodes must be >= 1, got -2"),
+    (lambda: flooding.detect([], limit=0), "limit must be >= 1, got 0"),
+    (lambda: behavior.summarize([], [], window_days=0), "window_days must be >= 1, got 0"),
+    (lambda: behavior.frequency_buckets([], window_days=-3), "window_days must be >= 1, got -3"),
+    (lambda: behavior.profile_terms([], top_k=0), "top_k must be >= 1, got 0"),
+    (lambda: synth.PopulationSpec((), days=0), "days must be >= 1, got 0"),
+    (lambda: _estimate("--permutations", "-5"), "--permutations must be >= 0, got -5"),
+    (lambda: _estimate("--seed", "-1"), "--seed must be >= 0, got -1"),
+])
+def test_each_at_least_check_names_its_parameter_and_value(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda path: r.read_json(path, "the file"), "the file is nested too deeply"),
+    (synth.read_population_spec, "population spec is nested too deeply"),
+    (synth.read_ground_truth, "ground truth is nested too deeply"),
+])
+def test_whole_file_json_nested_too_deeply_is_a_value_error(tmp_path, read, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == message
