@@ -56,16 +56,16 @@ class DeletionEstimate:
     interval_start: date
     interval_end: date
     estimated_daily: float
-    is_gap: bool
 
     def __post_init__(self):
-        span = (self.interval_end - self.interval_start).days
-        if span < 1:
+        if (self.interval_end - self.interval_start).days < 1:
             raise ValueError("interval_end must be after interval_start")
         if self.estimated_daily <= 0:
             raise ValueError("estimated_daily must be positive")
-        if self.is_gap != (span > 1):
-            raise ValueError("is_gap must reflect the interval length")
+
+    @property
+    def is_gap(self) -> bool:
+        return (self.interval_end - self.interval_start).days > 1
 
 
 def estimate_gap(
@@ -87,7 +87,7 @@ def estimate_gap(
     diff = count_start - count_end
     if diff <= 0:
         return None
-    return DeletionEstimate(account_id, start, end, diff / span, span > 1)
+    return DeletionEstimate(account_id, start, end, diff / span)
 
 
 def estimate_timeline(timeline: AccountTimeline) -> list[DeletionEstimate]:

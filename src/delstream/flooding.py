@@ -15,7 +15,8 @@ from typing import Collection, Iterable
 
 from .ingest import AccountTimeline
 from .records import (
-    check_at_least, day_field, int_text_field, parse_account_id, read_csv, write_csv,
+    check_at_least, date_field, day_field, int_field, int_text_field, parse_account_id,
+    read_csv, write_csv,
 )
 
 #: Platform cap on tweets posted per account per day.
@@ -49,8 +50,13 @@ class FloodingViolation:
     stale_suspect: bool
 
     def __post_init__(self):
-        if self.deletions < 0:
-            raise ValueError("deletions must be >= 0")
+        int_field(self.account_id, "account_id", 1)
+        date_field(self.day, "day")
+        int_field(self.count_diff, "count_diff")
+        int_field(self.deletions, "deletions", 0)
+        int_field(self.total_posted, "total_posted")
+        if type(self.stale_suspect) is not bool:
+            raise ValueError(f"'stale_suspect' must be a bool, got {self.stale_suspect!r:.40}")
         if self.total_posted != self.count_diff + self.deletions:
             raise ValueError("total_posted must equal count_diff + deletions")
 
@@ -59,11 +65,11 @@ class FloodingViolation:
 class ViolatorProfile:
     account_id: int
     violation_days: tuple[date, ...]
-    repeat: bool
 
-    def __post_init__(self):
-        if self.repeat != (len(self.violation_days) >= 2):
-            raise ValueError("repeat must reflect the violation day count")
+    @property
+    def repeat(self) -> bool:
+        """Whether the account violated the limit on two days or more."""
+        return len(self.violation_days) >= 2
 
 
 def detect(
@@ -116,7 +122,7 @@ def profile_violators(
     for violation in violations:
         days.setdefault(violation.account_id, []).append(violation.day)
     return [
-        ViolatorProfile(account_id, tuple(sorted(violation_days)), len(violation_days) >= 2)
+        ViolatorProfile(account_id, tuple(sorted(violation_days)))
         for account_id, violation_days in sorted(days.items())
     ]
 

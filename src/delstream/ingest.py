@@ -11,16 +11,20 @@ day ordinal) rows in one loop: from ``records.notice_rows`` for an event
 file, from notices otherwise. One builder thresholds and sorts the deletion
 groups, so a sharded run equals a single one for any partition.
 
-The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below;
-each ``*_from_dict`` checks its fields with the ``records`` field checks
-(every ID positive, every age at least 0) and raises without a line number,
-which the file framing, ``records.read_ndjson``, adds. A daily deletion
-record holds its account, day and tweet IDs, which coordination reads; only
-``build_timelines`` derives tweet ages from the IDs. A timeline keeps only
-what ``estimate``, ``detect-flooding`` and ``stats`` read: each snapshot's
-day, status and count (``records.SnapshotDay``), the account's description,
-and each deletion day's count and ages (``DeletionDay``), and it reads back
-as exactly that.
+The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below.
+Each ``*_from_dict`` converts only what JSON cannot hold (a day's text to a
+``date``, a status to its enum) and passes every other value to the
+record's constructor, which checks each field with the ``records`` field
+checks (every ID positive, every age at least 0); the decoder raises without
+a line number, which the file framing, ``records.read_ndjson``, adds. As
+every record's constructor refuses what its reader refuses, any record built
+is written in a line its reader accepts. A daily deletion record holds its
+account, day and tweet IDs, which coordination reads; only
+``build_timelines`` derives tweet ages from the IDs, by
+``records.ages_in_days``. A timeline keeps only what ``estimate``,
+``detect-flooding`` and ``stats`` read: each snapshot's day, status and
+count (``records.SnapshotDay``), the account's description, and each
+deletion day's count and ages (``DeletionDay``); it reads back as those.
 """
 
 from __future__ import annotations
@@ -31,17 +35,15 @@ from datetime import date
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .records import (
-    DAY_MS,
-    MIN_TIME_ENCODED_ID,
-    SNOWFLAKE_EPOCH_MS,
-    UNIX_EPOCH_ORDINAL,
     AccountSnapshot,
     AccountStatus,
     ComplianceNotice,
     NoticeKind,
     RecordParseError,
     SnapshotDay,
+    ages_in_days,
     check_at_least,
+    date_field,
     day_field,
     int_field,
     int_list_field,
@@ -77,10 +79,13 @@ class DeletionDay:
     deleted_ages_days: tuple[int, ...]
 
     def __post_init__(self):
-        if self.deletion_count < 1:
-            raise ValueError("deletion_count must be >= 1")
-        if len(self.deleted_ages_days) > self.deletion_count:
+        int_field(self.account_id, "account_id", 1)
+        date_field(self.day, "day")
+        int_field(self.deletion_count, "deletion_count", 1)
+        ages = int_list_field(self.deleted_ages_days, "deleted_ages_days", 0)
+        if len(ages) > self.deletion_count:
             raise ValueError("more ages than deletions")
+        object.__setattr__(self, "deleted_ages_days", ages)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +101,12 @@ class DailyDeletionRecord:
     tweet_ids: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.tweet_ids:
+        int_field(self.account_id, "account_id", 1)
+        date_field(self.day, "day")
+        ids = int_list_field(self.tweet_ids, "tweet_ids", 1)
+        if not ids:
             raise ValueError("tweet_ids must not be empty")
+        object.__setattr__(self, "tweet_ids", ids)
 
     @property
     def deletion_count(self) -> int:
@@ -113,17 +122,19 @@ class UnlikeRecord:
     unlike_count: int
 
     def __post_init__(self):
-        if self.unlike_count < 1:
-            raise ValueError("unlike_count must be >= 1")
+        int_field(self.liker_id, "liker_id", 1)
+        int_field(self.tweet_id, "tweet_id", 1)
+        int_field(self.unlike_count, "unlike_count", 1)
 
 
 @dataclass(frozen=True, slots=True)
 class AccountTimeline:
     """Day-ordered snapshots and deletion days for one account.
 
-    ``description`` is the profile description of the last snapshot. Read
-    back from ``timelines.ndjson``, the snapshots are ``SnapshotDay``s;
-    deletion days are ``DeletionDay``s, built or read back.
+    ``description`` is the profile description of the last snapshot, so it
+    is empty without snapshots. Read back from ``timelines.ndjson``, the
+    snapshots are ``SnapshotDay``s; deletion days are ``DeletionDay``s, built
+    or read back. Every row belongs to the timeline's account.
     """
 
     account_id: int
@@ -132,11 +143,19 @@ class AccountTimeline:
     description: str = ""
 
     def __post_init__(self):
-        for seq, day_of in (
-            (self.snapshots, lambda s: s.snapshot_day),
-            (self.deletion_days, lambda r: r.day),
+        snapshots, deletion_days = tuple(self.snapshots), tuple(self.deletion_days)
+        object.__setattr__(self, "snapshots", snapshots)
+        object.__setattr__(self, "deletion_days", deletion_days)
+        account_id = int_field(self.account_id, "account_id", 1)
+        if str_field(self.description, "description") and not snapshots:
+            raise ValueError("a description without snapshots")
+        for name, rows, days in (
+            ("snapshots", snapshots, [s.snapshot_day for s in snapshots]),
+            ("deletion_days", deletion_days, [r.day for r in deletion_days]),
         ):
-            days = [day_of(item) for item in seq]
+            foreign = [row.account_id for row in rows if row.account_id != account_id]
+            if foreign:
+                raise ValueError(f"{name!r} holds a row of account {foreign[0]!r:.40}")
             if any(b <= a for a, b in zip(days, days[1:])):
                 raise ValueError("timeline days must be strictly increasing")
 
@@ -288,8 +307,7 @@ def build_timelines(
 ) -> list[AccountTimeline]:
     """Outer-join snapshots and deletion records into per-account timelines.
 
-    A record's ages are the whole days from the start of its day to each
-    ID-encoded creation time, clamped at zero; undecodable IDs have none.
+    A record's ages are ``records.ages_in_days`` of its day and tweet IDs.
     Accounts with any deleted-status snapshot are excluded entirely (their
     deletions are platform-driven teardown, not behavior). Duplicate
     (account, day) snapshots or records are corrupt input and raise.
@@ -315,11 +333,7 @@ def build_timelines(
             raise ValueError(
                 f"duplicate deletion record for account {account_id} on {day}"
             )
-        start_ms = (day.toordinal() - UNIX_EPOCH_ORDINAL) * DAY_MS - SNOWFLAKE_EPOCH_MS
-        ages = [(start_ms - (i >> 22)) // DAY_MS for i in ids if i >= MIN_TIME_ENCODED_ID]
-        ages = [age if age > 0 else 0 for age in ages]
-        ages.sort()
-        per_account[day] = DeletionDay(account_id, day, len(ids), tuple(ages))
+        per_account[day] = DeletionDay(account_id, day, len(ids), ages_in_days(day, ids))
 
     timelines = []
     for account_id in sorted(set(snaps_by_account) | set(days_by_account)):
@@ -357,9 +371,7 @@ def daily_record_from_dict(raw: dict) -> DailyDeletionRecord:
     try:
         raw = json_object(raw)
         return DailyDeletionRecord(
-            int_field(raw.get("account_id"), "account_id", 1),
-            day_field(raw.get("day"), "day"),
-            int_list_field(raw.get("tweet_ids"), "tweet_ids", 1),
+            raw.get("account_id"), day_field(raw.get("day"), "day"), raw.get("tweet_ids")
         )
     except ValueError as err:
         raise RecordParseError(f"bad deletion record: {err}") from None
@@ -376,11 +388,7 @@ def unlike_record_to_dict(record: UnlikeRecord) -> dict:
 def unlike_record_from_dict(raw: dict) -> UnlikeRecord:
     try:
         raw = json_object(raw)
-        return UnlikeRecord(
-            int_field(raw.get("liker_id"), "liker_id", 1),
-            int_field(raw.get("tweet_id"), "tweet_id", 1),
-            int_field(raw.get("unlike_count"), "unlike_count", 1),
-        )
+        return UnlikeRecord(raw.get("liker_id"), raw.get("tweet_id"), raw.get("unlike_count"))
     except ValueError as err:
         raise RecordParseError(f"bad unlike record: {err}") from None
 
@@ -423,30 +431,18 @@ def timeline_from_dict(raw: dict) -> AccountTimeline:
     """
     try:
         raw = json_object(raw)
-        account_id = int_field(raw.get("account_id"), "account_id", 1)
-        snapshot_rows = _rows(raw, "snapshots")
-        description = str_field(raw.get("description", ""), "description")
-        if description and not snapshot_rows:
-            raise ValueError("a description without snapshots")
-        snapshots = tuple(
-            SnapshotDay(
-                account_id,
-                day_field(day, "snapshot_day"),
-                None if count is None else int_field(count, "statuses_count", 0),
-                status_field(status),
-            )
-            for day, status, count in snapshot_rows
-        )
-        deletion_days = tuple(
-            DeletionDay(
-                account_id,
-                day_field(day, "day"),
-                int_field(count, "deletion_count", 1),
-                int_list_field(ages, "deleted_ages_days", 0),
-            )
+        account_id = raw.get("account_id")
+        snapshots = [
+            SnapshotDay(account_id, day_field(day, "snapshot_day"), count, status_field(status))
+            for day, status, count in _rows(raw, "snapshots")
+        ]
+        deletion_days = [
+            DeletionDay(account_id, day_field(day, "day"), count, ages)
             for day, count, ages in _rows(raw, "deletion_days")
+        ]
+        return AccountTimeline(
+            account_id, snapshots, deletion_days, raw.get("description", "")
         )
-        return AccountTimeline(account_id, snapshots, deletion_days, description)
     except ValueError as err:
         raise RecordParseError(f"bad timeline: {err}") from None
 

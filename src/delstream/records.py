@@ -3,9 +3,13 @@
 Every file the package reads or writes is framed here (``read_ndjson``,
 ``write_ndjson``, ``read_csv``, ``write_csv``, ``read_account_ids``,
 ``read_json``, ``write_json``); other modules supply only the conversion of
-one record to and from a dict or a CSV row, checking each field with the
-field checks here (``int_field`` and the rest), so that every ID in every
-input is a positive integer. Decoders take no line number: each reader here re-raises
+one record to and from a dict or a CSV row. A decoder converts only what
+JSON and CSV cannot hold (a day's text to a ``date``, a status to its enum,
+a stamp to a ``datetime``, a CSV cell to an int) and passes every other
+value to the record's constructor, which checks each field with the field
+checks here (``int_field`` and the rest): every ID in every input is a
+positive integer, and a record built in memory holds only what its reader
+accepts. Decoders take no line number: each reader here re-raises
 its decoder's ValueError as a RecordParseError naming the line, as it does
 for a line that is not valid UTF-8.
 
@@ -215,11 +219,9 @@ class ComplianceNotice:
     def __post_init__(self):
         if not isinstance(self.kind, NoticeKind):
             object.__setattr__(self, "kind", NoticeKind(self.kind))
-        actor_id, object_id, ts = self.actor_id, self.object_id, self.observed_at
-        if type(actor_id) is not int or actor_id < 1:
-            raise ValueError(f"actor_id must be an int >= 1, got {actor_id!r:.40}")
-        if type(object_id) is not int or object_id < 1:
-            raise ValueError(f"object_id must be an int >= 1, got {object_id!r:.40}")
+        int_field(self.actor_id, "actor_id", 1)
+        int_field(self.object_id, "object_id", 1)
+        ts = self.observed_at
         if not _in_utc(ts):
             _check_aware(ts, "observed_at")
             if ts.utcoffset():
@@ -242,16 +244,12 @@ class SnapshotDay:
     def __post_init__(self):
         if not isinstance(self.status, AccountStatus):
             object.__setattr__(self, "status", AccountStatus(self.status))
-        account_id, day, count = self.account_id, self.snapshot_day, self.statuses_count
-        if type(account_id) is not int or account_id < 1:
-            raise ValueError(f"account_id must be an int >= 1, got {account_id!r:.40}")
-        if type(day) is not date:  # a datetime would write a full stamp
-            raise ValueError(f"snapshot_day must be a date, got {day!r:.40}")
-        if count is None:
-            if self.status is AccountStatus.ACTIVE:
-                raise ValueError("active snapshots must carry a tweet count")
-        elif type(count) is not int or count < 0:
-            raise ValueError(f"statuses_count must be an int >= 0, got {count!r:.40}")
+        int_field(self.account_id, "account_id", 1)
+        date_field(self.snapshot_day, "snapshot_day")
+        if self.statuses_count is not None:
+            int_field(self.statuses_count, "statuses_count", 0)
+        elif self.status is AccountStatus.ACTIVE:
+            raise ValueError("active snapshots must carry a tweet count")
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,8 +269,7 @@ class AccountSnapshot(SnapshotDay):
     def __post_init__(self):
         # Zero-argument super() fails in a slots=True dataclass.
         SnapshotDay.__post_init__(self)
-        if type(self.description) is not str:
-            raise ValueError(f"description must be a str, got {self.description!r:.40}")
+        str_field(self.description, "description")
         if not (self.created_at is None or _in_utc(self.created_at)):
             _check_aware(self.created_at, "created_at")
         if not (self.queried_at is None or _in_utc(self.queried_at)):
@@ -294,6 +291,19 @@ def creation_ms(tweet_id: int) -> int | None:
     if tweet_id < MIN_TIME_ENCODED_ID:
         return None
     return SNOWFLAKE_EPOCH_MS + (tweet_id >> 22)
+
+
+def ages_in_days(day: date, tweet_ids: Iterable[int]) -> tuple[int, ...]:
+    """The sorted whole-day ages of deleted tweets at the start of UTC ``day``.
+
+    Each age is the whole days from the tweet's ``creation_ms`` to the day's
+    start, clamped at 0 for a tweet created later; an undecodable ID has none.
+    """
+    start_ms = (day.toordinal() - UNIX_EPOCH_ORDINAL) * DAY_MS - SNOWFLAKE_EPOCH_MS
+    ages = [(start_ms - (i >> 22)) // DAY_MS for i in tweet_ids if i >= MIN_TIME_ENCODED_ID]
+    ages = [age if age > 0 else 0 for age in ages]
+    ages.sort()
+    return tuple(ages)
 
 
 def decode_creation_time(tweet_id: int) -> TweetCreationTime:
@@ -327,6 +337,8 @@ def check_at_least(name: str, value: int, minimum: int) -> None:
 
 
 # Field checks: each raises RecordParseError naming the field, without a line.
+# The record constructors call them, so a reader's message for a bad field is
+# the constructor's.
 
 
 def json_object(value: object) -> dict:
@@ -336,17 +348,19 @@ def json_object(value: object) -> dict:
     return value
 
 
-def int_field(value: object, name: str, minimum: int) -> int:
-    """``value`` if it is an int, not a bool, of at least ``minimum`` (1 for an ID)."""
-    if type(value) is not int or value < minimum:
-        message = f"{name!r} must be an integer >= {minimum}, got {value!r:.40}"
-        raise RecordParseError(message)
+def int_field(value: object, name: str, minimum: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, of at least ``minimum`` (1 for an
+    ID) when one is given."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise RecordParseError(f"{name!r} must be an integer{bound}, got {value!r:.40}")
     return value
 
 
 def int_list_field(value: object, name: str, minimum: int) -> tuple[int, ...]:
-    """``value`` as a tuple if it is a list of integers, each at least ``minimum``."""
-    if type(value) is not list or not set(map(type, value)) <= {int} or (
+    """``value`` as a tuple if it is a list or tuple of integers, each at
+    least ``minimum``."""
+    if type(value) not in (list, tuple) or not set(map(type, value)) <= {int} or (
         value and min(value) < minimum
     ):
         raise RecordParseError(f"{name!r} must be a list of integers >= {minimum}")
@@ -357,6 +371,14 @@ def str_field(value: object, name: str) -> str:
     """``value`` if it is a string."""
     if type(value) is not str:
         raise RecordParseError(f"{name!r} must be a string, got {value!r:.40}")
+    return value
+
+
+def date_field(value: object, name: str) -> date:
+    """``value`` if it is exactly a date: a datetime would be written as a
+    full stamp, which ``day_field`` rejects."""
+    if type(value) is not date:
+        raise RecordParseError(f"{name!r} must be a date, got {value!r:.40}")
     return value
 
 
@@ -473,13 +495,12 @@ def serialize_notice(notice: ComplianceNotice) -> str:
 
 def snapshot_from_dict(raw: dict) -> AccountSnapshot:
     raw = json_object(raw)
-    count = raw.get("statuses_count")
     return AccountSnapshot(
-        int_field(raw.get("account_id"), "account_id", 1),
+        raw.get("account_id"),
         day_field(raw.get("snapshot_day"), "snapshot_day"),
-        None if count is None else int_field(count, "statuses_count", 0),
+        raw.get("statuses_count"),
         status_field(raw.get("status")),
-        str_field(raw.get("description", ""), "description"),
+        raw.get("description", ""),
         timestamp_field(raw.get("created_at"), "created_at"),
         timestamp_field(raw.get("queried_at"), "queried_at"),
     )

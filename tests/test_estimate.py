@@ -248,7 +248,7 @@ def pairing_cases(draw):
             intervals.append((account, start, end))
     intervals = draw(st.permutations(intervals))
     estimates = [
-        e.DeletionEstimate(account, day(start), day(end), float(n), end - start > 1)
+        e.DeletionEstimate(account, day(start), day(end), float(n))
         for n, (account, start, end) in enumerate(intervals, start=1)
     ]
     edges = sorted({offset for _, lo, hi in intervals for offset in (lo, hi)})
@@ -283,8 +283,8 @@ class TestPairing:
 
     def test_actual_days_pair_with_enclosing_interval(self):
         estimates = [
-            e.DeletionEstimate(1, day(0), day(1), 60.0, False),
-            e.DeletionEstimate(1, day(1), day(4), 100.0, True),
+            e.DeletionEstimate(1, day(0), day(1), 60.0),
+            e.DeletionEstimate(1, day(1), day(4), 100.0),
         ]
         actuals = [record(1, 1, 55), record(1, 2, 80), record(1, 4, 120)]
         pairs = e.pair_observations(estimates, actuals)
@@ -295,28 +295,28 @@ class TestPairing:
         ]
 
     def test_day_outside_every_interval_unpaired(self):
-        estimates = [e.DeletionEstimate(1, day(0), day(1), 60.0, False)]
+        estimates = [e.DeletionEstimate(1, day(0), day(1), 60.0)]
         assert e.pair_observations(estimates, [record(1, 3, 40)]) == []
         # interval start day itself is outside the half-open interval
         assert e.pair_observations(estimates, [record(1, 0, 40)]) == []
 
     def test_other_account_unpaired(self):
-        estimates = [e.DeletionEstimate(1, day(0), day(1), 60.0, False)]
+        estimates = [e.DeletionEstimate(1, day(0), day(1), 60.0)]
         assert e.pair_observations(estimates, [record(2, 1, 40)]) == []
 
     def test_tightest_enclosing_interval_wins(self):
         estimates = [
-            e.DeletionEstimate(1, day(0), day(9), 10.0, True),
-            e.DeletionEstimate(1, day(2), day(6), 20.0, True),
-            e.DeletionEstimate(1, day(2), day(4), 30.0, True),
+            e.DeletionEstimate(1, day(0), day(9), 10.0),
+            e.DeletionEstimate(1, day(2), day(6), 20.0),
+            e.DeletionEstimate(1, day(2), day(4), 30.0),
         ]
         pairs = e.pair_observations(estimates, [record(1, 3, 50)])
         assert [p.estimated for p in pairs] == [30.0]
 
     def test_gap_exclusion(self):
         estimates = [
-            e.DeletionEstimate(1, day(0), day(1), 60.0, False),
-            e.DeletionEstimate(1, day(1), day(4), 100.0, True),
+            e.DeletionEstimate(1, day(0), day(1), 60.0),
+            e.DeletionEstimate(1, day(1), day(4), 100.0),
         ]
         actuals = [record(1, 1, 55), record(1, 3, 80)]
         pairs = e.pair_observations(estimates, actuals, include_gaps=False)

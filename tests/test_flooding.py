@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from datetime import date, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -148,9 +150,8 @@ class TestViolatorProfiles:
         profiles = flooding.profile_violators(
             flooding.detect([timeline(1, {0: 0, 1: 5000})])
         )
-        assert profiles == [
-            flooding.ViolatorProfile(1, (day(1),), False)
-        ]
+        assert profiles == [flooding.ViolatorProfile(1, (day(1),))]
+        assert not profiles[0].repeat
 
     def test_two_violations_repeat(self):
         violations = flooding.detect([timeline(1, {0: 0, 1: 5000, 2: 10_000})])
@@ -177,9 +178,19 @@ class TestInvariants:
         with pytest.raises(ValueError):
             flooding.FloodingViolation(1, DAY0, 10, 10, 21, False)
 
-    def test_repeat_flag_enforced(self):
-        with pytest.raises(ValueError):
-            flooding.ViolatorProfile(1, (DAY0,), True)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        lambda account_id, day, diff, deleted, stale: flooding.FloodingViolation(
+            account_id, day, diff, deleted, diff + deleted, stale
+        ),
+        st.integers(1, 2**70), st.dates(), st.integers(-(2**70), 2**70),
+        st.integers(0, 2**70), st.booleans(),
+    ), max_size=4))
+    def test_any_violation_reads_back(self, violations):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "violations.csv"
+            flooding.write_violations(path, violations)
+            assert flooding.read_violations(path) == violations
 
     def test_csv_roundtrip(self, tmp_path):
         violations = flooding.detect(

@@ -23,6 +23,7 @@ from delstream.records import (
     NOTICE_LINE,
     NoticeKind,
     RecordParseError,
+    SnapshotDay,
     format_timestamp,
     parse_timestamp,
     read_notices,
@@ -699,6 +700,8 @@ class TestSerialization:
         assert list(ingest.read_timelines(path)) == [oracles.slim(t) for t in timelines]
 
 
+#: Any ID, beyond int64 and the 19 digits of the exact line forms included.
+_IDS = st.integers(1, 2**70)
 _DESCRIPTIONS = st.sampled_from(
     ["", '"quoted" \\ back', "naïve ☕ 日本語", "line\nbreak", "tab\there"]
 ) | st.text(max_size=12)
@@ -710,18 +713,21 @@ _STAMPS = st.none() | st.datetimes(
 @st.composite
 def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
     """Any valid timeline: every status, None counts off active days, empty
-    snapshot or day lists, and fewer ages than deletions."""
+    snapshot or day lists, snapshots as ``SnapshotDay``s or in full, and
+    fewer ages than deletions, none included."""
     snapshots = []
     for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=8))):
         status = draw(st.sampled_from(list(AccountStatus)))
         counts = st.integers(0, 10**6)
         count = draw(counts if status is AccountStatus.ACTIVE else st.none() | counts)
-        snapshots.append(
-            AccountSnapshot(
-                account_id, DAY0 + timedelta(days=offset), count, status,
+        day = DAY0 + timedelta(days=offset)
+        if draw(st.booleans()):
+            snapshots.append(SnapshotDay(account_id, day, count, status))
+        else:
+            snapshots.append(AccountSnapshot(
+                account_id, day, count, status,
                 draw(_DESCRIPTIONS), draw(_STAMPS), draw(_STAMPS),
-            )
-        )
+            ))
     records = []
     for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=5))):
         count = draw(st.integers(1, 30))
@@ -739,15 +745,15 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
 
 @st.composite
 def _timeline_lists(draw) -> list[ingest.AccountTimeline]:
-    accounts = sorted(draw(st.sets(st.integers(1, 2**40), max_size=6)))
+    accounts = sorted(draw(st.sets(_IDS, max_size=6)))
     return [draw(_timelines(account_id)) for account_id in accounts]
 
 
-def _written_and_read(timelines):
+def _written_and_read(items, write=ingest.write_timelines, read=ingest.read_timelines):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "timelines.ndjson"
-        ingest.write_timelines(path, timelines)
-        return list(ingest.read_timelines(path))
+        path = Path(tmp) / "records.ndjson"
+        write(path, items)
+        return list(read(path))
 
 
 class TestTimelineForm:
@@ -799,6 +805,24 @@ class TestTimelineForm:
         raw = {"account_id": 7, "snapshots": [["2021-04-26", "active", 5]],
                "deletion_days": []}
         assert ingest.timeline_from_dict(raw).description == ""
+
+
+class TestBuiltRecordsReadBack:
+    """Whatever a record's constructor accepts, its reader reads back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        ingest.DailyDeletionRecord, _IDS, st.dates(), st.lists(_IDS, min_size=1, max_size=6)
+    ), max_size=4))
+    def test_daily_records(self, records):
+        read = _written_and_read(records, ingest.write_daily_records, ingest.read_daily_records)
+        assert read == records
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(ingest.UnlikeRecord, _IDS, _IDS, _IDS), max_size=4))
+    def test_unlike_records(self, records):
+        read = _written_and_read(records, ingest.write_unlike_records, ingest.read_unlike_records)
+        assert read == records
 
 
 _DAY_MS = 86_400_000

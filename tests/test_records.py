@@ -744,6 +744,72 @@ def test_constructor_refuses_a_field_its_line_cannot_write(record, change):
         replace(record, **change)
 
 
+_DAY = date(2021, 4, 26)
+_MIDNIGHT = datetime(2021, 4, 26)
+_DAILY = ingest.DailyDeletionRecord(7, _DAY, (5,))
+_UNLIKE = ingest.UnlikeRecord(1, 5, 2)
+_DELETION_DAY = ingest.DeletionDay(7, _DAY, 2, (1,))
+_TIMELINE = ingest.AccountTimeline(
+    7, (r.SnapshotDay(7, _DAY, 5, r.AccountStatus.ACTIVE),), (_DELETION_DAY,), "bio"
+)
+_VIOLATION = flooding.FloodingViolation(1, _DAY, 10, 2500, 2510, True)
+
+
+def _positive_int_error(name, value):
+    return f"'{name}' must be an integer >= 1, got {value!r}"
+
+
+@pytest.mark.parametrize("record, change, message", [
+    (_DAILY, {"account_id": True}, _positive_int_error("account_id", True)),
+    (_DAILY, {"account_id": 5.0}, _positive_int_error("account_id", 5.0)),
+    (_DAILY, {"account_id": 0}, _positive_int_error("account_id", 0)),
+    (_DAILY, {"day": _MIDNIGHT}, f"'day' must be a date, got {_MIDNIGHT!r}"),
+    (_DAILY, {"tweet_ids": ()}, "tweet_ids must not be empty"),
+    (_DAILY, {"tweet_ids": (5, True)}, "'tweet_ids' must be a list of integers >= 1"),
+    (_DAILY, {"tweet_ids": (5.0,)}, "'tweet_ids' must be a list of integers >= 1"),
+    (_DAILY, {"tweet_ids": (0,)}, "'tweet_ids' must be a list of integers >= 1"),
+    (_UNLIKE, {"liker_id": True}, _positive_int_error("liker_id", True)),
+    (_UNLIKE, {"liker_id": 0}, _positive_int_error("liker_id", 0)),
+    (_UNLIKE, {"tweet_id": 5.0}, _positive_int_error("tweet_id", 5.0)),
+    (_UNLIKE, {"unlike_count": 0}, _positive_int_error("unlike_count", 0)),
+    (_UNLIKE, {"unlike_count": "2"}, _positive_int_error("unlike_count", "2")),
+    (_DELETION_DAY, {"account_id": False}, _positive_int_error("account_id", False)),
+    (_DELETION_DAY, {"day": _MIDNIGHT}, f"'day' must be a date, got {_MIDNIGHT!r}"),
+    (_DELETION_DAY, {"deletion_count": 0}, _positive_int_error("deletion_count", 0)),
+    (_DELETION_DAY, {"deletion_count": 1.5}, _positive_int_error("deletion_count", 1.5)),
+    (_DELETION_DAY, {"deletion_count": True}, _positive_int_error("deletion_count", True)),
+    (_DELETION_DAY, {"deleted_ages_days": (-1,)},
+     "'deleted_ages_days' must be a list of integers >= 0"),
+    (_DELETION_DAY, {"deleted_ages_days": (1.0,)},
+     "'deleted_ages_days' must be a list of integers >= 0"),
+    (_DELETION_DAY, {"deleted_ages_days": (1, 2, 3)}, "more ages than deletions"),
+    (_TIMELINE, {"account_id": True}, _positive_int_error("account_id", True)),
+    (_TIMELINE, {"account_id": 7.0}, _positive_int_error("account_id", 7.0)),
+    (_TIMELINE, {"description": None}, "'description' must be a string, got None"),
+    (_TIMELINE, {"description": b"bio"}, "'description' must be a string, got b'bio'"),
+    (_TIMELINE, {"snapshots": ()}, "a description without snapshots"),
+    (_TIMELINE, {"snapshots": (r.SnapshotDay(8, _DAY, 5, r.AccountStatus.ACTIVE),)},
+     "'snapshots' holds a row of account 8"),
+    (_TIMELINE, {"deletion_days": (replace(_DELETION_DAY, account_id=8),)},
+     "'deletion_days' holds a row of account 8"),
+    (_VIOLATION, {"account_id": True}, _positive_int_error("account_id", True)),
+    (_VIOLATION, {"account_id": 0}, _positive_int_error("account_id", 0)),
+    (_VIOLATION, {"day": _MIDNIGHT}, f"'day' must be a date, got {_MIDNIGHT!r}"),
+    (_VIOLATION, {"count_diff": 10.0}, "'count_diff' must be an integer, got 10.0"),
+    (_VIOLATION, {"deletions": 2500.0}, "'deletions' must be an integer >= 0, got 2500.0"),
+    (_VIOLATION, {"total_posted": 2510.0}, "'total_posted' must be an integer, got 2510.0"),
+    (_VIOLATION, {"count_diff": 2511, "deletions": -1},
+     "'deletions' must be an integer >= 0, got -1"),
+    (_VIOLATION, {"total_posted": 2511}, "total_posted must equal count_diff + deletions"),
+    (_VIOLATION, {"stale_suspect": 1}, "'stale_suspect' must be a bool, got 1"),
+    (_VIOLATION, {"stale_suspect": None}, "'stale_suspect' must be a bool, got None"),
+])
+def test_constructor_refuses_what_its_reader_refuses(record, change, message):
+    with pytest.raises(ValueError) as err:
+        replace(record, **change)
+    assert str(err.value) == message
+
+
 @given(st.integers(-(2**70), 2**70))
 def test_int_text_field_reads_what_str_writes(value):
     assert r.int_text_field(str(value), "n") == value
