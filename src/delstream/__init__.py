@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "records": (
         "AccountSnapshot", "AccountStatus", "ComplianceNotice", "NoticeKind",
-        "RecordParseError", "SnapshotDay", "TweetCreationTime", "UnknownKindError",
+        "RecordParseError", "TweetCreationTime", "UnknownKindError",
         "decode_creation_time", "parse_notice", "serialize_notice",
     ),
     "synth": (

@@ -57,6 +57,7 @@ from .ingest import (
 from .records import (
     RecordParseError,
     check_at_least,
+    float_text_field,
     parse_account_id,
     read_account_ids,
     read_csv,
@@ -118,7 +119,7 @@ def _read_bot_scores(path) -> dict[int, float]:
         account_id = parse_account_id(row["account_id"])
         if account_id in scores:
             raise ValueError(f"a second score for account {account_id}")
-        value = float(row["bot_score"])
+        value = float_text_field(row["bot_score"], "bot_score")
         if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
             raise ValueError(f"bot_score {row['bot_score']!r} is outside [0, 1]")
         scores[account_id] = value
@@ -231,8 +232,8 @@ def _span_days(timelines) -> int:
     """
     ends = []
     for tl in timelines:
-        if tl.snapshots:
-            ends += (tl.snapshots[0].snapshot_day, tl.snapshots[-1].snapshot_day)
+        if tl.snapshot_days:
+            ends += (tl.snapshot_days[0], tl.snapshot_days[-1])
         if tl.deletion_days:
             ends += (tl.deletion_days[0].day, tl.deletion_days[-1].day)
     return (max(ends) - min(ends)).days + 1 if ends else 0

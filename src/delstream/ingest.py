@@ -22,9 +22,11 @@ is written in a line its reader accepts. A daily deletion record holds its
 account, day and tweet IDs, which coordination reads; only
 ``build_timelines`` derives tweet ages from the IDs, by
 ``records.ages_in_days``. A timeline keeps only what ``estimate``,
-``detect-flooding`` and ``stats`` read: each snapshot's day, status and
-count (``records.SnapshotDay``), the account's description, and each
-deletion day's count and ages (``DeletionDay``); it reads back as those.
+``detect-flooding`` and ``stats`` read, built or read back: each snapshot's
+day, status and count as three parallel columns, the account's description,
+and each deletion day's count and ages (``DeletionDay``). The intermediate files are sorted, and their readers
+refuse a repeated or out-of-order line: timelines by account, daily
+records by (account, day), unlike records by (liker, tweet).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .records import (
     ComplianceNotice,
     NoticeKind,
     RecordParseError,
-    SnapshotDay,
     ages_in_days,
     check_at_least,
     date_field,
@@ -50,6 +51,7 @@ from .records import (
     json_object,
     notice_rows,
     read_ndjson,
+    snapshot_row,
     status_field,
     str_field,
     write_ndjson,
@@ -129,49 +131,50 @@ class UnlikeRecord:
 
 @dataclass(frozen=True, slots=True)
 class AccountTimeline:
-    """Day-ordered snapshots and deletion days for one account.
+    """One account's snapshots and deletion days, each in day order.
 
-    ``description`` is the profile description of the last snapshot, so it
-    is empty without snapshots. Read back from ``timelines.ndjson``, the
-    snapshots are ``SnapshotDay``s; deletion days are ``DeletionDay``s, built
-    or read back. Every row belongs to the timeline's account.
+    The snapshots are three parallel columns: ``snapshot_days``, ``statuses``
+    and ``statuses_counts``. ``description`` is the last snapshot's, so it is
+    empty without snapshots. Every deletion day is of the timeline's account.
     """
 
     account_id: int
-    snapshots: tuple[SnapshotDay, ...]
-    deletion_days: tuple[DeletionDay, ...]
+    snapshot_days: tuple[date, ...] = ()
+    statuses: tuple[AccountStatus, ...] = ()
+    statuses_counts: tuple[int | None, ...] = ()
+    deletion_days: tuple[DeletionDay, ...] = ()
     description: str = ""
 
     def __post_init__(self):
-        snapshots, deletion_days = tuple(self.snapshots), tuple(self.deletion_days)
-        object.__setattr__(self, "snapshots", snapshots)
-        object.__setattr__(self, "deletion_days", deletion_days)
+        for name in ("snapshot_days", "statuses", "statuses_counts", "deletion_days"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         account_id = int_field(self.account_id, "account_id", 1)
-        if str_field(self.description, "description") and not snapshots:
+        if not len(self.snapshot_days) == len(self.statuses) == len(self.statuses_counts):
+            raise ValueError("the snapshot columns differ in length")
+        if str_field(self.description, "description") and not self.snapshot_days:
             raise ValueError("a description without snapshots")
-        for name, rows, days in (
-            ("snapshots", snapshots, [s.snapshot_day for s in snapshots]),
-            ("deletion_days", deletion_days, [r.day for r in deletion_days]),
-        ):
-            foreign = [row.account_id for row in rows if row.account_id != account_id]
-            if foreign:
-                raise ValueError(f"{name!r} holds a row of account {foreign[0]!r:.40}")
+        for row in zip(self.snapshot_days, self.statuses, self.statuses_counts):
+            snapshot_row(*row)
+        foreign = [r.account_id for r in self.deletion_days if r.account_id != account_id]
+        if foreign:
+            raise ValueError(f"'deletion_days' holds a row of account {foreign[0]!r:.40}")
+        for days in (self.snapshot_days, [r.day for r in self.deletion_days]):
             if any(b <= a for a, b in zip(days, days[1:])):
                 raise ValueError("timeline days must be strictly increasing")
 
     def available_counts(self) -> tuple[tuple[date, int], ...]:
         """(day, tweet count) pairs for days the count was observable."""
         return tuple(
-            (s.snapshot_day, s.statuses_count)
-            for s in self.snapshots
-            if s.status is AccountStatus.ACTIVE and s.statuses_count is not None
+            (day, count)
+            for day, status, count in zip(self.snapshot_days, self.statuses, self.statuses_counts)
+            if status is AccountStatus.ACTIVE
         )
 
     def deletions_by_day(self) -> dict[date, int]:
         return {r.day: r.deletion_count for r in self.deletion_days}
 
     def final_status(self) -> AccountStatus | None:
-        return self.snapshots[-1].status if self.snapshots else None
+        return self.statuses[-1] if self.statuses else None
 
 
 def _group(
@@ -342,12 +345,15 @@ def build_timelines(
         # popped, so each account's day dicts are freed as its timeline is built
         snaps = snaps_by_account.pop(account_id, {})
         days = days_by_account.pop(account_id, {})
-        ordered = tuple(snaps[d] for d in sorted(snaps))
+        snapshot_days = sorted(snaps)
+        ordered = [snaps[d] for d in snapshot_days]
         timelines.append(
             AccountTimeline(
                 account_id,
-                ordered,
-                tuple(days[d] for d in sorted(days)),
+                snapshot_days,
+                [s.status for s in ordered],
+                [s.statuses_count for s in ordered],
+                [days[d] for d in sorted(days)],
                 ordered[-1].description if ordered else "",
             )
         )
@@ -398,13 +404,12 @@ def timeline_to_dict(timeline: AccountTimeline) -> dict:
 
     ``snapshots`` rows are ``[day, status, statuses_count]`` and
     ``deletion_days`` rows are ``[day, deletion_count, deleted_ages_days]``.
-    Tweet IDs, snapshot timestamps and earlier descriptions are not written.
     """
     return {
         "account_id": timeline.account_id,
         "snapshots": [
-            [s.snapshot_day.isoformat(), s.status.value, s.statuses_count]
-            for s in timeline.snapshots
+            [day.isoformat(), status.value, count] for day, status, count
+            in zip(timeline.snapshot_days, timeline.statuses, timeline.statuses_counts)
         ],
         "description": timeline.description,
         "deletion_days": [
@@ -424,24 +429,22 @@ def _rows(raw: dict, key: str) -> list[list]:
 
 
 def timeline_from_dict(raw: dict) -> AccountTimeline:
-    """Read ``timeline_to_dict``'s form back.
-
-    Snapshots are ``SnapshotDay`` rows and deletion days ``DeletionDay``s,
-    without tweet IDs; the description is the timeline's.
-    """
+    """Read ``timeline_to_dict``'s form back, the snapshot rows as columns."""
     try:
         raw = json_object(raw)
         account_id = raw.get("account_id")
-        snapshots = [
-            SnapshotDay(account_id, day_field(day, "snapshot_day"), count, status_field(status))
-            for day, status, count in _rows(raw, "snapshots")
-        ]
+        snapshots = _rows(raw, "snapshots")
         deletion_days = [
             DeletionDay(account_id, day_field(day, "day"), count, ages)
             for day, count, ages in _rows(raw, "deletion_days")
         ]
         return AccountTimeline(
-            account_id, snapshots, deletion_days, raw.get("description", "")
+            account_id,
+            [day_field(row[0], "snapshot_day") for row in snapshots],
+            [status_field(row[1]) for row in snapshots],
+            [row[2] for row in snapshots],
+            deletion_days,
+            raw.get("description", ""),
         )
     except ValueError as err:
         raise RecordParseError(f"bad timeline: {err}") from None
@@ -452,7 +455,7 @@ def write_daily_records(path, records) -> int:
 
 
 def read_daily_records(path) -> Iterator[DailyDeletionRecord]:
-    return read_ndjson(path, daily_record_from_dict)
+    return read_ndjson(path, daily_record_from_dict, ("account_id", "day"))
 
 
 def write_unlike_records(path, records) -> int:
@@ -460,7 +463,7 @@ def write_unlike_records(path, records) -> int:
 
 
 def read_unlike_records(path) -> Iterator[UnlikeRecord]:
-    return read_ndjson(path, unlike_record_from_dict)
+    return read_ndjson(path, unlike_record_from_dict, ("liker_id", "tweet_id"))
 
 
 def write_timelines(path, timelines) -> int:
@@ -468,4 +471,4 @@ def write_timelines(path, timelines) -> int:
 
 
 def read_timelines(path) -> Iterator[AccountTimeline]:
-    return read_ndjson(path, timeline_from_dict)
+    return read_ndjson(path, timeline_from_dict, ("account_id",))

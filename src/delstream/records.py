@@ -11,7 +11,8 @@ checks here (``int_field`` and the rest): every ID in every input is a
 positive integer, and a record built in memory holds only what its reader
 accepts. Decoders take no line number: each reader here re-raises
 its decoder's ValueError as a RecordParseError naming the line, as it does
-for a line that is not valid UTF-8.
+for a line that is not valid UTF-8, and ``read_ndjson`` does the same for a
+record that repeats or precedes the one before it in a sorted file.
 
 The two inputs that grow with the collection, events and snapshots, have an
 exact-form fast path: a line in the one form ``serialize_notice`` or
@@ -20,12 +21,12 @@ from the regex groups, without a JSON decode. Any other line goes through
 the general JSON path, which gives the same records and the same errors.
 ``records`` writes these forms as well as reading them: the two serializers
 format the line directly, byte for byte the compact JSON of the record's
-fields. They need no other path, because ``ComplianceNotice``,
-``SnapshotDay`` and ``AccountSnapshot`` refuse, when built, any field the
-form cannot hold: an ID or count that is not exactly an int (a bool, a
-float), a ``datetime`` as the snapshot day, a description that is not a
-string, or a naive timestamp. The description, and every other line written
-(``write_ndjson``), goes through one module-level JSON encoder. No other
+fields. They need no other path, because ``ComplianceNotice`` and
+``AccountSnapshot`` refuse, when built, any field the form cannot hold: an
+ID or count that is not exactly an int (a bool, a float), a ``datetime`` as
+the snapshot day, a description that is not a string, or a naive timestamp.
+The description, and every other line written (``write_ndjson``), goes
+through one module-level JSON encoder. No other
 module knows these forms: ``ingest`` reads events through ``notice_rows``
 and snapshots through ``read_snapshots``, and ``synth`` writes them
 through ``write_notice_rows`` and ``write_snapshots``. ``serialize_notice``
@@ -47,6 +48,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
@@ -229,46 +231,30 @@ class ComplianceNotice:
 
 
 @dataclass(frozen=True, slots=True)
-class SnapshotDay:
-    """One account's status and tweet count on one snapshot day.
+class AccountSnapshot:
+    """One account's state on one snapshot day, as the daily user-object
+    query returns it.
 
     ``statuses_count`` may be None only for accounts that were not active at
-    query time (the count is then unavailable, not zero).
+    query time (the count is then unavailable, not zero). ``queried_at``
+    records when the user object was actually fetched; it can trail the
+    snapshot day by a few hours, so downstream count arithmetic is
+    approximate by construction.
     """
 
     account_id: int
     snapshot_day: date
     statuses_count: int | None
     status: AccountStatus
-
-    def __post_init__(self):
-        if not isinstance(self.status, AccountStatus):
-            object.__setattr__(self, "status", AccountStatus(self.status))
-        int_field(self.account_id, "account_id", 1)
-        date_field(self.snapshot_day, "snapshot_day")
-        if self.statuses_count is not None:
-            int_field(self.statuses_count, "statuses_count", 0)
-        elif self.status is AccountStatus.ACTIVE:
-            raise ValueError("active snapshots must carry a tweet count")
-
-
-@dataclass(frozen=True, slots=True)
-class AccountSnapshot(SnapshotDay):
-    """A ``SnapshotDay`` as the daily user-object query returns it.
-
-    ``queried_at`` records when the user object was actually fetched; it can
-    trail the snapshot day by a few hours, so downstream count arithmetic is
-    approximate by construction. The timeline analyses read only the
-    ``SnapshotDay`` fields and the last snapshot's description.
-    """
-
     description: str = ""
     created_at: datetime | None = None
     queried_at: datetime | None = None
 
     def __post_init__(self):
-        # Zero-argument super() fails in a slots=True dataclass.
-        SnapshotDay.__post_init__(self)
+        if not isinstance(self.status, AccountStatus):
+            object.__setattr__(self, "status", AccountStatus(self.status))
+        int_field(self.account_id, "account_id", 1)
+        snapshot_row(self.snapshot_day, self.status, self.statuses_count)
         str_field(self.description, "description")
         if not (self.created_at is None or _in_utc(self.created_at)):
             _check_aware(self.created_at, "created_at")
@@ -413,6 +399,17 @@ def status_field(value: object) -> AccountStatus:
     return status
 
 
+def snapshot_row(day: object, status: object, count: object) -> None:
+    """Check a snapshot's day, status and count (None only off an active day)."""
+    date_field(day, "snapshot_day")
+    if type(status) is not AccountStatus:
+        raise RecordParseError(f"'status' must be an AccountStatus, got {status!r:.40}")
+    if count is not None:
+        int_field(count, "statuses_count", 0)
+    elif status is AccountStatus.ACTIVE:
+        raise RecordParseError("active snapshots must carry a tweet count")
+
+
 def parse_account_id(text: str) -> int:
     """A positive ASCII decimal account ID without leading zeros, sign or
     padding, as every text input (allowlist, CSV cells) takes it."""
@@ -432,6 +429,20 @@ def int_text_field(text: str, name: str) -> int:
     if _INT_TEXT.fullmatch(text) is None:
         raise RecordParseError(f"{name!r} must be an integer, got {text!r:.40}")
     return int(text)
+
+
+#: The text ``repr(float)`` writes, and plain decimals such as ``1`` and
+#: ``0.5``: ASCII digits, an optional leading ``-``, fraction and exponent.
+_FLOAT_TEXT = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?|inf|nan)")
+
+
+def float_text_field(text: str, name: str) -> float:
+    """The float ``text`` writes in the form ``repr(float)`` gives, or as a
+    plain decimal, as a CSV cell holds it: no padding, ``+``, ``_`` or
+    non-ASCII digit."""
+    if _FLOAT_TEXT.fullmatch(text) is None:
+        raise RecordParseError(f"{name!r} must be a decimal number, got {text!r:.40}")
+    return float(text)
 
 
 def _at_line(err: ValueError, number: int) -> RecordParseError:
@@ -681,17 +692,32 @@ def _lines(path) -> Iterator[tuple[int, str]]:
                 yield number, line
 
 
-def read_ndjson(path, from_dict: Callable[[object], T]) -> Iterator[T]:
+def read_ndjson(
+    path, from_dict: Callable[[object], T], order: Sequence[str] = ()
+) -> Iterator[T]:
     """Yield ``from_dict(value)`` per non-blank line of an NDJSON file.
 
     A line that is not JSON, or whose value ``from_dict`` rejects with
-    ValueError, raises RecordParseError with its line number.
+    ValueError, raises RecordParseError with its line number. ``order``
+    names the fields of the file's sort key: a record whose key is not
+    greater than the one before it, repeated or out of order, raises
+    RecordParseError with its line number too.
     """
+    key = attrgetter(*order) if order else None
+    last = None
     for number, line in _lines(path):
         try:
-            yield from_dict(_load(line))
+            item = from_dict(_load(line))
         except ValueError as err:
             raise _at_line(err, number) from None
+        if key is not None:
+            this = key(item)
+            if last is not None and this <= last:
+                values = this if len(order) > 1 else (this,)
+                shown = ", ".join(f"{name} {value}" for name, value in zip(order, values))
+                raise RecordParseError(f"{shown} repeats or precedes the line before", number)
+            last = this
+        yield item
 
 
 def read_account_ids(path) -> Iterator[int]:

@@ -18,8 +18,7 @@ from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 
-from delstream.ingest import AccountTimeline
-from delstream.records import ComplianceNotice, NoticeKind, SnapshotDay
+from delstream.records import ComplianceNotice, NoticeKind
 
 UTC = timezone.utc
 
@@ -135,18 +134,6 @@ def notice_lines_oracle(notices) -> bytes:
     """The event file ``write_notices`` writes for ``notices``, one
     ``json.dumps`` line per notice."""
     return "".join(f"{line_oracle(notice_to_dict_oracle(n))}\n" for n in notices).encode()
-
-
-def slim(timeline):
-    """The timeline as ``timelines.ndjson`` carries it: snapshots keep only
-    their day, count and status, and the timeline keeps its description."""
-    kept = tuple(
-        SnapshotDay(s.account_id, s.snapshot_day, s.statuses_count, s.status)
-        for s in timeline.snapshots
-    )
-    return AccountTimeline(
-        timeline.account_id, kept, timeline.deletion_days, timeline.description
-    )
 
 
 def ks_brute_force(a, b) -> float:

@@ -28,7 +28,6 @@ from delstream import (
     synth,
 )
 from delstream.records import (
-    AccountSnapshot,
     AccountStatus,
     ComplianceNotice,
     NoticeKind,
@@ -48,15 +47,18 @@ def day(offset: int) -> date:
 
 
 def make_timeline(account_id, counts, deletions):
-    snapshots = tuple(
-        AccountSnapshot(account_id, day(offset), count, AccountStatus.ACTIVE)
-        for offset, count in sorted(counts.items())
-    )
+    offsets = sorted(counts)
     records = tuple(
         ingest.DeletionDay(account_id, day(offset), count, ())
         for offset, count in sorted(deletions.items())
     )
-    return ingest.AccountTimeline(account_id, snapshots, records)
+    return ingest.AccountTimeline(
+        account_id,
+        tuple(day(offset) for offset in offsets),
+        (AccountStatus.ACTIVE,) * len(offsets),
+        tuple(counts[offset] for offset in offsets),
+        records,
+    )
 
 
 def test_c1_consecutive_estimate_fixed_point():

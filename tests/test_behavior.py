@@ -9,7 +9,7 @@ import oracles
 from delstream import behavior as b
 from delstream.flooding import FloodingViolation
 from delstream.ingest import AccountTimeline, DeletionDay
-from delstream.records import AccountSnapshot, AccountStatus
+from delstream.records import AccountStatus
 
 DAY0 = date(2021, 4, 26)
 
@@ -23,7 +23,7 @@ def timeline(account_id: int, deleting_days, per_day=20, ages=()) -> AccountTime
         DeletionDay(account_id, day(offset), per_day, tuple(sorted(ages)))
         for offset in sorted(deleting_days)
     )
-    return AccountTimeline(account_id, (), records)
+    return AccountTimeline(account_id, deletion_days=records)
 
 
 def violation(account_id: int) -> FloodingViolation:
@@ -72,7 +72,7 @@ class TestSummarize:
             DeletionDay(1, day(0), 10, ()),
             DeletionDay(1, day(1), 30, ()),
         )
-        [summary] = b.summarize([AccountTimeline(1, (), records)], [])
+        [summary] = b.summarize([AccountTimeline(1, deletion_days=records)], [])
         assert summary.mean_daily_deletions == 20.0
 
     def test_median_age_is_lower_median(self):
@@ -84,9 +84,7 @@ class TestSummarize:
         assert summary.median_deleted_age_days is None
 
     def test_accounts_without_deletions_skipped(self):
-        bare = AccountTimeline(
-            7, (AccountSnapshot(7, DAY0, 5, AccountStatus.ACTIVE),), ()
-        )
+        bare = AccountTimeline(7, (DAY0,), (AccountStatus.ACTIVE,), (5,))
         assert b.summarize([bare], []) == []
 
     @pytest.mark.parametrize("window", [0, -3])

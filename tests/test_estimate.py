@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from delstream import estimate as e
 from delstream.ingest import AccountTimeline, DeletionDay
-from delstream.records import AccountSnapshot, AccountStatus
+from delstream.records import AccountStatus
 
 UTC = timezone.utc
 DAY0 = date(2021, 4, 26)
@@ -24,8 +24,18 @@ def record(account_id: int, offset: int, count: int) -> DeletionDay:
     return DeletionDay(account_id, day(offset), count, ())
 
 
-def active_snap(account_id: int, offset: int, count: int) -> AccountSnapshot:
-    return AccountSnapshot(account_id, day(offset), count, AccountStatus.ACTIVE)
+def make_timeline(counts: dict[int, int], records=(), suspended=()) -> AccountTimeline:
+    """Account 1's timeline: a count on each day offset in ``counts``, active
+    unless the offset is in ``suspended``."""
+    offsets = sorted(counts)
+    return AccountTimeline(
+        1,
+        tuple(day(offset) for offset in offsets),
+        tuple(AccountStatus.SUSPENDED if offset in suspended else AccountStatus.ACTIVE
+              for offset in offsets),
+        tuple(counts[offset] for offset in offsets),
+        tuple(records),
+    )
 
 
 class TestConsecutiveEstimate:
@@ -94,16 +104,7 @@ class TestGapEstimate:
 
 class TestTimelineEstimates:
     def test_consecutive_and_gap_mix(self):
-        timeline = AccountTimeline(
-            1,
-            (
-                active_snap(1, 0, 1000),
-                active_snap(1, 1, 940),
-                active_snap(1, 4, 640),
-                active_snap(1, 5, 700),
-            ),
-            (),
-        )
+        timeline = make_timeline({0: 1000, 1: 940, 4: 640, 5: 700})
         estimates = e.estimate_timeline(timeline)
         assert len(estimates) == 2
         first, second = estimates
@@ -112,15 +113,7 @@ class TestTimelineEstimates:
         # the 5th day count rose, so no estimate there
 
     def test_suspended_day_counts_not_used(self):
-        timeline = AccountTimeline(
-            1,
-            (
-                active_snap(1, 0, 100),
-                AccountSnapshot(1, day(1), 90, AccountStatus.SUSPENDED),
-                active_snap(1, 2, 60),
-            ),
-            (),
-        )
+        timeline = make_timeline({0: 100, 1: 90, 2: 60}, suspended={1})
         estimates = e.estimate_timeline(timeline)
         assert len(estimates) == 1
         assert estimates[0].is_gap
@@ -377,10 +370,8 @@ class TestComparisonReport:
         assert by_account[2].estimated == 100.0
 
     def test_compare_never_pairs_rising_or_flat_counts(self):
-        timeline = AccountTimeline(
-            1,
-            (active_snap(1, 0, 100), active_snap(1, 1, 100), active_snap(1, 2, 180)),
-            (record(1, 1, 30), record(1, 2, 40)),
+        timeline = make_timeline(
+            {0: 100, 1: 100, 2: 180}, (record(1, 1, 30), record(1, 2, 40))
         )
         estimates = e.estimate_timeline(timeline)
         assert estimates == []
@@ -388,10 +379,8 @@ class TestComparisonReport:
         assert report.is_empty
 
     def test_compare_end_to_end(self):
-        timeline = AccountTimeline(
-            1,
-            (active_snap(1, 0, 1000), active_snap(1, 1, 940), active_snap(1, 4, 640)),
-            (record(1, 1, 80), record(1, 3, 120)),
+        timeline = make_timeline(
+            {0: 1000, 1: 940, 4: 640}, (record(1, 1, 80), record(1, 3, 120))
         )
         report = e.compare(
             e.estimate_timeline(timeline), timeline.deletion_days, floor=10

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from delstream import flooding
 from delstream.ingest import AccountTimeline, DeletionDay
-from delstream.records import AccountSnapshot, AccountStatus, RecordParseError
+from delstream.records import AccountStatus, RecordParseError
 
 UTC = timezone.utc
 DAY0 = date(2021, 4, 26)
@@ -27,15 +27,15 @@ def record(account_id: int, offset: int, count: int) -> DeletionDay:
 
 def timeline(account_id: int, counts: dict[int, int | None],
              deletions: dict[int, int] = {}) -> AccountTimeline:
-    snapshots = []
-    for offset in sorted(counts):
-        count = counts[offset]
-        status = AccountStatus.ACTIVE if count is not None else AccountStatus.SUSPENDED
-        snapshots.append(AccountSnapshot(account_id, day(offset), count, status))
-    records = tuple(
-        record(account_id, offset, count) for offset, count in sorted(deletions.items())
+    offsets = sorted(counts)
+    return AccountTimeline(
+        account_id,
+        tuple(day(offset) for offset in offsets),
+        tuple(AccountStatus.ACTIVE if counts[offset] is not None else AccountStatus.SUSPENDED
+              for offset in offsets),
+        tuple(counts[offset] for offset in offsets),
+        tuple(record(account_id, offset, count) for offset, count in sorted(deletions.items())),
     )
-    return AccountTimeline(account_id, tuple(snapshots), records)
 
 
 class TestTotalPosted:

@@ -4,7 +4,7 @@ import json
 import random
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, datetime, timedelta, timezone
 from functools import partial
 from pathlib import Path
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from delstream import behavior, estimate, flooding, ingest
+from delstream import behavior, estimate, flooding, ingest, synth
 from delstream.records import (
     SNOWFLAKE_EPOCH_MS,
     AccountSnapshot,
@@ -23,7 +23,6 @@ from delstream.records import (
     NOTICE_LINE,
     NoticeKind,
     RecordParseError,
-    SnapshotDay,
     format_timestamp,
     parse_timestamp,
     read_notices,
@@ -212,13 +211,14 @@ class TestBuildTimelines:
         timelines = ingest.build_timelines(snapshots, records)
         assert len(timelines) == 1
         timeline = timelines[0]
-        assert len(timeline.snapshots) == 3
+        assert timeline.snapshot_days == tuple(days)
+        assert timeline.statuses_counts == (100, 100, 100)
         assert [r.day for r in timeline.deletion_days] == [days[0], days[2]]
 
     def test_deletion_only_account(self):
         records = ingest.aggregate_daily(deletions(5, DAY0, 10))
         timelines = ingest.build_timelines([], records)
-        assert timelines[0].snapshots == ()
+        assert timelines[0].snapshot_days == ()
         age = oracles.age_days_oracle(DAY0, 10**18)
         assert timelines[0].deletion_days == (ingest.DeletionDay(5, DAY0, 10, (age,) * 10),)
 
@@ -271,28 +271,28 @@ class TestBuildTimelines:
         assert len(timelines) == len(paired)
         for timeline in timelines:
             snaps, recs = paired[timeline.account_id]
-            assert list(timeline.snapshots) == snaps
+            assert timeline.snapshot_days == tuple(s.snapshot_day for s in snaps)
+            assert timeline.statuses == tuple(s.status for s in snaps)
+            assert timeline.statuses_counts == tuple(s.statuses_count for s in snaps)
             assert list(timeline.deletion_days) == recs
 
     def test_timeline_day_ordering_enforced(self):
         with pytest.raises(ValueError):
             ingest.AccountTimeline(
                 1,
-                (snap(1, DAY0 + timedelta(days=1), 5), snap(1, DAY0, 5)),
-                (),
+                (DAY0 + timedelta(days=1), DAY0),
+                (AccountStatus.ACTIVE, AccountStatus.ACTIVE),
+                (5, 5),
             )
 
     def test_available_counts_excludes_suspended(self):
-        timeline = ingest.AccountTimeline(
-            1,
-            (
+        [timeline] = ingest.build_timelines(
+            [
                 snap(1, DAY0, 100),
-                AccountSnapshot(
-                    1, DAY0 + timedelta(days=1), 90, AccountStatus.SUSPENDED
-                ),
+                snap(1, DAY0 + timedelta(days=1), 90, AccountStatus.SUSPENDED),
                 snap(1, DAY0 + timedelta(days=2), 80),
-            ),
-            (),
+            ],
+            [],
         )
         assert timeline.available_counts() == (
             (DAY0, 100),
@@ -634,11 +634,13 @@ class TestSerialization:
                    "tweet_ids": [1234, 1251442846725046277]}
         earlier = {"account_id": 42, "day": "2021-04-27", "deletion_count": 2,
                    "deleted_ages_days": [373], "tweet_ids": [1234, 1251442846725046277]}
-        path = _two_lines(tmp_path, earlier, current)
         record = ingest.DailyDeletionRecord(
             42, date(2021, 4, 27), (1234, 1251442846725046277)
         )
-        assert list(ingest.read_daily_records(path)) == [record, record]
+        for raw in (earlier, current):
+            path = tmp_path / "daily.ndjson"
+            path.write_text(json.dumps(raw) + "\n")
+            assert list(ingest.read_daily_records(path)) == [record]
 
     def test_daily_record_without_ids_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="tweet_ids must not be empty"):
@@ -697,7 +699,60 @@ class TestSerialization:
         )
         path = tmp_path / "timelines.ndjson"
         ingest.write_timelines(path, timelines)
-        assert list(ingest.read_timelines(path)) == [oracles.slim(t) for t in timelines]
+        assert list(ingest.read_timelines(path)) == timelines
+
+    @pytest.mark.parametrize("read, first, second, message", [
+        (ingest.read_timelines,
+         {"account_id": 2, "snapshots": [], "deletion_days": []},
+         {"account_id": 2, "snapshots": [], "deletion_days": []},
+         "account_id 2 repeats or precedes the line before"),
+        (ingest.read_timelines,
+         {"account_id": 2, "snapshots": [], "deletion_days": []},
+         {"account_id": 1, "snapshots": [], "deletion_days": []},
+         "account_id 1 repeats or precedes the line before"),
+        (ingest.read_daily_records,
+         {"account_id": 1, "day": "2021-04-27", "tweet_ids": [5]},
+         {"account_id": 1, "day": "2021-04-27", "tweet_ids": [6]},
+         "account_id 1, day 2021-04-27 repeats or precedes the line before"),
+        (ingest.read_daily_records,
+         {"account_id": 1, "day": "2021-04-27", "tweet_ids": [5]},
+         {"account_id": 1, "day": "2021-04-26", "tweet_ids": [5]},
+         "account_id 1, day 2021-04-26 repeats or precedes the line before"),
+        (ingest.read_daily_records,
+         {"account_id": 2, "day": "2021-04-26", "tweet_ids": [5]},
+         {"account_id": 1, "day": "2021-04-27", "tweet_ids": [5]},
+         "account_id 1, day 2021-04-27 repeats or precedes the line before"),
+        (ingest.read_unlike_records,
+         {"liker_id": 1, "tweet_id": 5, "unlike_count": 2},
+         {"liker_id": 1, "tweet_id": 5, "unlike_count": 1},
+         "liker_id 1, tweet_id 5 repeats or precedes the line before"),
+        (ingest.read_unlike_records,
+         {"liker_id": 2, "tweet_id": 5, "unlike_count": 2},
+         {"liker_id": 1, "tweet_id": 9, "unlike_count": 1},
+         "liker_id 1, tweet_id 9 repeats or precedes the line before"),
+    ], ids=["timeline-repeated", "timeline-earlier", "daily-repeated", "daily-earlier-day",
+            "daily-earlier-account", "unlike-repeated", "unlike-earlier"])
+    def test_repeated_or_out_of_order_line_rejected(
+        self, tmp_path, read, first, second, message
+    ):
+        path = _two_lines(tmp_path, first, second)
+        with pytest.raises(RecordParseError) as err:
+            list(read(path))
+        assert str(err.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("read, first, second", [
+        (ingest.read_timelines,
+         {"account_id": 9, "snapshots": [], "deletion_days": []},
+         {"account_id": 10, "snapshots": [], "deletion_days": []}),
+        (ingest.read_daily_records,
+         {"account_id": 1, "day": "2021-04-27", "tweet_ids": [5]},
+         {"account_id": 2, "day": "2021-04-26", "tweet_ids": [5]}),
+        (ingest.read_unlike_records,
+         {"liker_id": 1, "tweet_id": 9, "unlike_count": 2},
+         {"liker_id": 2, "tweet_id": 5, "unlike_count": 1}),
+    ], ids=["timelines", "daily", "unlikes"])
+    def test_keys_compare_as_numbers_and_days(self, tmp_path, read, first, second):
+        assert len(list(read(_two_lines(tmp_path, first, second)))) == 2
 
 
 #: Any ID, beyond int64 and the 19 digits of the exact line forms included.
@@ -713,21 +768,10 @@ _STAMPS = st.none() | st.datetimes(
 @st.composite
 def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
     """Any valid timeline: every status, None counts off active days, empty
-    snapshot or day lists, snapshots as ``SnapshotDay``s or in full, and
-    fewer ages than deletions, none included."""
-    snapshots = []
-    for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=8))):
-        status = draw(st.sampled_from(list(AccountStatus)))
-        counts = st.integers(0, 10**6)
-        count = draw(counts if status is AccountStatus.ACTIVE else st.none() | counts)
-        day = DAY0 + timedelta(days=offset)
-        if draw(st.booleans()):
-            snapshots.append(SnapshotDay(account_id, day, count, status))
-        else:
-            snapshots.append(AccountSnapshot(
-                account_id, day, count, status,
-                draw(_DESCRIPTIONS), draw(_STAMPS), draw(_STAMPS),
-            ))
+    snapshot or day lists, and fewer ages than deletions, none included."""
+    offsets = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
+    statuses = [draw(st.sampled_from(list(AccountStatus))) for _ in offsets]
+    counts = st.integers(0, 10**6)
     records = []
     for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=5))):
         count = draw(st.integers(1, 30))
@@ -737,9 +781,16 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
                 account_id, DAY0 + timedelta(days=offset), count, tuple(ages)
             )
         )
-    description = draw(_DESCRIPTIONS) if snapshots else ""
     return ingest.AccountTimeline(
-        account_id, tuple(snapshots), tuple(records), description
+        account_id,
+        tuple(DAY0 + timedelta(days=offset) for offset in offsets),
+        tuple(statuses),
+        tuple(
+            draw(counts if status is AccountStatus.ACTIVE else st.none() | counts)
+            for status in statuses
+        ),
+        tuple(records),
+        draw(_DESCRIPTIONS) if offsets else "",
     )
 
 
@@ -749,6 +800,36 @@ def _timeline_lists(draw) -> list[ingest.AccountTimeline]:
     return [draw(_timelines(account_id)) for account_id in accounts]
 
 
+@st.composite
+def _snapshots(draw, account_id: int) -> list[AccountSnapshot]:
+    """Any snapshots of one account, in full, on distinct days."""
+    snapshots = []
+    for offset in draw(st.sets(st.integers(0, 40), max_size=8)):
+        status = draw(st.sampled_from(list(AccountStatus)))
+        counts = st.integers(0, 10**6)
+        snapshots.append(AccountSnapshot(
+            account_id, DAY0 + timedelta(days=offset),
+            draw(counts if status is AccountStatus.ACTIVE else st.none() | counts),
+            status, draw(_DESCRIPTIONS), draw(_STAMPS), draw(_STAMPS),
+        ))
+    return snapshots
+
+
+@st.composite
+def _built_timeline_lists(draw) -> list[ingest.AccountTimeline]:
+    """What ``build_timelines`` returns for any snapshots, in any order, and
+    any daily records."""
+    snapshots = [s for account_id in draw(st.sets(_IDS, max_size=6))
+                 for s in draw(_snapshots(account_id))]
+    records = [
+        ingest.DailyDeletionRecord(account_id, DAY0 + timedelta(days=offset), tuple(ids))
+        for account_id in draw(st.sets(_IDS, max_size=4))
+        for offset in draw(st.sets(st.integers(0, 40), max_size=3))
+        for ids in [sorted(draw(st.lists(_IDS, min_size=1, max_size=4)))]
+    ]
+    return ingest.build_timelines(draw(st.permutations(snapshots)), records)
+
+
 def _written_and_read(items, write=ingest.write_timelines, read=ingest.read_timelines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.ndjson"
@@ -756,14 +837,33 @@ def _written_and_read(items, write=ingest.write_timelines, read=ingest.read_time
         return list(read(path))
 
 
+#: A few deleting accounts with a day without snapshots.
+_SMALL_SPEC = synth.PopulationSpec(
+    cohorts=(synth.Cohort(synth.BehaviorProfile(
+        kind=synth.ProfileKind.NORMAL_DELETER, post_rate=4, delete_rate=18,
+        delete_days=(1, 4), gap_days=(2,),
+    ), 6),),
+    days=6,
+)
+
+
 class TestTimelineForm:
     @settings(max_examples=200, deadline=None)
-    @given(_timeline_lists())
-    def test_roundtrip_is_the_slim_timeline(self, timelines):
-        assert _written_and_read(timelines) == [oracles.slim(t) for t in timelines]
+    @given(_timeline_lists() | _built_timeline_lists())
+    def test_roundtrip_is_the_timeline(self, timelines):
+        assert _written_and_read(timelines) == timelines
+
+    def test_generated_timelines_read_back(self):
+        dataset = synth.generate(_SMALL_SPEC, seed=3)
+        built = ingest.build_timelines(
+            dataset.snapshots, ingest.aggregate_daily(dataset.notices)
+        )
+        assert any(tl.snapshot_days and tl.deletion_days for tl in built)
+        assert _written_and_read(built) == built
 
     @settings(max_examples=200, deadline=None)
-    @given(_timeline_lists(), st.integers(1, 40), st.booleans(), st.booleans())
+    @given(_timeline_lists() | _built_timeline_lists(), st.integers(1, 40), st.booleans(),
+           st.booleans())
     def test_analyses_agree_on_the_read_back_timelines(
         self, timelines, floor, include_gaps, per_account_median
     ):
@@ -785,13 +885,12 @@ class TestTimelineForm:
         assert results(_written_and_read(timelines)) == results(timelines)
 
     def test_form_holds_only_what_the_analysis_reads(self, tmp_path):
-        timeline = ingest.AccountTimeline(
-            7,
-            (snap(7, DAY0, 5, description="old"),
-             snap(7, DAY0 + timedelta(days=1), None, AccountStatus.SUSPENDED, "new")),
-            (ingest.DeletionDay(7, DAY0, 2, (3,)),),
-            description="new",
+        [built] = ingest.build_timelines(
+            [snap(7, DAY0, 5, description="old"),
+             snap(7, DAY0 + timedelta(days=1), None, AccountStatus.SUSPENDED, "new")],
+            [],
         )
+        timeline = replace(built, deletion_days=(ingest.DeletionDay(7, DAY0, 2, (3,)),))
         path = tmp_path / "timelines.ndjson"
         ingest.write_timelines(path, [timeline])
         assert json.loads(path.read_text()) == {
@@ -807,19 +906,26 @@ class TestTimelineForm:
         assert ingest.timeline_from_dict(raw).description == ""
 
 
+def _sorted_unique(records, key):
+    """A file's worth of records: sorted, one per key, as ``aggregate``
+    writes them."""
+    return st.lists(records, max_size=4, unique_by=key).map(lambda rs: sorted(rs, key=key))
+
+
 class TestBuiltRecordsReadBack:
     """Whatever a record's constructor accepts, its reader reads back."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.builds(
+    @given(_sorted_unique(st.builds(
         ingest.DailyDeletionRecord, _IDS, st.dates(), st.lists(_IDS, min_size=1, max_size=6)
-    ), max_size=4))
+    ), lambda r: (r.account_id, r.day)))
     def test_daily_records(self, records):
         read = _written_and_read(records, ingest.write_daily_records, ingest.read_daily_records)
         assert read == records
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.builds(ingest.UnlikeRecord, _IDS, _IDS, _IDS), max_size=4))
+    @given(_sorted_unique(st.builds(ingest.UnlikeRecord, _IDS, _IDS, _IDS),
+                          lambda r: (r.liker_id, r.tweet_id)))
     def test_unlike_records(self, records):
         read = _written_and_read(records, ingest.write_unlike_records, ingest.read_unlike_records)
         assert read == records

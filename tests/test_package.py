@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "CoordinationGraph", "CoordinationNode", "DailyDeletionRecord", "DeletionDay",
     "DeletionEstimate", "DuplicateSnapshotError", "FloodingViolation",
     "FrequencyBucket", "GroundTruth", "KsResult", "NoticeKind", "PairedDeletion",
-    "PlantedFarm", "PopulationSpec", "ProfileKind", "RecordParseError", "SnapshotDay",
+    "PlantedFarm", "PopulationSpec", "ProfileKind", "RecordParseError",
     "SuspensionRow", "SuspensionTable", "SyntheticDataset", "TripartiteNetwork",
     "TweetCreationTime", "UnknownKindError", "UnlikeFunnel", "UnlikeRecord",
     "ViolatorProfile", "aggregate_daily", "aggregate_daily_sharded",

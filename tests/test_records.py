@@ -710,7 +710,6 @@ class _NoOffset(tzinfo):
 
 _NOTICE = r.ComplianceNotice(r.NoticeKind.UNLIKE, 1, 5, datetime(2021, 4, 26, tzinfo=UTC))
 _SNAPSHOT = r.AccountSnapshot(1, date(2021, 4, 26), 3, r.AccountStatus.ACTIVE)
-_SNAPSHOT_DAY = r.SnapshotDay(1, date(2021, 4, 26), 3, r.AccountStatus.ACTIVE)
 
 
 @pytest.mark.parametrize("record, change", [
@@ -721,13 +720,11 @@ _SNAPSHOT_DAY = r.SnapshotDay(1, date(2021, 4, 26), 3, r.AccountStatus.ACTIVE)
     (_NOTICE, {"observed_at": datetime(2021, 4, 26, tzinfo=_NoOffset())}),
     (_NOTICE, {"observed_at": "2021-04-26T00:00:00Z"}),
     (_NOTICE, {"observed_at": date(2021, 4, 26)}),
-    (_SNAPSHOT_DAY, {"account_id": True}),
-    (_SNAPSHOT_DAY, {"statuses_count": 3.0}),
-    (_SNAPSHOT_DAY, {"snapshot_day": datetime(2021, 4, 26)}),
     (_SNAPSHOT, {"account_id": True}),
     (_SNAPSHOT, {"account_id": 1.0}),
     (_SNAPSHOT, {"statuses_count": True}),
     (_SNAPSHOT, {"statuses_count": False}),
+    (_SNAPSHOT, {"statuses_count": 3.0}),
     (_SNAPSHOT, {"snapshot_day": datetime(2021, 4, 26)}),
     (_SNAPSHOT, {"snapshot_day": datetime(2021, 4, 26, tzinfo=UTC)}),
     (_SNAPSHOT, {"snapshot_day": "2021-04-26"}),
@@ -749,9 +746,9 @@ _MIDNIGHT = datetime(2021, 4, 26)
 _DAILY = ingest.DailyDeletionRecord(7, _DAY, (5,))
 _UNLIKE = ingest.UnlikeRecord(1, 5, 2)
 _DELETION_DAY = ingest.DeletionDay(7, _DAY, 2, (1,))
-_TIMELINE = ingest.AccountTimeline(
-    7, (r.SnapshotDay(7, _DAY, 5, r.AccountStatus.ACTIVE),), (_DELETION_DAY,), "bio"
-)
+_ACTIVE, _SUSPENDED = r.AccountStatus.ACTIVE, r.AccountStatus.SUSPENDED
+_TIMELINE = ingest.AccountTimeline(7, (_DAY,), (_ACTIVE,), (5,), (_DELETION_DAY,), "bio")
+_NEXT_DAY = _DAY + timedelta(days=1)
 _VIOLATION = flooding.FloodingViolation(1, _DAY, 10, 2500, 2510, True)
 
 
@@ -787,9 +784,29 @@ def _positive_int_error(name, value):
     (_TIMELINE, {"account_id": 7.0}, _positive_int_error("account_id", 7.0)),
     (_TIMELINE, {"description": None}, "'description' must be a string, got None"),
     (_TIMELINE, {"description": b"bio"}, "'description' must be a string, got b'bio'"),
-    (_TIMELINE, {"snapshots": ()}, "a description without snapshots"),
-    (_TIMELINE, {"snapshots": (r.SnapshotDay(8, _DAY, 5, r.AccountStatus.ACTIVE),)},
-     "'snapshots' holds a row of account 8"),
+    (_TIMELINE, {"snapshot_days": (), "statuses": (), "statuses_counts": ()},
+     "a description without snapshots"),
+    (_TIMELINE, {"statuses": ()}, "the snapshot columns differ in length"),
+    (_TIMELINE, {"statuses_counts": (5, 6)}, "the snapshot columns differ in length"),
+    (_TIMELINE, {"snapshot_days": (_MIDNIGHT,)},
+     f"'snapshot_day' must be a date, got {_MIDNIGHT!r}"),
+    (_TIMELINE, {"snapshot_days": ("2021-04-26",)},
+     "'snapshot_day' must be a date, got '2021-04-26'"),
+    (_TIMELINE, {"statuses": ("active",)}, "'status' must be an AccountStatus, got 'active'"),
+    (_TIMELINE, {"statuses": (None,)}, "'status' must be an AccountStatus, got None"),
+    (_TIMELINE, {"statuses_counts": (True,)},
+     "'statuses_count' must be an integer >= 0, got True"),
+    (_TIMELINE, {"statuses_counts": (5.0,)},
+     "'statuses_count' must be an integer >= 0, got 5.0"),
+    (_TIMELINE, {"statuses_counts": (-1,)},
+     "'statuses_count' must be an integer >= 0, got -1"),
+    (_TIMELINE, {"statuses_counts": (None,)}, "active snapshots must carry a tweet count"),
+    (_TIMELINE, {"snapshot_days": (_NEXT_DAY, _DAY), "statuses": (_ACTIVE, _SUSPENDED),
+                 "statuses_counts": (5, None)}, "timeline days must be strictly increasing"),
+    (_TIMELINE, {"snapshot_days": (_DAY, _DAY), "statuses": (_ACTIVE, _SUSPENDED),
+                 "statuses_counts": (5, None)}, "timeline days must be strictly increasing"),
+    (_TIMELINE, {"deletion_days": (_DELETION_DAY, _DELETION_DAY)},
+     "timeline days must be strictly increasing"),
     (_TIMELINE, {"deletion_days": (replace(_DELETION_DAY, account_id=8),)},
      "'deletion_days' holds a row of account 8"),
     (_VIOLATION, {"account_id": True}, _positive_int_error("account_id", True)),
@@ -822,6 +839,20 @@ def test_int_text_field_reads_what_str_writes(value):
 def test_int_text_field_rejects_other_forms(text):
     with pytest.raises(r.RecordParseError, match="'n' must be an integer"):
         r.int_text_field(text, "n")
+
+
+@given(st.floats(allow_nan=False))
+def test_float_text_field_reads_what_repr_writes(value):
+    assert r.float_text_field(repr(value), "x") == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", " 0.5", "0.5 ", "+0.5", "0.0_1", "\u0660.\u0665", ".5", "5.", "1E-05",
+             "1e5", "0x1", "NaN", "Infinity", "1,5", "0.5\n"],
+)
+def test_float_text_field_rejects_other_forms(text):
+    with pytest.raises(r.RecordParseError, match="'x' must be a decimal number"):
+        r.float_text_field(text, "x")
 
 
 @given(st.dates())
