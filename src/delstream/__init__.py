@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "behavior": (
         "AccountBehaviorSummary", "Category", "FrequencyBucket", "SuspensionRow",
-        "SuspensionTable", "daily_volume_ccdf", "frequency_buckets",
-        "median_age_ccdf", "profile_terms", "summarize", "suspension_stats",
+        "daily_volume_ccdf", "frequency_buckets", "median_age_ccdf",
+        "profile_terms", "summarize", "suspension_stats",
     ),
     "coordination": (
         "CoordinationGraph", "CoordinationNode", "TripartiteNetwork", "UnlikeFunnel",
@@ -35,15 +35,14 @@ _EXPORTS = {
         "total_posted",
     ),
     "ingest": (
-        "AccountTimeline", "DailyDeletionRecord", "DeletionDay",
-        "DuplicateSnapshotError", "UnlikeRecord", "aggregate_daily",
-        "aggregate_daily_sharded", "aggregate_events", "aggregate_unlikes",
-        "build_timelines",
+        "AccountTimeline", "DailyDeletionRecord", "DeletionDay", "UnlikeRecord",
+        "aggregate_daily", "aggregate_daily_sharded", "aggregate_events",
+        "aggregate_unlikes", "build_timelines",
     ),
     "records": (
         "AccountSnapshot", "AccountStatus", "ComplianceNotice", "NoticeKind",
-        "RecordParseError", "TweetCreationTime", "UnknownKindError",
-        "decode_creation_time", "parse_notice", "serialize_notice",
+        "RecordParseError", "UnknownKindError", "decode_creation_time",
+        "parse_notice", "serialize_notice",
     ),
     "synth": (
         "BehaviorProfile", "Cohort", "GroundTruth", "PlantedFarm", "PopulationSpec",

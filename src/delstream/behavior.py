@@ -207,25 +207,19 @@ class SuspensionRow:
     suspended: int
     total: int
     unknown: int
-    fraction: float
 
-
-@dataclass(frozen=True, slots=True)
-class SuspensionTable:
-    rows: tuple[SuspensionRow, ...]
-
-    def row(self, category: Category) -> SuspensionRow:
-        for row in self.rows:
-            if row.category is category:
-                return row
-        raise KeyError(category)
+    @property
+    def fraction(self) -> float:
+        """The suspended share of the category's accounts; 0.0 for none."""
+        return self.suspended / self.total if self.total else 0.0
 
 
 def suspension_stats(
     summaries: Iterable[AccountBehaviorSummary],
     final_statuses: Mapping[int, AccountStatus],
-) -> SuspensionTable:
-    """Suspension counts and fractions per category at the follow-up check.
+) -> tuple[SuspensionRow, ...]:
+    """Suspension counts and fractions per category at the follow-up check,
+    one row per ``Category``, in its order.
 
     Accounts missing from ``final_statuses`` still count toward the category
     total but are reported in the ``unknown`` residual column.
@@ -240,17 +234,10 @@ def suspension_stats(
             unknown[summary.category] += 1
         elif AccountStatus(status) is AccountStatus.SUSPENDED:
             suspended[summary.category] += 1
-    rows = tuple(
-        SuspensionRow(
-            category,
-            suspended[category],
-            total[category],
-            unknown[category],
-            suspended[category] / total[category] if total[category] else 0.0,
-        )
+    return tuple(
+        SuspensionRow(category, suspended[category], total[category], unknown[category])
         for category in Category
     )
-    return SuspensionTable(rows)
 
 
 #: Minimal English stopword list for profile-term ranking; callers with other

@@ -266,7 +266,7 @@ def _cmd_stats(args) -> int:
         for tl in timelines
         if (status := tl.final_status()) is not None
     }
-    table = suspension_stats(summaries, final_statuses)
+    suspensions = suspension_stats(summaries, final_statuses)
     descriptions = {tl.account_id: tl.description for tl in timelines}
 
     def texts(members) -> list[str]:
@@ -335,7 +335,7 @@ def _cmd_stats(args) -> int:
         ["category", "suspended", "total", "unknown", "fraction"],
         (
             (r.category.value, r.suspended, r.total, r.unknown, r.fraction)
-            for r in table.rows
+            for r in suspensions
         ),
     )
     write_csv(out.path("terms.csv"), ["group", "term", "count"], term_rows)

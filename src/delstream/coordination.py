@@ -9,7 +9,10 @@ drops unlikes of tweets nobody deleted and casual unlikers, then projects
 the rest onto a directed liker-to-deleter graph and runs the components
 step. No deleter edge is built for a tweet nobody unliked, and a node's
 ``deletion_total`` (the distinct tweets it deleted, over all its records) is
-computed only for the accounts that end up as nodes.
+computed only for the accounts that end up as nodes; its ``role_ratio``
+follows from the two totals. With ``min_unlikes=1`` and ``min_component=1``
+nothing is filtered, and ``detect_coordination`` returns the whole
+projection.
 
 ``build_tripartite``, ``filter_unlikers``, ``project_bipartite`` and
 ``filter_components`` are the same pipeline one step at a time, over the
@@ -80,9 +83,12 @@ class CoordinationNode:
     account_id: int
     unlike_total: int
     deletion_total: int
-    role_ratio: float
     in_degree: int
     component_id: int
+
+    @property
+    def role_ratio(self) -> float:
+        return role_ratio(self.unlike_total, self.deletion_total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,19 +230,16 @@ def _project(
     }
     totals = deletion_totals(component_of)
 
-    nodes = []
-    for node_id in sorted(component_of):
-        unlike_total = unlike_totals.get(node_id, 0)
-        nodes.append(
-            CoordinationNode(
-                node_id,
-                unlike_total,
-                totals[node_id],
-                role_ratio(unlike_total, totals[node_id]),
-                in_degrees.get(node_id, 0),
-                component_of[node_id],
-            )
+    nodes = [
+        CoordinationNode(
+            node_id,
+            unlike_totals.get(node_id, 0),
+            totals[node_id],
+            in_degrees.get(node_id, 0),
+            component_of[node_id],
         )
+        for node_id in sorted(component_of)
+    ]
     kept_edges = sorted(edge for edge in edges if edge[0] in component_of)
     return CoordinationGraph(tuple(nodes), tuple(kept_edges), tuple(components))
 
@@ -291,9 +294,12 @@ def detect_coordination(
 
     Equals ``filter_components(project_bipartite(filter_unlikers(
     build_tripartite(daily_deletions, unlikes), min_unlikes)),
-    min_component)``. Reads ``unlikes`` first, then ``daily_deletions``
-    once; a deletion record's tweets are looked at one by one only if one
-    of them has an unlike record.
+    min_component)``. ``detect_coordination(daily_deletions, unlikes,
+    min_unlikes=1, min_component=1)`` is the whole unfiltered projection,
+    ``project_bipartite(build_tripartite(daily_deletions, unlikes))``: the
+    library's way to get it. Reads ``unlikes`` first, then
+    ``daily_deletions`` once; a deletion record's tweets are looked at one
+    by one only if one of them has an unlike record.
     """
     check_at_least("min_unlikes", min_unlikes, 1)
     check_at_least("min_nodes", min_component, 1)

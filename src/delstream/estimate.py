@@ -307,7 +307,6 @@ class ComparisonReport:
     paired: tuple[PairedDeletion, ...]
     mean_estimated: float | None
     mean_actual: float | None
-    underestimation_fraction: float | None
     ks_statistic: float | None
     ccdf_estimated: tuple[tuple[float, float], ...]
     ccdf_actual: tuple[tuple[float, float], ...]
@@ -315,6 +314,14 @@ class ComparisonReport:
     @property
     def is_empty(self) -> bool:
         return not self.paired
+
+    @property
+    def underestimation_fraction(self) -> float | None:
+        """The share of the mean actual that the mean estimate misses; None
+        without pairs or for a mean actual of 0."""
+        if not self.mean_actual:
+            return None
+        return (self.mean_actual - self.mean_estimated) / self.mean_actual
 
     @classmethod
     def from_pairs(
@@ -333,19 +340,13 @@ class ComparisonReport:
         if per_account_median:
             kept = _account_medians(kept)
         if not kept:
-            return cls((), None, None, None, None, (), ())
+            return cls((), None, None, None, (), ())
         estimated = [p.estimated for p in kept]
         actual = [p.actual for p in kept]
-        mean_estimated = _mean(estimated)
-        mean_actual = _mean(actual)
-        fraction = None
-        if mean_actual != 0:
-            fraction = (mean_actual - mean_estimated) / mean_actual
         return cls(
             tuple(kept),
-            mean_estimated,
-            mean_actual,
-            fraction,
+            _mean(estimated),
+            _mean(actual),
             ks_two_sample(estimated, actual).statistic,
             tuple(ccdf(estimated)),
             tuple(ccdf(actual)),

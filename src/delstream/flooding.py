@@ -46,7 +46,6 @@ class FloodingViolation:
     day: date
     count_diff: int
     deletions: int
-    total_posted: int
     stale_suspect: bool
 
     def __post_init__(self):
@@ -54,11 +53,13 @@ class FloodingViolation:
         date_field(self.day, "day")
         int_field(self.count_diff, "count_diff")
         int_field(self.deletions, "deletions", 0)
-        int_field(self.total_posted, "total_posted")
         if type(self.stale_suspect) is not bool:
             raise ValueError(f"'stale_suspect' must be a bool, got {self.stale_suspect!r:.40}")
-        if self.total_posted != self.count_diff + self.deletions:
-            raise ValueError("total_posted must equal count_diff + deletions")
+
+    @property
+    def total_posted(self) -> int:
+        """The tweets posted that day, ``total_posted(n_prev, n_curr, deletions)``."""
+        return self.count_diff + self.deletions
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,9 +107,7 @@ def detect(
             if exclude_stale and stale:
                 continue
             violations.append(
-                FloodingViolation(
-                    timeline.account_id, day_curr, diff, deleted, total, stale
-                )
+                FloodingViolation(timeline.account_id, day_curr, diff, deleted, stale)
             )
     violations.sort(key=lambda v: (v.account_id, v.day))
     return violations
@@ -147,14 +146,15 @@ def _violation_from_row(row: dict[str, str]) -> FloodingViolation:
     stale = row["stale_suspect"]
     if stale not in ("0", "1"):
         raise ValueError(f"'stale_suspect' must be 0 or 1, got {stale!r}")
-    return FloodingViolation(
-        parse_account_id(row["account_id"]),
-        day_field(row["day"], "day"),
-        int_text_field(row["count_diff"], "count_diff"),
-        int_text_field(row["deletions"], "deletions"),
-        int_text_field(row["total_posted"], "total_posted"),
-        stale == "1",
-    )
+    account_id = parse_account_id(row["account_id"])
+    day = day_field(row["day"], "day")
+    count_diff = int_text_field(row["count_diff"], "count_diff")
+    deletions = int_text_field(row["deletions"], "deletions")
+    total = int_text_field(row["total_posted"], "total_posted")
+    violation = FloodingViolation(account_id, day, count_diff, deletions, stale == "1")
+    if total != violation.total_posted:
+        raise ValueError("total_posted must equal count_diff + deletions")
+    return violation
 
 
 def read_violations(path) -> list[FloodingViolation]:

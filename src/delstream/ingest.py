@@ -24,9 +24,13 @@ account, day and tweet IDs, which coordination reads; only
 ``records.ages_in_days``. A timeline keeps only what ``estimate``,
 ``detect-flooding`` and ``stats`` read, built or read back: each snapshot's
 day, status and count as three parallel columns, the account's description,
-and each deletion day's count and ages (``DeletionDay``). The intermediate files are sorted, and their readers
-refuse a repeated or out-of-order line: timelines by account, daily
-records by (account, day), unlike records by (liker, tweet).
+and each deletion day's count and ages (``DeletionDay``). The intermediate
+files are sorted: timelines by account, daily records by (account, day),
+unlike records by (liker, tweet). Each reader refuses a repeated or
+out-of-order line, and each writer refuses, before it opens its file, a
+list its reader would refuse, with the reader's message and line.
+``build_timelines`` raises ValueError for a repeated snapshot or deletion
+record of one (account, day).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .records import (
     RecordParseError,
     ages_in_days,
     check_at_least,
+    check_order,
     date_field,
     day_field,
     int_field,
@@ -59,10 +64,6 @@ from .records import (
 
 #: Account-days with fewer deletions than this are out of scope.
 DEFAULT_INCLUSION_THRESHOLD = 10
-
-
-class DuplicateSnapshotError(ValueError):
-    """Two snapshots for the same (account, day): corrupt input."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,7 +321,7 @@ def build_timelines(
     for snapshot in snapshots:
         per_account = snaps_by_account.setdefault(snapshot.account_id, {})
         if snapshot.snapshot_day in per_account:
-            raise DuplicateSnapshotError(
+            raise ValueError(
                 f"duplicate snapshot for account {snapshot.account_id} "
                 f"on {snapshot.snapshot_day}"
             )
@@ -450,25 +451,31 @@ def timeline_from_dict(raw: dict) -> AccountTimeline:
         raise RecordParseError(f"bad timeline: {err}") from None
 
 
+#: The sort key of each intermediate file, by field name.
+_DAILY_KEY = ("account_id", "day")
+_UNLIKE_KEY = ("liker_id", "tweet_id")
+_TIMELINE_KEY = ("account_id",)
+
+
 def write_daily_records(path, records) -> int:
-    return write_ndjson(path, records, daily_record_to_dict)
+    return write_ndjson(path, check_order(records, _DAILY_KEY), daily_record_to_dict)
 
 
 def read_daily_records(path) -> Iterator[DailyDeletionRecord]:
-    return read_ndjson(path, daily_record_from_dict, ("account_id", "day"))
+    return read_ndjson(path, daily_record_from_dict, _DAILY_KEY)
 
 
 def write_unlike_records(path, records) -> int:
-    return write_ndjson(path, records, unlike_record_to_dict)
+    return write_ndjson(path, check_order(records, _UNLIKE_KEY), unlike_record_to_dict)
 
 
 def read_unlike_records(path) -> Iterator[UnlikeRecord]:
-    return read_ndjson(path, unlike_record_from_dict, ("liker_id", "tweet_id"))
+    return read_ndjson(path, unlike_record_from_dict, _UNLIKE_KEY)
 
 
 def write_timelines(path, timelines) -> int:
-    return write_ndjson(path, timelines, timeline_to_dict)
+    return write_ndjson(path, check_order(timelines, _TIMELINE_KEY), timeline_to_dict)
 
 
 def read_timelines(path) -> Iterator[AccountTimeline]:
-    return read_ndjson(path, timeline_from_dict, ("account_id",))
+    return read_ndjson(path, timeline_from_dict, _TIMELINE_KEY)

@@ -4,15 +4,18 @@ Every file the package reads or writes is framed here (``read_ndjson``,
 ``write_ndjson``, ``read_csv``, ``write_csv``, ``read_account_ids``,
 ``read_json``, ``write_json``); other modules supply only the conversion of
 one record to and from a dict or a CSV row. A decoder converts only what
-JSON and CSV cannot hold (a day's text to a ``date``, a status to its enum,
-a stamp to a ``datetime``, a CSV cell to an int) and passes every other
-value to the record's constructor, which checks each field with the field
-checks here (``int_field`` and the rest): every ID in every input is a
-positive integer, and a record built in memory holds only what its reader
-accepts. Decoders take no line number: each reader here re-raises
-its decoder's ValueError as a RecordParseError naming the line, as it does
-for a line that is not valid UTF-8, and ``read_ndjson`` does the same for a
-record that repeats or precedes the one before it in a sorted file.
+JSON and CSV cannot hold (a day's text to a ``date``, a kind or status to
+its enum, a stamp to a ``datetime``, a CSV cell to an int) and passes every
+other value to the record's constructor, which checks each field with the
+field checks here (``int_field`` and the rest): every ID in every input is
+a positive integer, an enum field holds its enum and never text, and a
+record built in memory holds only what its reader accepts. Decoders take no
+line number: each reader here re-raises its decoder's ValueError as a
+RecordParseError naming the line, as it does for a line that is not valid
+UTF-8, and ``read_ndjson`` does the same for a record that repeats or
+precedes the one before it in a sorted file. ``check_order`` raises that
+same error for a list of records before it is written, naming the line the
+record would go to.
 
 The two inputs that grow with the collection, events and snapshots, have an
 exact-form fast path: a line in the one form ``serialize_notice`` or
@@ -219,8 +222,8 @@ class ComplianceNotice:
     observed_at: datetime
 
     def __post_init__(self):
-        if not isinstance(self.kind, NoticeKind):
-            object.__setattr__(self, "kind", NoticeKind(self.kind))
+        if type(self.kind) is not NoticeKind:
+            raise RecordParseError(f"'kind' must be a NoticeKind, got {self.kind!r:.40}")
         int_field(self.actor_id, "actor_id", 1)
         int_field(self.object_id, "object_id", 1)
         ts = self.observed_at
@@ -251,8 +254,6 @@ class AccountSnapshot:
     queried_at: datetime | None = None
 
     def __post_init__(self):
-        if not isinstance(self.status, AccountStatus):
-            object.__setattr__(self, "status", AccountStatus(self.status))
         int_field(self.account_id, "account_id", 1)
         snapshot_row(self.snapshot_day, self.status, self.statuses_count)
         str_field(self.description, "description")
@@ -260,16 +261,6 @@ class AccountSnapshot:
             _check_aware(self.created_at, "created_at")
         if not (self.queried_at is None or _in_utc(self.queried_at)):
             _check_aware(self.queried_at, "queried_at")
-
-
-@dataclass(frozen=True, slots=True)
-class TweetCreationTime:
-    tweet_id: int
-    created_at: datetime | None
-
-    @property
-    def decodable(self) -> bool:
-        return self.created_at is not None
 
 
 def creation_ms(tweet_id: int) -> int | None:
@@ -292,15 +283,15 @@ def ages_in_days(day: date, tweet_ids: Iterable[int]) -> tuple[int, ...]:
     return tuple(ages)
 
 
-def decode_creation_time(tweet_id: int) -> TweetCreationTime:
-    """Decode the creation timestamp embedded in a time-encoded tweet ID.
+def decode_creation_time(tweet_id: int) -> datetime | None:
+    """The UTC creation time embedded in a time-encoded tweet ID.
 
     The top bits hold a millisecond offset from the scheme's epoch base,
     shifted left by 22 bits of worker/sequence data. IDs below the scheme's
-    range decode to an undecodable result, never an error.
+    range are undecodable and give None, never an error.
     """
     ms = creation_ms(tweet_id)
-    return TweetCreationTime(tweet_id, None if ms is None else ms_to_datetime(ms))
+    return None if ms is None else ms_to_datetime(ms)
 
 
 def _load(line: str):
@@ -703,21 +694,49 @@ def read_ndjson(
     greater than the one before it, repeated or out of order, raises
     RecordParseError with its line number too.
     """
-    key = attrgetter(*order) if order else None
-    last = None
+    numbered = _decoded(path, from_dict)
+    if order:
+        numbered = _in_order(numbered, order)
+    for _, item in numbered:
+        yield item
+
+
+def _decoded(path, from_dict: Callable[[object], T]) -> Iterator[tuple[int, T]]:
+    """(line number, ``from_dict`` of the line's JSON) per non-blank line."""
     for number, line in _lines(path):
         try:
-            item = from_dict(_load(line))
+            yield number, from_dict(_load(line))
         except ValueError as err:
             raise _at_line(err, number) from None
-        if key is not None:
-            this = key(item)
-            if last is not None and this <= last:
-                values = this if len(order) > 1 else (this,)
-                shown = ", ".join(f"{name} {value}" for name, value in zip(order, values))
-                raise RecordParseError(f"{shown} repeats or precedes the line before", number)
-            last = this
-        yield item
+
+
+def _in_order(
+    numbered: Iterable[tuple[int, T]], order: Sequence[str]
+) -> Iterator[tuple[int, T]]:
+    """Each (line number, record), raising RecordParseError with the line
+    number at the first record whose key, the fields ``order`` names, is not
+    greater than the one before: repeated or out of order."""
+    key = attrgetter(*order)
+    last = None
+    for number, item in numbered:
+        this = key(item)
+        if last is not None and this <= last:
+            values = this if len(order) > 1 else (this,)
+            shown = ", ".join(f"{name} {value}" for name, value in zip(order, values))
+            raise RecordParseError(f"{shown} repeats or precedes the line before", number)
+        last = this
+        yield number, item
+
+
+def check_order(items: Iterable[T], order: Sequence[str]) -> Sequence[T]:
+    """``items`` as a sequence, if each record's key is greater than the one
+    before, as ``read_ndjson(path, from_dict, order)`` requires; else the
+    RecordParseError that reader would raise, naming the 1-based line the
+    record would be written to."""
+    items = items if isinstance(items, (list, tuple)) else list(items)
+    for _ in _in_order(enumerate(items, start=1), order):
+        pass
+    return items
 
 
 def read_account_ids(path) -> Iterator[int]:

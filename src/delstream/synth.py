@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .behavior import Category
+from .behavior import Category, categorize
 from .flooding import DEFAULT_DAILY_LIMIT
 from .ingest import DEFAULT_INCLUSION_THRESHOLD
 from .records import (
@@ -102,8 +102,8 @@ class BehaviorProfile:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.kind, ProfileKind):
-            object.__setattr__(self, "kind", ProfileKind(self.kind))
+        if type(self.kind) is not ProfileKind:
+            raise ValueError(f"'kind' must be a ProfileKind, got {self.kind!r:.40}")
         for name in ("delete_days", "flood_days", "gap_days", "stale_days"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, tuple):
@@ -400,15 +400,8 @@ def _true_category(account: _Account, days: int) -> Category | None:
     deleting = sum(
         1 for count in account.deletions if count >= DEFAULT_INCLUSION_THRESHOLD
     )
-    if any(posted > DEFAULT_DAILY_LIMIT for posted in account.posts):
-        return Category.SUSPICIOUS
-    if deleting == 0:
-        return None
-    if deleting == 1:
-        return Category.ONE_DAY
-    if deleting == days:
-        return Category.THIRTY_DAY
-    return Category.OTHER
+    violated = any(posted > DEFAULT_DAILY_LIMIT for posted in account.posts)
+    return None if deleting == 0 and not violated else categorize(deleting, violated, days)
 
 
 def _check_day_indices(profile: BehaviorProfile, days: int) -> None:
@@ -535,7 +528,7 @@ def profile_from_dict(raw: dict) -> BehaviorProfile:
         items = value if type(value) is list else ()
         if type(value) not in _PROFILE_TYPES[name] or not set(map(type, items)) <= {int}:
             raise ValueError(f"profile field {name!r} has the wrong JSON type: {value!r}")
-    return BehaviorProfile(**raw)
+    return BehaviorProfile(**{**raw, "kind": ProfileKind(raw["kind"])})
 
 
 def spec_from_dict(raw: dict) -> PopulationSpec:

@@ -213,7 +213,8 @@ def median_numpy_oracle(values) -> float:
 
 
 def from_pairs_numpy_oracle(pairs, floor, per_account_median):
-    """``ComparisonReport.from_pairs`` as numpy computed it."""
+    """``ComparisonReport.from_pairs`` as numpy computed it, and the report's
+    ``underestimation_fraction`` from the numpy means."""
     import numpy as np
 
     from delstream.estimate import ComparisonReport, PairedDeletion
@@ -233,7 +234,7 @@ def from_pairs_numpy_oracle(pairs, floor, per_account_median):
             for account_id, group in sorted(grouped.items())
         ]
     if not kept:
-        return ComparisonReport((), None, None, None, None, (), ())
+        return ComparisonReport((), None, None, None, (), ()), None
     estimated = [p.estimated for p in kept]
     actual = [p.actual for p in kept]
     mean_estimated = mean_numpy_oracle(estimated)
@@ -241,15 +242,15 @@ def from_pairs_numpy_oracle(pairs, floor, per_account_median):
     fraction = None
     if mean_actual != 0:
         fraction = (mean_actual - mean_estimated) / mean_actual
-    return ComparisonReport(
+    report = ComparisonReport(
         tuple(kept),
         mean_estimated,
         mean_actual,
-        fraction,
         _ks_numpy(np.asarray(estimated, dtype=float), np.asarray(actual, dtype=float)),
         tuple(ccdf_numpy_oracle(estimated)),
         tuple(ccdf_numpy_oracle(actual)),
     )
+    return report, fraction
 
 
 def pairing_oracle(estimates, actuals, include_gaps=True):

@@ -27,7 +27,7 @@ def timeline(account_id: int, deleting_days, per_day=20, ages=()) -> AccountTime
 
 
 def violation(account_id: int) -> FloodingViolation:
-    return FloodingViolation(account_id, day(1), 100, 3000, 3100, False)
+    return FloodingViolation(account_id, day(1), 100, 3000, False)
 
 
 class TestSummarize:
@@ -206,6 +206,11 @@ class TestDailyVolumeCcdf:
         assert b.daily_volume_ccdf([]) == []
 
 
+def rows(summaries, statuses) -> dict:
+    """``suspension_stats``' rows by category."""
+    return {row.category: row for row in b.suspension_stats(summaries, statuses)}
+
+
 class TestSuspensionStats:
     def make_population(self, total, suspended_count, category):
         summaries = [
@@ -220,20 +225,19 @@ class TestSuspensionStats:
 
     def test_suspicious_rate(self):
         summaries, statuses = self.make_population(1715, 13, b.Category.SUSPICIOUS)
-        table = b.suspension_stats(summaries, statuses)
-        row = table.row(b.Category.SUSPICIOUS)
+        row = rows(summaries, statuses)[b.Category.SUSPICIOUS]
         assert (row.suspended, row.total) == (13, 1715)
         assert row.fraction == pytest.approx(0.0076, abs=0.0001)
 
     def test_zero_suspended(self):
         summaries, statuses = self.make_population(50, 0, b.Category.ONE_DAY)
-        row = b.suspension_stats(summaries, statuses).row(b.Category.ONE_DAY)
+        row = rows(summaries, statuses)[b.Category.ONE_DAY]
         assert row.fraction == 0.0
 
     def test_missing_status_counted_with_residual(self):
         summaries, statuses = self.make_population(10, 2, b.Category.OTHER)
         del statuses[10]
-        row = b.suspension_stats(summaries, statuses).row(b.Category.OTHER)
+        row = rows(summaries, statuses)[b.Category.OTHER]
         assert row.total == 10
         assert row.unknown == 1
         assert row.suspended == 2
@@ -252,16 +256,17 @@ class TestSuspensionStats:
             elif roll < 0.9:
                 statuses[account] = AccountStatus.ACTIVE
         table = b.suspension_stats(summaries, statuses)
-        for category in b.Category:
+        assert [row.category for row in table] == list(b.Category)
+        for category, row in zip(b.Category, table):
             members = [s for s in summaries if s.category is category]
             expected_suspended = sum(
                 1
                 for s in members
                 if statuses.get(s.account_id) is AccountStatus.SUSPENDED
             )
-            row = table.row(category)
             assert row.total == len(members)
             assert row.suspended == expected_suspended
+            assert row.fraction == (expected_suspended / len(members) if members else 0.0)
             assert row.unknown == sum(
                 1 for s in members if s.account_id not in statuses
             )

@@ -1,6 +1,7 @@
 """Stage inputs the CLI refuses with exit 3, naming the line: a repeated or
-out-of-order line in a sorted intermediate file, and a bot-score cell that
-is not ASCII decimal text."""
+out-of-order line in a sorted intermediate file, a bot-score cell that is
+not ASCII decimal text, and a violations row whose ``total_posted`` is not
+``count_diff + deletions``; and a spec whose cohort has an unknown kind."""
 
 from __future__ import annotations
 
@@ -140,3 +141,27 @@ def test_bot_score_decimal_text_read(tmp_path, monkeypatch, score, value):
                "--out", "out") == 0
     [row] = Path("out/summaries.csv").read_text().splitlines()[1:]
     assert float(row.split(",")[-1]) == value
+
+
+@pytest.mark.parametrize("total", ["2511", "-2510"])
+def test_violation_total_posted_not_the_sum_exit_3(tmp_path, monkeypatch, capsys, total):
+    monkeypatch.chdir(tmp_path)
+    Path("timelines.ndjson").write_text(
+        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+    )
+    Path("v.csv").write_text("account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
+                             f"1,2021-04-26,10,2500,2510,0\n2,2021-04-26,10,2500,{total},0\n")
+    assert run("stats", "--timelines", "timelines.ndjson", "--violations", "v.csv",
+               "--out", "out") == 3
+    assert ("line 3: bad row: total_posted must equal count_diff + deletions"
+            in capsys.readouterr().err)
+    assert not Path("out").exists()
+
+
+def test_spec_with_an_unknown_kind_exit_3(tmp_path, capsys):
+    spec = {**SPEC, "cohorts": [{**SPEC["cohorts"][0], "kind": "bot"}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run("generate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 3
+    assert ("delstream: invalid input: 'bot' is not a valid ProfileKind"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()

@@ -307,6 +307,12 @@ class TestPipelineEqualsSteps:
         min_unlikes=2,
         min_component=1,
     )
+    @example(  # no filter: the whole projection, single unlikes and lone pairs kept
+        records=[deletion(1, [10, 11]), deletion(2, [11]), deletion(7, [30])],
+        unlikes=[unlike(3, 10, 1), unlike(4, 11, 1), unlike(8, 30, 1), unlike(9, 99, 1)],
+        min_unlikes=1,
+        min_component=1,
+    )
     @settings(max_examples=400, deadline=None)
     def test_equals_step_composition(self, records, unlikes, min_unlikes, min_component):
         net = c.build_tripartite(records, unlikes)
@@ -316,6 +322,8 @@ class TestPipelineEqualsSteps:
         got = c.detect_coordination(
             iter(records), iter(unlikes), min_unlikes, min_component
         )
+        if min_unlikes == min_component == 1:
+            assert got == c.project_bipartite(net)
         assert got.nodes == expected.nodes
         assert got.edges == expected.edges
         assert got.components == expected.components

@@ -231,7 +231,7 @@ class TestReportMatchesNumpy:
     @settings(max_examples=200, deadline=None)
     def test_report_equals_bit_for_bit(self, pairs, floor, per_account_median):
         got = e.ComparisonReport.from_pairs(pairs, floor, per_account_median)
-        want = oracles.from_pairs_numpy_oracle(pairs, floor, per_account_median)
+        want, want_fraction = oracles.from_pairs_numpy_oracle(pairs, floor, per_account_median)
 
         def zero_unsigned(report):
             # numpy's sort leaves which zero its CCDF reports undefined.
@@ -242,6 +242,8 @@ class TestReportMatchesNumpy:
             return dataclasses.replace(report, ccdf_estimated=rows[0], ccdf_actual=rows[1])
 
         assert _bits(zero_unsigned(got)) == _bits(zero_unsigned(want))
+        # A property, so the field comparison above leaves it out.
+        assert _bits(got.underestimation_fraction) == _bits(want_fraction)
 
 
 class TestNanRejected:

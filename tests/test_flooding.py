@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import tempfile
 from datetime import date, timedelta, timezone
 from pathlib import Path
@@ -174,15 +175,28 @@ class TestViolatorProfiles:
 
 
 class TestInvariants:
-    def test_total_posted_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            flooding.FloodingViolation(1, DAY0, 10, 10, 21, False)
+    @pytest.mark.parametrize("cells, error", [
+        ("10,10,21", "total_posted must equal count_diff + deletions"),
+        ("10,2500,2511", "total_posted must equal count_diff + deletions"),
+        ("-10,0,10", "total_posted must equal count_diff + deletions"),
+        ("2511,-1,2511", "'deletions' must be an integer >= 0, got -1"),
+        ("10,2500,2510.0", "'total_posted' must be an integer, got '2510.0'"),
+    ])
+    def test_total_posted_consistency_enforced(self, tmp_path, cells, error):
+        """``total_posted`` is derived, so the reader checks the cell against
+        the sum, after every field the record checks."""
+        path = tmp_path / "violations.csv"
+        path.write_text(
+            "account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
+            "1,2021-04-26,10,2500,2510,1\n"
+            f"2,2021-04-26,{cells},0\n"
+        )
+        with pytest.raises(RecordParseError, match=f"^line 3: bad row: {re.escape(error)}$"):
+            flooding.read_violations(path)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.builds(
-        lambda account_id, day, diff, deleted, stale: flooding.FloodingViolation(
-            account_id, day, diff, deleted, diff + deleted, stale
-        ),
+        flooding.FloodingViolation,
         st.integers(1, 2**70), st.dates(), st.integers(-(2**70), 2**70),
         st.integers(0, 2**70), st.booleans(),
     ), max_size=4))

@@ -19,11 +19,11 @@ PUBLIC_NAMES = [
     "AccountBehaviorSummary", "AccountSnapshot", "AccountStatus", "AccountTimeline",
     "BehaviorProfile", "Category", "Cohort", "ComparisonReport", "ComplianceNotice",
     "CoordinationGraph", "CoordinationNode", "DailyDeletionRecord", "DeletionDay",
-    "DeletionEstimate", "DuplicateSnapshotError", "FloodingViolation",
+    "DeletionEstimate", "FloodingViolation",
     "FrequencyBucket", "GroundTruth", "KsResult", "NoticeKind", "PairedDeletion",
     "PlantedFarm", "PopulationSpec", "ProfileKind", "RecordParseError",
-    "SuspensionRow", "SuspensionTable", "SyntheticDataset", "TripartiteNetwork",
-    "TweetCreationTime", "UnknownKindError", "UnlikeFunnel", "UnlikeRecord",
+    "SuspensionRow", "SyntheticDataset", "TripartiteNetwork",
+    "UnknownKindError", "UnlikeFunnel", "UnlikeRecord",
     "ViolatorProfile", "aggregate_daily", "aggregate_daily_sharded",
     "aggregate_events", "aggregate_unlikes", "build_timelines", "build_tripartite",
     "ccdf", "compare", "daily_volume_ccdf", "decode_creation_time", "detect",

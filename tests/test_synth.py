@@ -328,6 +328,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
             synth.BehaviorProfile(kind=synth.ProfileKind.NORMAL_DELETER, **{field: value})
 
+    def test_text_kind_rejected(self):
+        with pytest.raises(ValueError) as err:
+            synth.BehaviorProfile(kind="idle")
+        assert str(err.value) == "'kind' must be a ProfileKind, got 'idle'"
+
 
 class TestSpecFiles:
     def test_roundtrip_via_dict(self):
