@@ -48,6 +48,7 @@ import functools
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
@@ -676,11 +677,17 @@ def _lines(path) -> Iterator[tuple[int, str]]:
             line = line.strip()
             if line:
                 if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise RecordParseError("invalid UTF-8", number) from None
+                    _check_utf8(line, number)
                 yield number, line
+
+
+def _check_utf8(text: str, number: int) -> None:
+    """Raise RecordParseError with line ``number`` if ``text``, read with
+    surrogateescape, holds bytes that are not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordParseError("invalid UTF-8", number) from None
 
 
 def read_ndjson(
@@ -817,18 +824,22 @@ def read_csv(
     """Yield ``from_row(row)`` for each row of a CSV file, a dict by header name.
 
     Blank lines are skipped. RecordParseError, with the line number, is
-    raised for a header that lacks one of ``columns``, a row whose cell
-    count differs from the header's, and a row ``from_row`` rejects with
-    ValueError.
+    raised for a line that is not UTF-8, a header that lacks one of
+    ``columns`` or names a column twice, a row whose cell count differs from
+    the header's, and a row ``from_row`` rejects with ValueError.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
+        rows = _utf8_rows(reader)
         try:
-            header = next(reader, [])
+            header = next(rows, [])
             missing = [name for name in columns if name not in header]
             if missing:
                 raise RecordParseError(f"CSV header lacks {missing}", reader.line_num)
-            for cells in reader:
+            repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+            if repeated:
+                raise RecordParseError(f"CSV header repeats {repeated}", reader.line_num)
+            for cells in rows:
                 if not cells:
                     continue
                 if len(cells) != len(header):
@@ -841,3 +852,13 @@ def read_csv(
                 yield item
         except csv.Error as err:
             raise RecordParseError(f"bad CSV: {err}", reader.line_num) from None
+
+
+def _utf8_rows(reader) -> Iterator[list[str]]:
+    """Each row of a CSV reader over a file read with surrogateescape; a row
+    that is not UTF-8 raises RecordParseError with its line number."""
+    for cells in reader:
+        text = "".join(cells)
+        if not text.isascii():
+            _check_utf8(text, reader.line_num)
+        yield cells

@@ -12,6 +12,11 @@ paths: ``gap_days`` drop snapshots (suspension-style observation gaps) and
 count source). Stale days break the consistency identity on purpose, so
 downstream labels may diverge from truth there.
 
+Each spec record refuses, naming it, a field of the wrong type or range when
+built, so a spec built in the library is refused as a spec file is;
+``spec_from_dict`` only converts, and ``generate`` raises only for what its
+draws decide: an ``initial_count`` too small, or legacy IDs running out.
+
 numpy is imported inside the functions that use it, and at module level only
 for type checkers, so that CLI stages which never call them, such as
 ``aggregate``, start without loading numpy.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from enum import Enum
@@ -42,10 +48,13 @@ from .records import (
     NoticeKind,
     NoticeRow,
     check_at_least,
+    date_field,
     day_field,
     int_field,
+    int_list_field,
     ms_to_datetime,
     read_json,
+    str_field,
     write_json,
     write_notice_rows,
     write_snapshots,
@@ -70,6 +79,17 @@ _ACCOUNT_AGE_DAYS = range(300, 2300)
 #: Per-day deletion ceiling observed for bulk-deletion tooling that walks the
 #: most recent retrievable timeline page.
 TIMELINE_RETRIEVAL_CAP = 3200
+
+
+#: A profile's rates, each finite and >= 0 (compared with the largest float,
+#: so an int past it is refused, not an overflow); its integer fields, each
+#: with its least value; and its day-index lists (``delete_days`` may be None).
+_RATES = ("post_rate", "delete_rate", "age_median_days", "age_sigma")
+_INT_MINIMA = {
+    "min_daily_deletions": 1, "cycle_posts": 1, "cycles_per_day": 1, "farm_size": 0,
+    "farm_tweets": 1, "farm_day": 0, "spoke_unlikes": 1, "initial_count": 0, "seed": 0,
+}
+_DAY_LISTS = ("delete_days", "flood_days", "gap_days", "stale_days")
 
 
 @dataclass(frozen=True)
@@ -104,22 +124,15 @@ class BehaviorProfile:
     def __post_init__(self):
         if type(self.kind) is not ProfileKind:
             raise ValueError(f"'kind' must be a ProfileKind, got {self.kind!r:.40}")
-        for name in ("delete_days", "flood_days", "gap_days", "stale_days"):
+        for name in _RATES:
             value = getattr(self, name)
-            if value is not None and not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-        for name in ("post_rate", "delete_rate", "age_median_days", "age_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.min_daily_deletions < 1:
-            raise ValueError("min_daily_deletions must be >= 1")
-        if self.cycle_posts < 1 or self.cycles_per_day < 1:
-            raise ValueError("flood cycle parameters must be >= 1")
-        if self.farm_size < 0 or self.farm_tweets < 1 or self.spoke_unlikes < 1:
-            raise ValueError("farm parameters out of range")
-        if self.initial_count < 0:
-            raise ValueError("initial_count must be >= 0")
+            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r:.40}")
+        for name, minimum in _INT_MINIMA.items():
+            int_field(getattr(self, name), name, minimum)
+        for name in _DAY_LISTS:
+            if getattr(self, name) is not None or name != "delete_days":
+                object.__setattr__(self, name, int_list_field(getattr(self, name), name, 0))
 
 
 @dataclass(frozen=True)
@@ -128,26 +141,39 @@ class Cohort:
     count: int
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"cohort count must be >= 0, got {self.count}")
+        if type(self.profile) is not BehaviorProfile:
+            raise ValueError(f"'profile' must be a BehaviorProfile, got {self.profile!r:.40}")
+        int_field(self.count, "count", 0)
 
 
 @dataclass(frozen=True)
 class PopulationSpec:
+    """Cohorts whose day indices and hub ``farm_day`` lie in the window;
+    ``like_farm_spoke`` cohorts are refused, as hubs spawn the spokes."""
+
     cohorts: tuple[Cohort, ...]
     days: int = 30
     start_day: date = date(2021, 4, 26)
 
     def __post_init__(self):
-        check_at_least("days", self.days, 1)
+        days = int_field(self.days, "days")
+        check_at_least("days", days, 1)
         # The oldest account's creation day and the last query day must exist.
-        start = self.start_day.toordinal()
-        if start - _ACCOUNT_AGE_DAYS[-1] < 1 or start + self.days > date.max.toordinal():
-            raise ValueError(
-                f"start_day {self.start_day} with days={self.days} leaves the date range"
-            )
-        if not isinstance(self.cohorts, tuple):
-            object.__setattr__(self, "cohorts", tuple(self.cohorts))
+        start = date_field(self.start_day, "start_day").toordinal()
+        if start - _ACCOUNT_AGE_DAYS[-1] < 1 or start + days > date.max.toordinal():
+            raise ValueError(f"start_day {self.start_day} with days={days} leaves the date range")
+        if type(self.cohorts) not in (list, tuple) or {type(c) for c in self.cohorts} - {Cohort}:
+            raise ValueError("'cohorts' must be a list of Cohort records")
+        object.__setattr__(self, "cohorts", tuple(self.cohorts))
+        for profile in [cohort.profile for cohort in self.cohorts]:
+            if profile.kind is ProfileKind.LIKE_FARM_SPOKE:
+                raise ValueError("like_farm_spoke cohorts are spawned by like_farm_hub")
+            for name in _DAY_LISTS:
+                for index in getattr(profile, name) or ():
+                    if index >= days:
+                        raise ValueError(f"{name} index {index} outside window of {days} days")
+            if profile.kind is ProfileKind.LIKE_FARM_HUB and profile.farm_day >= days:
+                raise ValueError(f"farm_day {profile.farm_day} outside window of {days} days")
 
 
 @dataclass(frozen=True)
@@ -404,21 +430,6 @@ def _true_category(account: _Account, days: int) -> Category | None:
     return None if deleting == 0 and not violated else categorize(deleting, violated, days)
 
 
-def _check_day_indices(profile: BehaviorProfile, days: int) -> None:
-    named = {
-        "delete_days": profile.delete_days or (),
-        "flood_days": profile.flood_days,
-        "gap_days": profile.gap_days,
-        "stale_days": profile.stale_days,
-    }
-    for name, indices in named.items():
-        for index in indices:
-            if not 0 <= index < days:
-                raise ValueError(f"{name} index {index} outside window of {days} days")
-    if profile.kind is ProfileKind.LIKE_FARM_HUB and not 0 <= profile.farm_day < days:
-        raise ValueError(f"farm_day {profile.farm_day} outside window of {days} days")
-
-
 def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
     """Generate a labeled dataset for a population specification.
 
@@ -449,9 +460,6 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
     next_id = 1
     for cohort_index, cohort in enumerate(spec.cohorts):
         profile = cohort.profile
-        if profile.kind is ProfileKind.LIKE_FARM_SPOKE:
-            raise ValueError("like_farm_spoke cohorts are spawned by like_farm_hub")
-        _check_day_indices(profile, spec.days)
         for account_index in range(cohort.count):
             rng = np.random.default_rng(
                 [seed & 0xFFFFFFFFFFFFFFFF, profile.seed, cohort_index, account_index]
@@ -511,31 +519,21 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
 
 # -- declarative spec files and ground-truth serialization -------------------
 
-#: The JSON types of a profile field, by the field's annotation; the items of
-#: a day list must be integers.
-_JSON_TYPES = {"ProfileKind": {str}, "float": {int, float}, "int": {int},
-               "tuple[int, ...]": {list}, "tuple[int, ...] | None": {list, type(None)}}
-_PROFILE_TYPES = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(BehaviorProfile)}
-
-
 def profile_from_dict(raw: dict) -> BehaviorProfile:
-    if "kind" not in raw:
+    """The profile a cohort entry names; ``BehaviorProfile`` checks its fields."""
+    if type(raw) is not dict or "kind" not in raw:
         raise ValueError("profile requires a 'kind'")
-    unknown = raw.keys() - _PROFILE_TYPES.keys()
+    unknown = raw.keys() - {f.name for f in dataclasses.fields(BehaviorProfile)}
     if unknown:
         raise ValueError(f"unknown profile fields: {sorted(unknown)}")
-    for name, value in raw.items():
-        items = value if type(value) is list else ()
-        if type(value) not in _PROFILE_TYPES[name] or not set(map(type, items)) <= {int}:
-            raise ValueError(f"profile field {name!r} has the wrong JSON type: {value!r}")
-    return BehaviorProfile(**{**raw, "kind": ProfileKind(raw["kind"])})
+    return BehaviorProfile(**{**raw, "kind": ProfileKind(str_field(raw["kind"], "kind"))})
 
 
 def spec_from_dict(raw: dict) -> PopulationSpec:
     """Build a population spec from its declarative form.
 
-    Each cohort entry carries ``count`` plus the profile fields inline. A
-    field of the wrong JSON type raises ValueError naming it.
+    Each cohort entry carries ``count`` plus the profile fields inline. The
+    records check every field: a bad one raises ValueError naming it.
     """
     if not isinstance(raw, dict) or type(raw.get("cohorts")) is not list:
         raise ValueError("population spec requires a 'cohorts' list")
@@ -543,12 +541,11 @@ def spec_from_dict(raw: dict) -> PopulationSpec:
     for entry in raw["cohorts"]:
         if not isinstance(entry, dict) or "count" not in entry:
             raise ValueError("each cohort requires a 'count'")
-        entry = dict(entry)
-        count = int_field(entry.pop("count"), "count", 0)
-        cohorts.append(Cohort(profile_from_dict(entry), count))
+        profile = {name: value for name, value in entry.items() if name != "count"}
+        cohorts.append(Cohort(profile_from_dict(profile), entry["count"]))
     return PopulationSpec(
         tuple(cohorts),
-        int_field(raw.get("days", 30), "days", 1),
+        raw.get("days", 30),
         day_field(raw.get("start_day", "2021-04-26"), "start_day"),
     )
 

@@ -1,7 +1,9 @@
 """Stage inputs the CLI refuses with exit 3, naming the line: a repeated or
 out-of-order line in a sorted intermediate file, a bot-score cell that is
-not ASCII decimal text, and a violations row whose ``total_posted`` is not
-``count_diff + deletions``; and a spec whose cohort has an unknown kind."""
+not ASCII decimal text, a violations row whose ``total_posted`` is not
+``count_diff + deletions``, and a CSV input whose header names a column twice
+or whose line is not UTF-8; and a spec whose cohort has an unknown kind or a
+rate past the largest float."""
 
 from __future__ import annotations
 
@@ -158,10 +160,59 @@ def test_violation_total_posted_not_the_sum_exit_3(tmp_path, monkeypatch, capsys
     assert not Path("out").exists()
 
 
+#: For each CSV input of ``stats``: its flag, its header and a good row.
+_CSV_INPUTS = {
+    "violations": ("--violations", "account_id,day,count_diff,deletions,total_posted,"
+                   "stale_suspect", "1,2021-04-26,10,2500,2510,0"),
+    "bot-scores": ("--bot-scores", "account_id,bot_score", "1,0.5"),
+}
+
+
+def _stats_with_csv(name: str, text: bytes) -> int:
+    Path("timelines.ndjson").write_text(
+        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+    )
+    Path("input.csv").write_bytes(text)
+    return run("stats", "--timelines", "timelines.ndjson", _CSV_INPUTS[name][0], "input.csv",
+               "--out", "out")
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_INPUTS))
+def test_csv_header_naming_a_column_twice_exit_3(tmp_path, monkeypatch, capsys, name):
+    """Read by header name, a repeated column would keep only its last cell."""
+    monkeypatch.chdir(tmp_path)
+    _, header, row = _CSV_INPUTS[name]
+    repeated = header.split(",")[1]
+    text = f"{header},{repeated}\n{row},{row.split(',')[1]}\n"
+    assert _stats_with_csv(name, text.encode()) == 3
+    assert f"line 1: CSV header repeats [{repeated!r}]" in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_INPUTS))
+def test_csv_line_of_invalid_utf8_exit_3_with_its_line(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    _, header, row = _CSV_INPUTS[name]
+    bad = row.encode().replace(b",", b",\xff", 1)
+    assert _stats_with_csv(name, f"{header}\n{row}\n".encode() + bad + b"\n") == 3
+    assert "line 3: invalid UTF-8" in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
 def test_spec_with_an_unknown_kind_exit_3(tmp_path, capsys):
     spec = {**SPEC, "cohorts": [{**SPEC["cohorts"][0], "kind": "bot"}]}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert run("generate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 3
     assert ("delstream: invalid input: 'bot' is not a valid ProfileKind"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_rate_past_the_largest_float_exit_3(tmp_path, capsys):
+    """A JSON integer too large for a float is refused, not an overflow."""
+    spec = {**SPEC, "cohorts": [{**SPEC["cohorts"][0], "post_rate": 10**400}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run("generate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 3
+    assert ("delstream: invalid input: post_rate must be finite and >= 0, got 1000"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import tempfile
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -256,18 +256,16 @@ class TestValidation:
             synth.PopulationSpec(cohorts=(), days=0)
 
     def test_day_index_out_of_window_rejected(self):
-        spec = synth.PopulationSpec(
-            cohorts=(cohort(synth.ProfileKind.FLOODER, 1, flood_days=(9,)),), days=5
-        )
         with pytest.raises(ValueError):
-            synth.generate(spec, seed=0)
+            synth.PopulationSpec(
+                cohorts=(cohort(synth.ProfileKind.FLOODER, 1, flood_days=(9,)),), days=5
+            )
 
     def test_spoke_cohort_rejected(self):
-        spec = synth.PopulationSpec(
-            cohorts=(cohort(synth.ProfileKind.LIKE_FARM_SPOKE, 3),), days=5
-        )
         with pytest.raises(ValueError):
-            synth.generate(spec, seed=0)
+            synth.PopulationSpec(
+                cohorts=(cohort(synth.ProfileKind.LIKE_FARM_SPOKE, 3),), days=5
+            )
 
     def test_insufficient_initial_count_rejected(self):
         spec = synth.PopulationSpec(
@@ -332,6 +330,45 @@ class TestValidation:
         with pytest.raises(ValueError) as err:
             synth.BehaviorProfile(kind="idle")
         assert str(err.value) == "'kind' must be a ProfileKind, got 'idle'"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: synth.BehaviorProfile(synth.ProfileKind.NORMAL_DELETER,
+                                       delete_days=(1.5, 3.0)),
+         "'delete_days' must be a list of integers >= 0"),
+        (lambda: cohort(synth.ProfileKind.IDLE, 2.5),
+         "'count' must be an integer >= 0, got 2.5"),
+        (lambda: synth.PopulationSpec((), days=2.5), "'days' must be an integer, got 2.5"),
+        (lambda: synth.BehaviorProfile(synth.ProfileKind.FLOODER, cycle_posts=2400.5),
+         "'cycle_posts' must be an integer >= 1, got 2400.5"),
+        (lambda: synth.PopulationSpec((), start_day=datetime(2021, 4, 26)),
+         "'start_day' must be a date, got datetime.datetime(2021, 4, 26, 0, 0)"),
+        (lambda: synth.BehaviorProfile(synth.ProfileKind.IDLE, seed=-1),
+         "'seed' must be an integer >= 0, got -1"),
+        (lambda: synth.BehaviorProfile(synth.ProfileKind.IDLE, post_rate=True),
+         "post_rate must be finite and >= 0, got True"),
+        (lambda: synth.BehaviorProfile(synth.ProfileKind.IDLE, delete_rate=10**400),
+         "delete_rate must be finite and >= 0, got 1000000000000000000000000000000000000000"),
+        (lambda: synth.Cohort({"kind": "idle"}, 1),
+         "'profile' must be a BehaviorProfile, got {'kind': 'idle'}"),
+        (lambda: synth.PopulationSpec((synth.BehaviorProfile(synth.ProfileKind.IDLE),)),
+         "'cohorts' must be a list of Cohort records"),
+    ], ids=["float-day-index", "float-count", "float-days", "float-cycle-posts",
+            "datetime-start-day", "negative-seed", "bool-rate", "int-rate-past-float",
+            "profile-not-a-record", "cohort-not-a-record"])
+    def test_spec_built_in_the_library_refused_naming_the_field(self, build, message):
+        """Each spec record checks its fields when built, as a spec file's
+        are, rather than leaving a bad one to fail inside ``generate``."""
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_spec_out_of_window_names_the_field_and_window(self):
+        hub = cohort(synth.ProfileKind.LIKE_FARM_HUB, 1, farm_size=2, farm_day=5)
+        with pytest.raises(ValueError, match="^farm_day 5 outside window of 5 days$"):
+            synth.PopulationSpec((hub,), days=5)
+        stale = cohort(synth.ProfileKind.IDLE, 1, stale_days=[2, 7])
+        with pytest.raises(ValueError, match="^stale_days index 7 outside window of 5 days$"):
+            synth.PopulationSpec([stale], days=5)
 
 
 class TestSpecFiles:
