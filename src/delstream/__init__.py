@@ -35,7 +35,7 @@ _EXPORTS = {
         "total_posted",
     ),
     "ingest": (
-        "AccountTimeline", "DailyDeletionRecord", "DeletionDay", "UnlikeRecord",
+        "AccountTimeline", "DailyDeletionRecord", "UnlikeRecord",
         "aggregate_daily", "aggregate_daily_sharded", "aggregate_events",
         "aggregate_unlikes", "build_timelines",
     ),

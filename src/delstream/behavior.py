@@ -19,7 +19,7 @@ from typing import Collection, Iterable, Mapping
 
 from .estimate import ccdf
 from .flooding import FloodingViolation
-from .ingest import AccountTimeline, DeletionDay
+from .ingest import AccountTimeline
 from .records import AccountStatus, check_at_least
 
 DEFAULT_WINDOW_DAYS = 30
@@ -84,16 +84,16 @@ def summarize(
     scores = bot_scores or {}
     summaries = []
     for timeline in timelines:
-        records = timeline.deletion_days
-        if not records:
+        counts = timeline.deletion_counts
+        if not counts:
             continue
-        deleting_days = len(records)
-        ages = [age for record in records for age in record.deleted_ages_days]
+        deleting_days = len(counts)
+        ages = [age for day_ages in timeline.deleted_ages_days for age in day_ages]
         summaries.append(
             AccountBehaviorSummary(
                 timeline.account_id,
                 deleting_days,
-                sum(r.deletion_count for r in records) / deleting_days,
+                sum(counts) / deleting_days,
                 float(_lower_median(ages)) if ages else None,
                 categorize(
                     deleting_days, timeline.account_id in violators, window_days
@@ -176,11 +176,9 @@ def _linear_quantiles(values: list[float], qs: Iterable[float]) -> list[float]:
     return quantiles
 
 
-def daily_volume_ccdf(
-    records: Iterable[DeletionDay],
-) -> list[tuple[float, float]]:
+def daily_volume_ccdf(counts: Iterable[int]) -> list[tuple[float, float]]:
     """CCDF of per-account-day deletion counts (heavy-tailed in the wild)."""
-    counts = [record.deletion_count for record in records]
+    counts = list(counts)
     return ccdf(counts) if counts else []
 
 

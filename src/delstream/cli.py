@@ -170,10 +170,13 @@ def _cmd_estimate(args) -> int:
     check_at_least("--seed", args.seed, 0)
     timelines = list(read_timelines(_resolve_timelines(args.timelines)))
     estimates = [e for tl in timelines for e in estimate_timeline(tl)]
-    actuals = [record for tl in timelines for record in tl.deletion_days]
     report = compare(
         estimates,
-        actuals,
+        (
+            (tl.account_id, day, count)
+            for tl in timelines
+            for day, count in zip(tl.deletion_days, tl.deletion_counts)
+        ),
         floor=args.floor,
         include_gaps=not args.no_gaps,
         per_account_median=args.per_account_median,
@@ -235,7 +238,7 @@ def _span_days(timelines) -> int:
         if tl.snapshot_days:
             ends += (tl.snapshot_days[0], tl.snapshot_days[-1])
         if tl.deletion_days:
-            ends += (tl.deletion_days[0].day, tl.deletion_days[-1].day)
+            ends += (tl.deletion_days[0], tl.deletion_days[-1])
     return (max(ends) - min(ends)).days + 1 if ends else 0
 
 
@@ -326,9 +329,7 @@ def _cmd_stats(args) -> int:
     write_csv(
         out.path("daily_volume_ccdf.csv"),
         ["deletions", "fraction"],
-        daily_volume_ccdf(
-            record for tl in timelines for record in tl.deletion_days
-        ),
+        daily_volume_ccdf(count for tl in timelines for count in tl.deletion_counts),
     )
     write_csv(
         out.path("suspensions.csv"),

@@ -4,7 +4,8 @@ A decrease in an account's total tweet count between two observations is a
 lower bound on the tweets it deleted in between: deletions offset by new
 posts are invisible, and a flat or rising count supports no inference at all.
 These estimators quantify that bound and compare it against actual per-day
-deletion records.
+deletions, taken as (account_id, day, deletion_count) triples, which a
+timeline's ``deletion_days`` and ``deletion_counts`` columns give.
 
 The means, medians, CCDFs and KS statistic are computed in pure Python with
 numpy's float64 arithmetic, operation for operation, so they equal what
@@ -23,7 +24,7 @@ from datetime import date
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .ingest import AccountTimeline, DeletionDay
+from .ingest import AccountTimeline
 
 #: Estimate/actual pairs with an estimate below this are dropped before scoring.
 DEFAULT_ESTIMATE_FLOOR = 10
@@ -370,10 +371,13 @@ def _account_medians(pairs: list[PairedDeletion]) -> list[PairedDeletion]:
 
 def pair_observations(
     estimates: Iterable[DeletionEstimate],
-    actuals: Iterable[DeletionDay],
+    actuals: Iterable[tuple[int, date, int]],
     include_gaps: bool = True,
 ) -> list[PairedDeletion]:
     """Pair each actual deletion day with its enclosing estimate interval.
+
+    ``actuals`` are (account_id, day, deletion_count) triples, such as a
+    timeline's ``deletion_days`` and ``deletion_counts`` with its account.
 
     A day pairs with the interval (start, end] that contains it; when
     hand-built intervals overlap, the one starting latest (then ending
@@ -390,11 +394,10 @@ def pair_observations(
 
     start_of = attrgetter("interval_start")
     pairs = []
-    for record in actuals:
-        candidates = by_account.get(record.account_id)
+    for account_id, day, deletion_count in actuals:
+        candidates = by_account.get(account_id)
         if not candidates:
             continue
-        day = record.day
         best: DeletionEstimate | None = None
         # Back from the last start before the day: starts fall, and within a
         # start ends fall and exact duplicates run from the later input.
@@ -409,10 +412,7 @@ def pair_observations(
         if best is not None:
             pairs.append(
                 PairedDeletion(
-                    record.account_id,
-                    day,
-                    best.estimated_daily,
-                    float(record.deletion_count),
+                    account_id, day, best.estimated_daily, float(deletion_count)
                 )
             )
     return pairs
@@ -420,12 +420,13 @@ def pair_observations(
 
 def compare(
     estimates: Iterable[DeletionEstimate],
-    actuals: Iterable[DeletionDay],
+    actuals: Iterable[tuple[int, date, int]],
     floor: int = DEFAULT_ESTIMATE_FLOOR,
     include_gaps: bool = True,
     per_account_median: bool = False,
 ) -> ComparisonReport:
-    """Pair estimates with actual deletion records and score the agreement."""
+    """Pair estimates with actual (account_id, day, deletion_count) triples
+    and score the agreement."""
     pairs = pair_observations(estimates, actuals, include_gaps=include_gaps)
     return ComparisonReport.from_pairs(
         pairs, floor=floor, per_account_median=per_account_median

@@ -93,7 +93,7 @@ def detect(
     for timeline in timelines:
         if timeline.account_id in allowed:
             continue
-        deletions = timeline.deletions_by_day()
+        deletions = dict(zip(timeline.deletion_days, timeline.deletion_counts))
         counts = timeline.available_counts()
         for (day_prev, n_prev), (day_curr, n_curr) in zip(counts, counts[1:]):
             if (day_curr - day_prev).days != 1:

@@ -24,7 +24,7 @@ account, day and tweet IDs, which coordination reads; only
 ``records.ages_in_days``. A timeline keeps only what ``estimate``,
 ``detect-flooding`` and ``stats`` read, built or read back: each snapshot's
 day, status and count as three parallel columns, the account's description,
-and each deletion day's count and ages (``DeletionDay``). The intermediate
+and each deletion day's day, count and ages as three more. The intermediate
 files are sorted: timelines by account, daily records by (account, day),
 unlike records by (liker, tweet). Each reader refuses a repeated or
 out-of-order line, and each writer refuses, before it opens its file, a
@@ -67,36 +67,11 @@ DEFAULT_INCLUSION_THRESHOLD = 10
 
 
 @dataclass(frozen=True, slots=True)
-class DeletionDay:
-    """Actual deletions by one account on one UTC day, without the tweet IDs.
-
-    ``deleted_ages_days`` holds the whole-day age of each deleted tweet whose
-    ID carries a decodable creation time; undecodable IDs are excluded, so it
-    may be shorter than ``deletion_count``. ``build_timelines`` sorts it; the
-    timeline reader does not check the order, and no analysis relies on it.
-    """
-
-    account_id: int
-    day: date
-    deletion_count: int
-    deleted_ages_days: tuple[int, ...]
-
-    def __post_init__(self):
-        int_field(self.account_id, "account_id", 1)
-        date_field(self.day, "day")
-        int_field(self.deletion_count, "deletion_count", 1)
-        ages = int_list_field(self.deleted_ages_days, "deleted_ages_days", 0)
-        if len(ages) > self.deletion_count:
-            raise ValueError("more ages than deletions")
-        object.__setattr__(self, "deleted_ages_days", ages)
-
-
-@dataclass(frozen=True, slots=True)
 class DailyDeletionRecord:
     """The tweets one account deleted on one UTC day, by ID, sorted.
 
     ``tweet_ids`` serves the coordination graph; ``build_timelines`` turns
-    the record into the timeline's ``DeletionDay``.
+    the record into a timeline's deletion count and ages.
     """
 
     account_id: int
@@ -136,30 +111,48 @@ class AccountTimeline:
 
     The snapshots are three parallel columns: ``snapshot_days``, ``statuses``
     and ``statuses_counts``. ``description`` is the last snapshot's, so it is
-    empty without snapshots. Every deletion day is of the timeline's account.
+    empty without snapshots. The deletion days are three more:
+    ``deletion_days``, ``deletion_counts`` (each at least 1) and
+    ``deleted_ages_days``, one tuple per day of the whole-day age of each
+    deleted tweet whose ID carries a decodable creation time. Undecodable IDs
+    have no age, so a day may hold fewer ages than deletions, never more.
+    ``build_timelines`` sorts each day's ages; the reader does not check
+    their order, and no analysis relies on it.
     """
 
     account_id: int
     snapshot_days: tuple[date, ...] = ()
     statuses: tuple[AccountStatus, ...] = ()
     statuses_counts: tuple[int | None, ...] = ()
-    deletion_days: tuple[DeletionDay, ...] = ()
+    deletion_days: tuple[date, ...] = ()
+    deletion_counts: tuple[int, ...] = ()
+    deleted_ages_days: tuple[tuple[int, ...], ...] = ()
     description: str = ""
 
     def __post_init__(self):
-        for name in ("snapshot_days", "statuses", "statuses_counts", "deletion_days"):
+        for name in ("snapshot_days", "statuses", "statuses_counts", "deletion_days",
+                     "deletion_counts", "deleted_ages_days"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        account_id = int_field(self.account_id, "account_id", 1)
+        int_field(self.account_id, "account_id", 1)
         if not len(self.snapshot_days) == len(self.statuses) == len(self.statuses_counts):
             raise ValueError("the snapshot columns differ in length")
+        deletions = (self.deletion_days, self.deletion_counts, self.deleted_ages_days)
+        if len(set(map(len, deletions))) > 1:
+            raise ValueError("the deletion columns differ in length")
+        ages = []
+        for day, count, day_ages in zip(*deletions):
+            date_field(day, "day")
+            int_field(count, "deletion_count", 1)
+            day_ages = int_list_field(day_ages, "deleted_ages_days", 0)
+            if len(day_ages) > count:
+                raise ValueError("more ages than deletions")
+            ages.append(day_ages)
+        object.__setattr__(self, "deleted_ages_days", tuple(ages))
         if str_field(self.description, "description") and not self.snapshot_days:
             raise ValueError("a description without snapshots")
         for row in zip(self.snapshot_days, self.statuses, self.statuses_counts):
             snapshot_row(*row)
-        foreign = [r.account_id for r in self.deletion_days if r.account_id != account_id]
-        if foreign:
-            raise ValueError(f"'deletion_days' holds a row of account {foreign[0]!r:.40}")
-        for days in (self.snapshot_days, [r.day for r in self.deletion_days]):
+        for days in (self.snapshot_days, self.deletion_days):
             if any(b <= a for a, b in zip(days, days[1:])):
                 raise ValueError("timeline days must be strictly increasing")
 
@@ -170,9 +163,6 @@ class AccountTimeline:
             for day, status, count in zip(self.snapshot_days, self.statuses, self.statuses_counts)
             if status is AccountStatus.ACTIVE
         )
-
-    def deletions_by_day(self) -> dict[date, int]:
-        return {r.day: r.deletion_count for r in self.deletion_days}
 
     def final_status(self) -> AccountStatus | None:
         return self.statuses[-1] if self.statuses else None
@@ -329,32 +319,34 @@ def build_timelines(
         if snapshot.status is AccountStatus.DELETED:
             removed.add(snapshot.account_id)
 
-    days_by_account: dict[int, dict[date, DeletionDay]] = {}
+    ids_by_account: dict[int, dict[date, tuple[int, ...]]] = {}
     for record in daily_records:
-        account_id, day, ids = record.account_id, record.day, record.tweet_ids
-        per_account = days_by_account.setdefault(account_id, {})
-        if day in per_account:
+        per_account = ids_by_account.setdefault(record.account_id, {})
+        if record.day in per_account:
             raise ValueError(
-                f"duplicate deletion record for account {account_id} on {day}"
+                f"duplicate deletion record for account {record.account_id} on {record.day}"
             )
-        per_account[day] = DeletionDay(account_id, day, len(ids), ages_in_days(day, ids))
+        per_account[record.day] = record.tweet_ids
 
     timelines = []
-    for account_id in sorted(set(snaps_by_account) | set(days_by_account)):
+    for account_id in sorted(set(snaps_by_account) | set(ids_by_account)):
         if account_id in removed:
             continue
         # popped, so each account's day dicts are freed as its timeline is built
         snaps = snaps_by_account.pop(account_id, {})
-        days = days_by_account.pop(account_id, {})
+        ids = ids_by_account.pop(account_id, {})
         snapshot_days = sorted(snaps)
         ordered = [snaps[d] for d in snapshot_days]
+        deletion_days = sorted(ids)
         timelines.append(
             AccountTimeline(
                 account_id,
                 snapshot_days,
                 [s.status for s in ordered],
                 [s.statuses_count for s in ordered],
-                [days[d] for d in sorted(days)],
+                deletion_days,
+                [len(ids[d]) for d in deletion_days],
+                [ages_in_days(d, ids[d]) for d in deletion_days],
                 ordered[-1].description if ordered else "",
             )
         )
@@ -404,7 +396,8 @@ def timeline_to_dict(timeline: AccountTimeline) -> dict:
     """The timeline as the analysis stages read it.
 
     ``snapshots`` rows are ``[day, status, statuses_count]`` and
-    ``deletion_days`` rows are ``[day, deletion_count, deleted_ages_days]``.
+    ``deletion_days`` rows are ``[day, deletion_count, deleted_ages_days]``,
+    each row one day of the columns.
     """
     return {
         "account_id": timeline.account_id,
@@ -414,8 +407,8 @@ def timeline_to_dict(timeline: AccountTimeline) -> dict:
         ],
         "description": timeline.description,
         "deletion_days": [
-            [r.day.isoformat(), r.deletion_count, r.deleted_ages_days]
-            for r in timeline.deletion_days
+            [day.isoformat(), count, ages] for day, count, ages
+            in zip(timeline.deletion_days, timeline.deletion_counts, timeline.deleted_ages_days)
         ],
     }
 
@@ -430,21 +423,20 @@ def _rows(raw: dict, key: str) -> list[list]:
 
 
 def timeline_from_dict(raw: dict) -> AccountTimeline:
-    """Read ``timeline_to_dict``'s form back, the snapshot rows as columns."""
+    """Read ``timeline_to_dict``'s form back, the rows as columns."""
     try:
         raw = json_object(raw)
-        account_id = raw.get("account_id")
         snapshots = _rows(raw, "snapshots")
-        deletion_days = [
-            DeletionDay(account_id, day_field(day, "day"), count, ages)
-            for day, count, ages in _rows(raw, "deletion_days")
-        ]
+        deletions = _rows(raw, "deletion_days")
+        deletion_days = [day_field(row[0], "day") for row in deletions]
         return AccountTimeline(
-            account_id,
+            raw.get("account_id"),
             [day_field(row[0], "snapshot_day") for row in snapshots],
             [status_field(row[1]) for row in snapshots],
             [row[2] for row in snapshots],
             deletion_days,
+            [row[1] for row in deletions],
+            [row[2] for row in deletions],
             raw.get("description", ""),
         )
     except ValueError as err:

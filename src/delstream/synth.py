@@ -13,9 +13,13 @@ count source). Stale days break the consistency identity on purpose, so
 downstream labels may diverge from truth there.
 
 Each spec record refuses, naming it, a field of the wrong type or range when
-built, so a spec built in the library is refused as a spec file is;
-``spec_from_dict`` only converts, and ``generate`` raises only for what its
-draws decide: an ``initial_count`` too small, or legacy IDs running out.
+built, so a spec built in the library is refused as a spec file is; a
+``post_rate`` or ``delete_rate`` past ``POISSON_RATE_MAX`` is out of range,
+as numpy draws no Poisson count from it. ``spec_from_dict`` only converts.
+``generate`` refuses a seed that is not an int >= 0, and otherwise raises
+only for what its draws decide: an ``initial_count`` too small, a tweet age
+past what an int64 count of milliseconds holds (``age_median_days``), or
+legacy IDs running out.
 
 numpy is imported inside the functions that use it, and at module level only
 for type checkers, so that CLI stages which never call them, such as
@@ -91,6 +95,11 @@ _INT_MINIMA = {
 }
 _DAY_LISTS = ("delete_days", "flood_days", "gap_days", "stale_days")
 
+#: The largest mean numpy's ``Generator.poisson`` draws from, its
+#: ``iinfo(int64).max - 10 * sqrt(iinfo(int64).max)``; ``post_rate`` and
+#: ``delete_rate`` are Poisson means, so neither may exceed it.
+POISSON_RATE_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+
 
 @dataclass(frozen=True)
 class BehaviorProfile:
@@ -128,6 +137,11 @@ class BehaviorProfile:
             value = getattr(self, name)
             if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r:.40}")
+        for name in ("post_rate", "delete_rate"):
+            if getattr(self, name) > POISSON_RATE_MAX:
+                raise ValueError(
+                    f"{name} must be <= {POISSON_RATE_MAX!r}, got {getattr(self, name)!r:.40}"
+                )
         for name, minimum in _INT_MINIMA.items():
             int_field(getattr(self, name), name, minimum)
         for name in _DAY_LISTS:
@@ -355,6 +369,14 @@ def _deletion_notices(
         ages_ms = None
         if aged:
             ages = rng.lognormal(mean=log_median, sigma=profile.age_sigma, size=count)
+            # a Python float product overflows to inf without a warning, and
+            # the largest age gives the largest product
+            if not float(ages.max()) * DAY_MS < 2.0**63:
+                raise ValueError(
+                    f"age_median_days {profile.age_median_days!r:.40} drew a tweet age "
+                    f"of {float(ages.max()):.6g} days, past the {2**63 // DAY_MS} days "
+                    "a millisecond offset holds"
+                )
             ages_ms = (ages * DAY_MS).astype(np.int64).tolist()
         for index in range(count):
             at_ms = _event_ms(day_start, index, count)
@@ -435,8 +457,10 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
 
     Account IDs are assigned sequentially in cohort order (hubs directly
     followed by their spokes). Events are sorted by time, snapshots by day,
-    and all randomness flows from the given seed.
+    and all randomness flows from the given seed, an int >= 0; each distinct
+    seed is a distinct stream.
     """
+    int_field(seed, "seed", 0)
     import numpy as np
 
     rows: list[NoticeRow] = []
@@ -462,7 +486,7 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
         profile = cohort.profile
         for account_index in range(cohort.count):
             rng = np.random.default_rng(
-                [seed & 0xFFFFFFFFFFFFFFFF, profile.seed, cohort_index, account_index]
+                [seed, profile.seed, cohort_index, account_index]
             )
             account = _Account(next_id, profile, spec.days)
             next_id += 1

@@ -254,27 +254,25 @@ def from_pairs_numpy_oracle(pairs, floor, per_account_median):
 
 
 def pairing_oracle(estimates, actuals, include_gaps=True):
-    """(account, day, estimated, actual) per actual day inside some interval.
+    """(account, day, estimated, actual) per actual (account, day, count)
+    triple inside some interval.
 
     Of the estimates of the day's account whose (start, end] holds the day,
     the one with the greatest (start, -end, input index) is taken.
     """
     estimates = list(estimates)
     pairs = []
-    for record in actuals:
+    for account_id, day, deletion_count in actuals:
         held = [
             (est.interval_start, -est.interval_end.toordinal(), index)
             for index, est in enumerate(estimates)
-            if est.account_id == record.account_id
+            if est.account_id == account_id
             and (include_gaps or not est.is_gap)
-            and est.interval_start < record.day <= est.interval_end
+            and est.interval_start < day <= est.interval_end
         ]
         if held:
             best = estimates[max(held)[2]]
-            pairs.append(
-                (record.account_id, record.day, best.estimated_daily,
-                 float(record.deletion_count))
-            )
+            pairs.append((account_id, day, best.estimated_daily, float(deletion_count)))
     return pairs
 
 

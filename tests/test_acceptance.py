@@ -48,16 +48,15 @@ def day(offset: int) -> date:
 
 def make_timeline(account_id, counts, deletions):
     offsets = sorted(counts)
-    records = tuple(
-        ingest.DeletionDay(account_id, day(offset), count, ())
-        for offset, count in sorted(deletions.items())
-    )
+    deleted = sorted(deletions)
     return ingest.AccountTimeline(
         account_id,
         tuple(day(offset) for offset in offsets),
         (AccountStatus.ACTIVE,) * len(offsets),
         tuple(counts[offset] for offset in offsets),
-        records,
+        tuple(day(offset) for offset in deleted),
+        tuple(deletions[offset] for offset in deleted),
+        ((),) * len(deleted),
     )
 
 
@@ -88,7 +87,11 @@ def test_c2_underestimation_reproduced_in_kind():
             deletions[offset] = deleted
         timelines.append(make_timeline(account, counts, deletions))
     estimates = [e for tl in timelines for e in estimate.estimate_timeline(tl)]
-    actuals = [record for tl in timelines for record in tl.deletion_days]
+    actuals = (
+        (tl.account_id, deletion_day, count)
+        for tl in timelines
+        for deletion_day, count in zip(tl.deletion_days, tl.deletion_counts)
+    )
     result = estimate.compare(estimates, actuals, floor=10)
     assert not result.is_empty
     assert result.mean_estimated < result.mean_actual

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from delstream import behavior as b
 from delstream.flooding import FloodingViolation
-from delstream.ingest import AccountTimeline, DeletionDay
+from delstream.ingest import AccountTimeline
 from delstream.records import AccountStatus
 
 DAY0 = date(2021, 4, 26)
@@ -19,11 +19,13 @@ def day(offset: int) -> date:
 
 
 def timeline(account_id: int, deleting_days, per_day=20, ages=()) -> AccountTimeline:
-    records = tuple(
-        DeletionDay(account_id, day(offset), per_day, tuple(sorted(ages)))
-        for offset in sorted(deleting_days)
+    days = [day(offset) for offset in sorted(deleting_days)]
+    return AccountTimeline(
+        account_id,
+        deletion_days=days,
+        deletion_counts=[per_day] * len(days),
+        deleted_ages_days=[tuple(sorted(ages))] * len(days),
     )
-    return AccountTimeline(account_id, deletion_days=records)
 
 
 def violation(account_id: int) -> FloodingViolation:
@@ -68,11 +70,9 @@ class TestSummarize:
         assert summary.category is b.Category.THIRTY_DAY
 
     def test_mean_daily_deletions(self):
-        records = (
-            DeletionDay(1, day(0), 10, ()),
-            DeletionDay(1, day(1), 30, ()),
-        )
-        [summary] = b.summarize([AccountTimeline(1, deletion_days=records)], [])
+        tl = AccountTimeline(1, deletion_days=(day(0), day(1)), deletion_counts=(10, 30),
+                             deleted_ages_days=((), ()))
+        [summary] = b.summarize([tl], [])
         assert summary.mean_daily_deletions == 20.0
 
     def test_median_age_is_lower_median(self):
@@ -192,11 +192,8 @@ class TestMedianAgeCcdf:
 class TestDailyVolumeCcdf:
     def test_heavy_tailed_population(self):
         rng = random.Random(19)
-        records = []
-        for account in range(1, 2001):
-            count = 10 + min(int(rng.paretovariate(1.2)), 50_000)
-            records.append(DeletionDay(account, DAY0, count, ()))
-        points = b.daily_volume_ccdf(records)
+        counts = [10 + min(int(rng.paretovariate(1.2)), 50_000) for _ in range(2000)]
+        points = b.daily_volume_ccdf(counts)
         fractions = [fraction for _, fraction in points]
         assert fractions[0] == 1.0
         assert all(later <= earlier for earlier, later in zip(fractions, fractions[1:]))

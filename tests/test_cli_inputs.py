@@ -2,8 +2,9 @@
 out-of-order line in a sorted intermediate file, a bot-score cell that is
 not ASCII decimal text, a violations row whose ``total_posted`` is not
 ``count_diff + deletions``, and a CSV input whose header names a column twice
-or whose line is not UTF-8; and a spec whose cohort has an unknown kind or a
-rate past the largest float."""
+or whose line is not UTF-8; a spec whose cohort has an unknown kind, a rate
+past the largest float or past what numpy's Poisson draw takes, or ages past
+the millisecond range; and a negative ``generate --seed``."""
 
 from __future__ import annotations
 
@@ -214,5 +215,31 @@ def test_spec_rate_past_the_largest_float_exit_3(tmp_path, capsys):
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     assert run("generate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 3
     assert ("delstream: invalid input: post_rate must be finite and >= 0, got 1000"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"delete_rate": 12, "age_median_days": 1e300},
+     "age_median_days 1e+300 drew a tweet age of "),
+    ({"delete_rate": 1e19}, "delete_rate must be <= 9.223372006484771e+18, got 1e+19"),
+    ({"post_rate": 1e300}, "post_rate must be <= 9.223372006484771e+18, got 1e+300"),
+], ids=["age-median", "delete-rate", "post-rate"])
+def test_spec_past_what_the_draws_hold_exit_3_naming_the_field(
+    tmp_path, capsys, profile, message
+):
+    spec = {"days": 2, "cohorts": [{"kind": "normal_deleter", "count": 1, **profile}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run("generate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 3
+    assert f"delstream: invalid input: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_negative_seed_exit_3(tmp_path, capsys):
+    """A negative seed would alias the seed 2**64 above it."""
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    assert run("generate", "--spec", tmp_path / "spec.json", "--seed", -1,
+               "--out", tmp_path / "out") == 3
+    assert ("delstream: invalid input: 'seed' must be an integer >= 0, got -1"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from delstream import estimate as e
-from delstream.ingest import AccountTimeline, DeletionDay
+from delstream.ingest import AccountTimeline
 from delstream.records import AccountStatus
 
 UTC = timezone.utc
@@ -20,13 +20,14 @@ def day(offset: int) -> date:
     return DAY0 + timedelta(days=offset)
 
 
-def record(account_id: int, offset: int, count: int) -> DeletionDay:
-    return DeletionDay(account_id, day(offset), count, ())
+def record(account_id: int, offset: int, count: int) -> tuple[int, date, int]:
+    """An actual deletion day as ``pair_observations`` and ``compare`` take it."""
+    return account_id, day(offset), count
 
 
 def make_timeline(counts: dict[int, int], records=(), suspended=()) -> AccountTimeline:
     """Account 1's timeline: a count on each day offset in ``counts``, active
-    unless the offset is in ``suspended``."""
+    unless the offset is in ``suspended``, and a deletion day per record."""
     offsets = sorted(counts)
     return AccountTimeline(
         1,
@@ -34,8 +35,17 @@ def make_timeline(counts: dict[int, int], records=(), suspended=()) -> AccountTi
         tuple(AccountStatus.SUSPENDED if offset in suspended else AccountStatus.ACTIVE
               for offset in offsets),
         tuple(counts[offset] for offset in offsets),
-        tuple(records),
+        tuple(day for _, day, _ in records),
+        tuple(count for _, _, count in records),
+        ((),) * len(records),
     )
+
+
+def actuals(timeline: AccountTimeline) -> list[tuple[int, date, int]]:
+    return [
+        (timeline.account_id, day, count)
+        for day, count in zip(timeline.deletion_days, timeline.deletion_counts)
+    ]
 
 
 class TestConsecutiveEstimate:
@@ -251,9 +261,7 @@ def pairing_cases(draw):
     actuals = draw(
         st.lists(
             st.builds(
-                lambda account, offset, count: DeletionDay(
-                    account, day(offset), count, ()
-                ),
+                record,
                 st.sampled_from([1, 2, 3]),
                 offsets,
                 st.integers(1, 50),
@@ -273,6 +281,22 @@ class TestPairing:
         assert [(p.account_id, p.day, p.estimated, p.actual) for p in pairs] == (
             oracles.pairing_oracle(estimates, actuals, include_gaps)
         )
+
+    @given(pairing_cases(), st.sampled_from([0, 1, 3]), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_compare_over_triples_equals_oracles(
+        self, case, floor, include_gaps, per_account_median
+    ):
+        estimates, actuals = case
+        report = e.compare(
+            estimates, iter(actuals), floor, include_gaps, per_account_median
+        )
+        pairs = oracles.pairing_oracle(estimates, actuals, include_gaps)
+        want, want_fraction = oracles.from_pairs_numpy_oracle(
+            [e.PairedDeletion(*pair) for pair in pairs], floor, per_account_median
+        )
+        assert report == want
+        assert report.underestimation_fraction == want_fraction
 
     def test_actual_days_pair_with_enclosing_interval(self):
         estimates = [
@@ -375,7 +399,7 @@ class TestComparisonReport:
         )
         estimates = e.estimate_timeline(timeline)
         assert estimates == []
-        report = e.compare(estimates, timeline.deletion_days, floor=1)
+        report = e.compare(estimates, actuals(timeline), floor=1)
         assert report.is_empty
 
     def test_compare_end_to_end(self):
@@ -383,7 +407,7 @@ class TestComparisonReport:
             {0: 1000, 1: 940, 4: 640}, (record(1, 1, 80), record(1, 3, 120))
         )
         report = e.compare(
-            e.estimate_timeline(timeline), timeline.deletion_days, floor=10
+            e.estimate_timeline(timeline), actuals(timeline), floor=10
         )
         assert [(p.estimated, p.actual) for p in report.paired] == [
             (60.0, 80.0),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delstream import flooding
-from delstream.ingest import AccountTimeline, DeletionDay
+from delstream.ingest import AccountTimeline
 from delstream.records import AccountStatus, RecordParseError
 
 UTC = timezone.utc
@@ -22,20 +22,19 @@ def day(offset: int) -> date:
     return DAY0 + timedelta(days=offset)
 
 
-def record(account_id: int, offset: int, count: int) -> DeletionDay:
-    return DeletionDay(account_id, day(offset), count, ())
-
-
 def timeline(account_id: int, counts: dict[int, int | None],
              deletions: dict[int, int] = {}) -> AccountTimeline:
     offsets = sorted(counts)
+    deleted = sorted(deletions)
     return AccountTimeline(
         account_id,
         tuple(day(offset) for offset in offsets),
         tuple(AccountStatus.ACTIVE if counts[offset] is not None else AccountStatus.SUSPENDED
               for offset in offsets),
         tuple(counts[offset] for offset in offsets),
-        tuple(record(account_id, offset, count) for offset, count in sorted(deletions.items())),
+        tuple(day(offset) for offset in deleted),
+        tuple(deletions[offset] for offset in deleted),
+        ((),) * len(deleted),
     )
 
 

@@ -137,15 +137,15 @@ class TestAggregateDaily:
         ]
         records = ingest.aggregate_daily(notices, threshold=10)
         [timeline] = ingest.build_timelines([], records)
-        [record] = timeline.deletion_days
-        assert record.deletion_count == 11
-        assert len(record.deleted_ages_days) == 10  # undecodable ID excluded
-        assert sorted(record.deleted_ages_days)[:3] == [0, 4, 5]
-        assert record.deleted_ages_days.count(400) == 7
+        assert timeline.deletion_counts == (11,)
+        [ages] = timeline.deleted_ages_days
+        assert len(ages) == 10  # undecodable ID excluded
+        assert sorted(ages)[:3] == [0, 4, 5]
+        assert ages.count(400) == 7
         for tweet_id in ids:
             expected = oracles.age_days_oracle(day, tweet_id)
             if expected is not None:
-                assert expected in record.deleted_ages_days
+                assert expected in ages
 
     @given(
         st.lists(
@@ -214,14 +214,16 @@ class TestBuildTimelines:
         timeline = timelines[0]
         assert timeline.snapshot_days == tuple(days)
         assert timeline.statuses_counts == (100, 100, 100)
-        assert [r.day for r in timeline.deletion_days] == [days[0], days[2]]
+        assert timeline.deletion_days == (days[0], days[2])
 
     def test_deletion_only_account(self):
         records = ingest.aggregate_daily(deletions(5, DAY0, 10))
         timelines = ingest.build_timelines([], records)
         assert timelines[0].snapshot_days == ()
         age = oracles.age_days_oracle(DAY0, 10**18)
-        assert timelines[0].deletion_days == (ingest.DeletionDay(5, DAY0, 10, (age,) * 10),)
+        assert timelines[0].deletion_days == (DAY0,)
+        assert timelines[0].deletion_counts == (10,)
+        assert timelines[0].deleted_ages_days == ((age,) * 10,)
 
     def test_snapshot_only_account(self):
         timelines = ingest.build_timelines([snap(3, DAY0, 50)], [])
@@ -262,12 +264,7 @@ class TestBuildTimelines:
         for rec in sorted(records, key=lambda r: (r.account_id, r.day)):
             ages = [oracles.age_days_oracle(rec.day, i) for i in rec.tweet_ids]
             paired.setdefault(rec.account_id, ([], []))[1].append(
-                ingest.DeletionDay(
-                    rec.account_id,
-                    rec.day,
-                    len(rec.tweet_ids),
-                    tuple(sorted(a for a in ages if a is not None)),
-                )
+                (rec.day, len(rec.tweet_ids), tuple(sorted(a for a in ages if a is not None)))
             )
         assert len(timelines) == len(paired)
         for timeline in timelines:
@@ -275,7 +272,8 @@ class TestBuildTimelines:
             assert timeline.snapshot_days == tuple(s.snapshot_day for s in snaps)
             assert timeline.statuses == tuple(s.status for s in snaps)
             assert timeline.statuses_counts == tuple(s.statuses_count for s in snaps)
-            assert list(timeline.deletion_days) == recs
+            assert list(zip(timeline.deletion_days, timeline.deletion_counts,
+                            timeline.deleted_ages_days)) == recs
 
     def test_timeline_day_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -773,15 +771,12 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
     offsets = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
     statuses = [draw(st.sampled_from(list(AccountStatus))) for _ in offsets]
     counts = st.integers(0, 10**6)
-    records = []
-    for offset in sorted(draw(st.sets(st.integers(0, 40), max_size=5))):
-        count = draw(st.integers(1, 30))
-        ages = sorted(draw(st.lists(st.integers(0, 4000), max_size=count)))
-        records.append(
-            ingest.DeletionDay(
-                account_id, DAY0 + timedelta(days=offset), count, tuple(ages)
-            )
-        )
+    deletion_days = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
+    deletion_counts = [draw(st.integers(1, 30)) for _ in deletion_days]
+    ages = [
+        tuple(sorted(draw(st.lists(st.integers(0, 4000), max_size=count))))
+        for count in deletion_counts
+    ]
     return ingest.AccountTimeline(
         account_id,
         tuple(DAY0 + timedelta(days=offset) for offset in offsets),
@@ -790,7 +785,9 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
             draw(counts if status is AccountStatus.ACTIVE else st.none() | counts)
             for status in statuses
         ),
-        tuple(records),
+        tuple(DAY0 + timedelta(days=offset) for offset in deletion_days),
+        tuple(deletion_counts),
+        tuple(ages),
         draw(_DESCRIPTIONS) if offsets else "",
     )
 
@@ -851,6 +848,10 @@ _SMALL_SPEC = synth.PopulationSpec(
 class TestTimelineForm:
     @settings(max_examples=200, deadline=None)
     @given(_timeline_lists() | _built_timeline_lists())
+    @example([ingest.AccountTimeline(
+        7, deletion_days=(DAY0, DAY0 + timedelta(days=2), DAY0 + timedelta(days=3)),
+        deletion_counts=(3, 2, 12), deleted_ages_days=((0, 5), (9, 9), ()),
+    )])
     def test_roundtrip_is_the_timeline(self, timelines):
         assert _written_and_read(timelines) == timelines
 
@@ -870,7 +871,11 @@ class TestTimelineForm:
     ):
         def results(tls):
             estimates = [e for tl in tls for e in estimate.estimate_timeline(tl)]
-            actuals = [r for tl in tls for r in tl.deletion_days]
+            actuals = [
+                (tl.account_id, day, count)
+                for tl in tls
+                for day, count in zip(tl.deletion_days, tl.deletion_counts)
+            ]
             violations = flooding.detect(tls, limit=100)
             return (
                 estimates,
@@ -878,7 +883,7 @@ class TestTimelineForm:
                                  per_account_median),
                 violations,
                 behavior.summarize(tls, violations, window_days=30),
-                behavior.daily_volume_ccdf(actuals),
+                behavior.daily_volume_ccdf(count for _, _, count in actuals),
                 [tl.final_status() for tl in tls],
                 [tl.description for tl in tls],
             )
@@ -891,7 +896,9 @@ class TestTimelineForm:
              snap(7, DAY0 + timedelta(days=1), None, AccountStatus.SUSPENDED, "new")],
             [],
         )
-        timeline = replace(built, deletion_days=(ingest.DeletionDay(7, DAY0, 2, (3,)),))
+        timeline = replace(
+            built, deletion_days=(DAY0,), deletion_counts=(2,), deleted_ages_days=((3,),)
+        )
         path = tmp_path / "timelines.ndjson"
         ingest.write_timelines(path, [timeline])
         assert json.loads(path.read_text()) == {
@@ -992,12 +999,11 @@ class TestBuiltTimelines:
         assert _written_and_read(built) == built
         ids = {(r.account_id, r.day): r.tweet_ids for r in records}
         for timeline in built:
-            for row in timeline.deletion_days:
-                ages = [oracles.age_days_oracle(row.day, i) for i in ids[row.account_id, row.day]]
-                assert row.deletion_count == len(ages)
-                assert row.deleted_ages_days == tuple(
-                    sorted(age for age in ages if age is not None)
-                )
+            for day, count, day_ages in zip(timeline.deletion_days, timeline.deletion_counts,
+                                            timeline.deleted_ages_days):
+                ages = [oracles.age_days_oracle(day, i) for i in ids[timeline.account_id, day]]
+                assert count == len(ages)
+                assert day_ages == tuple(sorted(age for age in ages if age is not None))
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"

@@ -18,7 +18,7 @@ import delstream
 PUBLIC_NAMES = [
     "AccountBehaviorSummary", "AccountSnapshot", "AccountStatus", "AccountTimeline",
     "BehaviorProfile", "Category", "Cohort", "ComparisonReport", "ComplianceNotice",
-    "CoordinationGraph", "CoordinationNode", "DailyDeletionRecord", "DeletionDay",
+    "CoordinationGraph", "CoordinationNode", "DailyDeletionRecord",
     "DeletionEstimate", "FloodingViolation",
     "FrequencyBucket", "GroundTruth", "KsResult", "NoticeKind", "PairedDeletion",
     "PlantedFarm", "PopulationSpec", "ProfileKind", "RecordParseError",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tempfile
 from datetime import datetime, timedelta
@@ -119,6 +120,13 @@ class TestDeterminism:
             serialize_notice(n) for n in dataset.notices
         ]
 
+    def test_seed_past_64_bits_is_its_own_seed(self):
+        spec = synth.PopulationSpec((cohort(
+            synth.ProfileKind.NORMAL_DELETER, 2, post_rate=3, delete_rate=12,
+            age_median_days=30,
+        ),), days=2)
+        assert synth.generate(spec, 2**64 + 5).rows != synth.generate(spec, 5).rows
+
 
 class TestProfiles:
     def test_six_cycle_flooder_posts_14400(self):
@@ -161,8 +169,8 @@ class TestProfiles:
         records = ingest.aggregate_daily(data.notices)
         assert records
         for timeline in ingest.build_timelines([], records):
-            for record in timeline.deletion_days:
-                assert len(record.deleted_ages_days) < record.deletion_count
+            for ages, count in zip(timeline.deleted_ages_days, timeline.deletion_counts):
+                assert len(ages) < count
 
     def test_gap_days_drop_snapshots_and_feed_gap_estimates(self):
         spec = synth.PopulationSpec(
@@ -325,6 +333,42 @@ class TestValidation:
     def test_float_field_not_finite_or_negative_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
             synth.BehaviorProfile(kind=synth.ProfileKind.NORMAL_DELETER, **{field: value})
+
+    @pytest.mark.parametrize("field", ["post_rate", "delete_rate"])
+    @pytest.mark.parametrize("value", [
+        math.nextafter(synth.POISSON_RATE_MAX, math.inf), 1e19, 10**19, 1e300,
+    ])
+    def test_rate_past_what_poisson_draws_rejected(self, field, value):
+        """Only refused values: a drawable rate this large would make
+        ``generate`` build that many rows."""
+        with pytest.raises(ValueError) as err:
+            synth.BehaviorProfile(kind=synth.ProfileKind.NORMAL_DELETER, **{field: value})
+        assert str(err.value) == f"{field} must be <= 9.223372006484771e+18, got {value!r}"
+
+    def test_poisson_rate_max_is_the_largest_mean_numpy_draws_from(self):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        rng.poisson(synth.POISSON_RATE_MAX)
+        with pytest.raises(ValueError):
+            rng.poisson(math.nextafter(synth.POISSON_RATE_MAX, math.inf))
+        for field in ("post_rate", "delete_rate"):
+            synth.BehaviorProfile(synth.ProfileKind.NORMAL_DELETER,
+                                  **{field: synth.POISSON_RATE_MAX})
+
+    @pytest.mark.filterwarnings("error")
+    def test_age_past_the_millisecond_range_rejected(self):
+        spec = synth.PopulationSpec((cohort(
+            synth.ProfileKind.NORMAL_DELETER, 1, delete_rate=12, age_median_days=1e300,
+        ),), days=2)
+        with pytest.raises(ValueError, match=r"^age_median_days 1e\+300 drew a tweet age of "):
+            synth.generate(spec, 1)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64) + 5, 1.0, True, "5", None])
+    def test_seed_not_an_integer_at_least_0_rejected(self, seed):
+        with pytest.raises(ValueError) as err:
+            synth.generate(BASIC_SPEC, seed)
+        assert str(err.value) == f"'seed' must be an integer >= 0, got {seed!r}"
 
     def test_text_kind_rejected(self):
         with pytest.raises(ValueError) as err:
