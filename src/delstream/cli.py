@@ -142,7 +142,7 @@ def _cmd_generate(args) -> int:
             "days": spec.days,
             "start_day": spec.start_day.isoformat(),
             "accounts": len(dataset.truth.kinds),
-            "events": len(dataset.rows),
+            "events": len(dataset.event_ms),
         },
     )
     return 0

@@ -22,19 +22,18 @@ exact-form fast path: a line in the one form ``serialize_notice`` or
 ``serialize_snapshot`` writes (``NOTICE_LINE``, ``SNAPSHOT_LINE``) is read
 from the regex groups, without a JSON decode. Any other line goes through
 the general JSON path, which gives the same records and the same errors.
-``records`` writes these forms as well as reading them: the two serializers
-format the line directly, byte for byte the compact JSON of the record's
-fields. They need no other path, because ``ComplianceNotice`` and
-``AccountSnapshot`` refuse, when built, any field the form cannot hold: an
-ID or count that is not exactly an int (a bool, a float), a ``datetime`` as
-the snapshot day, a description that is not a string, or a naive timestamp.
-The description, and every other line written (``write_ndjson``), goes
-through one module-level JSON encoder. No other
-module knows these forms: ``ingest`` reads events through ``notice_rows``
-and snapshots through ``read_snapshots``, and ``synth`` writes them
-through ``write_notice_rows`` and ``write_snapshots``. ``serialize_notice``
-and ``write_notice_rows`` build the event line in one place,
-``_notice_line``.
+``records`` writes these forms as well as reading them, each through one
+line builder (``_notice_line``, ``_snapshot_line``), byte for byte the
+compact JSON of the record's fields. They need no other path, because
+``ComplianceNotice`` and ``AccountSnapshot`` refuse, when built, any field
+the form cannot hold: an ID or count that is not exactly an int (a bool, a
+float), a ``datetime`` as the snapshot day, a description that is not a
+string, or a naive timestamp. No other module knows these forms: ``ingest``
+reads them through ``notice_rows`` and ``read_snapshots``, and ``synth``
+writes them from numpy columns through ``write_notice_columns`` and
+``write_snapshot_columns``, which build no record and format each distinct
+stamp of a chunk once (numpy is imported inside them). Every writer joins
+lines into writes of bounded size.
 
 All timestamps are normalized to UTC at parse time; day arithmetic elsewhere
 in the package assumes UTC calendar days. Records are immutable once built and
@@ -52,8 +51,12 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -522,23 +525,24 @@ def _stamp_text(value: datetime | None) -> str:
     return "null" if value is None else f'"{format_timestamp(value)}"'
 
 
-def _snapshot_line(snapshot: AccountSnapshot, stamp: Callable[[datetime | None], str]) -> str:
-    """``serialize_snapshot``, with each timestamp's JSON text from ``stamp``."""
-    count = snapshot.statuses_count
-    return (f'{{"account_id":{snapshot.account_id},'
-            f'"snapshot_day":"{snapshot.snapshot_day.isoformat()}",'
-            f'"statuses_count":{"null" if count is None else count},'
-            f'"status":{_STATUS_TEXTS[snapshot.status]},'
-            f'"description":{_encode(snapshot.description)},'
-            f'"created_at":{stamp(snapshot.created_at)},'
-            f'"queried_at":{stamp(snapshot.queried_at)}}}')
+def _snapshot_line(account_id: int, day: str, count: int | str, status: str,
+                   description: str, created: str, queried: str) -> str:
+    """The ``serialize_snapshot`` line of a snapshot's fields: the day as ISO
+    text, the count as an int or ``null``, the rest as JSON texts."""
+    return (f'{{"account_id":{account_id},"snapshot_day":"{day}","statuses_count":{count},'
+            f'"status":{status},"description":{description},'
+            f'"created_at":{created},"queried_at":{queried}}}')
 
 
 def serialize_snapshot(snapshot: AccountSnapshot) -> str:
     """The snapshot as compact JSON, its fields in declaration order, formatted
     directly like ``serialize_notice`` and its description encoded as JSON:
     the form ``SNAPSHOT_LINE`` reads when the description needs no escape."""
-    return _snapshot_line(snapshot, _stamp_text)
+    count = snapshot.statuses_count
+    return _snapshot_line(snapshot.account_id, snapshot.snapshot_day.isoformat(),
+                          "null" if count is None else count, _STATUS_TEXTS[snapshot.status],
+                          _encode(snapshot.description), _stamp_text(snapshot.created_at),
+                          _stamp_text(snapshot.queried_at))
 
 
 def read_notices(path) -> Iterator[ComplianceNotice]:
@@ -590,25 +594,39 @@ def write_notices(path, notices: Iterable[ComplianceNotice]) -> int:
     return _write_lines(path, map(serialize_notice, notices))
 
 
-def write_notice_rows(path, rows: Iterable[NoticeRow]) -> int:
-    """Write, for each row, the ``serialize_notice`` line of its notice;
-    returns the number written. Equal to ``write_notices`` over
-    ``ComplianceNotice(kind, actor_id, object_id, ms_to_datetime(at_ms))``.
+def _stamps(ms: np.ndarray, quote: str = "") -> list[str]:
+    """``format_timestamp(ms_to_datetime(m))`` of each Unix ms ``m`` of an
+    int64 array, between ``quote``s, each distinct ``m`` formatted once: numpy
+    formats the seconds, as it writes ``.000`` for Python's nothing and
+    ``.999`` for ``.999000``."""
+    import numpy as np
 
-    Each row is ``(at_ms, kind value, actor_id, object_id)``, its IDs
-    positive ints, as ``synth.generate`` builds it. The stamp is formatted
-    once per run of rows with equal ``at_ms``, so sorted rows format each
-    distinct stamp once, and no notice is built.
-    """
+    distinct, inverse = np.unique(ms, return_inverse=True)
+    seconds, millis = np.divmod(distinct, 1000)
+    texts = [f"{quote}{text}.{m:03}000Z{quote}" if m else f"{quote}{text}Z{quote}"
+             for text, m in zip(np.datetime_as_string(seconds.astype("datetime64[s]")).tolist(),
+                                millis.tolist())]
+    return [texts[i] for i in inverse.tolist()]
 
-    def lines() -> Iterator[str]:
-        last_ms = stamp = None
-        for at_ms, kind, actor_id, object_id in rows:
-            if at_ms != last_ms:
-                last_ms, stamp = at_ms, format_timestamp(ms_to_datetime(at_ms))
-            yield _notice_line(kind, actor_id, object_id, stamp)
 
-    return _write_lines(path, lines())
+def _write_parts(path, rows: int, lines: Callable[[slice], Iterable[str]]) -> int:
+    """Write the lines ``lines`` gives for each slice of ``_CHUNK_LINES`` of
+    ``rows`` rows, in order, one write per slice."""
+    parts = (slice(start, start + _CHUNK_LINES) for start in range(0, rows, _CHUNK_LINES))
+    return _write_chunks(path, (list(lines(part)) for part in parts))
+
+
+def write_notice_columns(path, at_ms: np.ndarray, kinds: np.ndarray, actor_ids: np.ndarray,
+                         object_ids: np.ndarray) -> int:
+    """Write the ``serialize_notice`` line of each row of four numpy columns,
+    ``at_ms`` (int64 Unix ms), ``kinds`` (a kind's place in ``NoticeKind``)
+    and the positive ``actor_ids`` and ``object_ids``; returns the number
+    written. Equal to ``write_notices`` over the rows' notices, built of
+    none; each distinct stamp of a chunk is formatted once."""
+    values = [kind.value for kind in NoticeKind]
+    return _write_parts(path, len(at_ms), lambda part: map(
+        _notice_line, [values[k] for k in kinds[part].tolist()], actor_ids[part].tolist(),
+        object_ids[part].tolist(), _stamps(at_ms[part])))
 
 
 def read_snapshots(path) -> Iterator[AccountSnapshot]:
@@ -654,16 +672,28 @@ def read_snapshots(path) -> Iterator[AccountSnapshot]:
 
 def write_snapshots(path, snapshots: Iterable[AccountSnapshot]) -> int:
     """Write one ``serialize_snapshot`` line per snapshot; returns the number
-    written. Each distinct timestamp is formatted once per call."""
-    stamps: dict[datetime | None, str] = {}
+    written."""
+    return _write_lines(path, map(serialize_snapshot, snapshots))
 
-    def stamp(value: datetime | None) -> str:
-        text = stamps.get(value)
-        if text is None:
-            text = stamps[value] = _stamp_text(value)
-        return text
 
-    return _write_lines(path, (_snapshot_line(s, stamp) for s in snapshots))
+def write_snapshot_columns(path, account_ids: np.ndarray, days: np.ndarray,
+                           counts: np.ndarray, descriptions: Sequence[str],
+                           created_ms: Sequence[int], queried_ms: np.ndarray) -> int:
+    """Write the ``serialize_snapshot`` line of the active snapshot each row of
+    the columns holds: numpy columns of account IDs, day ordinals and counts,
+    and columns of descriptions and created and queried Unix ms; returns the
+    number written. Each distinct day, description and stamp of a chunk is
+    formatted once, and no snapshot is built."""
+    import numpy as np
+
+    encoded = {text: _encode(text) for text in set(descriptions)}
+    created_ms = np.asarray(created_ms, dtype=np.int64)
+    day_text = functools.lru_cache(maxsize=None)(lambda day: date.fromordinal(day).isoformat())
+    return _write_parts(path, len(account_ids), lambda part: map(
+        _snapshot_line, account_ids[part].tolist(), map(day_text, days[part].tolist()),
+        counts[part].tolist(), repeat(_STATUS_TEXTS[AccountStatus.ACTIVE]),
+        [encoded[text] for text in descriptions[part]], _stamps(created_ms[part], '"'),
+        _stamps(queried_ms[part], '"')))
 
 
 def _lines(path) -> Iterator[tuple[int, str]]:
@@ -765,13 +795,42 @@ def write_ndjson(path, items: Iterable[T], to_dict: Callable[[T], dict]) -> int:
     return _write_lines(path, (_encode(to_dict(item)) for item in items))
 
 
+#: Rows whose lines the column writers build and write at once.
+_CHUNK_LINES = 4096
+
+#: Characters, about, that ``_write_lines`` joins into one write: few enough
+#: that a chunk adds little to a stage's peak memory, as lines can be long.
+_CHUNK_CHARS = 1 << 14
+
+
 def _write_lines(path, lines: Iterable[str]) -> int:
-    """Write each line and a newline; returns the number of lines."""
+    """Write each line and a newline, the lines joined into writes of about
+    ``_CHUNK_CHARS`` characters; returns the number of lines."""
+
+    def chunks() -> Iterator[list[str]]:
+        chunk: list[str] = []
+        size = 0
+        for line in lines:
+            chunk.append(line)
+            size += len(line)
+            if size >= _CHUNK_CHARS:
+                yield chunk
+                chunk, size = [], 0
+        yield chunk
+
+    return _write_chunks(path, chunks())
+
+
+def _write_chunks(path, chunks: Iterable[list[str]]) -> int:
+    """Write the lines of each chunk, a newline after each, one write per
+    nonempty chunk; returns the number of lines."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(f"{line}\n")
-            count += 1
+        for chunk in chunks:
+            if chunk:
+                fh.write("\n".join(chunk))
+                fh.write("\n")
+                count += len(chunk)
     return count
 
 

@@ -21,6 +21,10 @@ only for what its draws decide: an ``initial_count`` too small, a tweet age
 past what an int64 count of milliseconds holds (``age_median_days``), or
 legacy IDs running out.
 
+``generate`` makes each account's draws in turn, then builds the events and
+snapshots as numpy columns in one pass over every account. ``write_dataset``
+writes the files from the columns; the Python records are built only for a
+caller that reads ``SyntheticDataset.rows``, ``notices`` or ``snapshots``.
 numpy is imported inside the functions that use it, and at module level only
 for type checkers, so that CLI stages which never call them, such as
 ``aggregate``, start without loading numpy.
@@ -33,8 +37,10 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from enum import Enum
+from itertools import accumulate
+from operator import sub
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,8 +66,8 @@ from .records import (
     read_json,
     str_field,
     write_json,
-    write_notice_rows,
-    write_snapshots,
+    write_notice_columns,
+    write_snapshot_columns,
 )
 
 if TYPE_CHECKING:
@@ -213,31 +219,58 @@ class GroundTruth:
     farms: tuple[PlantedFarm, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
-    """A generated dataset.
+    """A generated dataset, its events and snapshots held as numpy columns.
 
-    ``rows`` holds the events as ``records.NoticeRow`` tuples
-    ``(at_ms, kind value, actor_id, object_id)``, sorted, so in the order of
-    the notices' (observed_at, kind, actor_id, object_id); ``write_dataset``
-    writes them without building a notice. ``notices`` is the same events as
-    ``ComplianceNotice`` objects, built from the rows on first access.
+    The events are ``event_ms`` (Unix ms), ``event_kinds`` (a kind's place in
+    ``NoticeKind``), ``event_actors`` and ``event_objects`` (Python ints when
+    an ID passes int64), sorted by all four: the notices' (observed_at, kind,
+    actor_id, object_id) order. The snapshots are ``snapshot_accounts``,
+    ``snapshot_days`` (window day indices) and ``snapshot_counts``, sorted by
+    day and account, each active, queried at 00:35 after its day, with its
+    account's ``descriptions`` and ``created_ms`` entries. ``rows``
+    (``NoticeRow`` tuples), ``notices`` and ``snapshots`` hold the same as
+    Python records, built on first access; ``write_dataset`` reads none.
     """
 
-    rows: tuple[NoticeRow, ...]
-    snapshots: tuple[AccountSnapshot, ...]
+    event_ms: np.ndarray
+    event_kinds: np.ndarray
+    event_actors: np.ndarray
+    event_objects: np.ndarray
+    snapshot_accounts: np.ndarray
+    snapshot_days: np.ndarray
+    snapshot_counts: np.ndarray
+    descriptions: dict[int, str]
+    created_ms: dict[int, int]
     truth: GroundTruth
+
+    @functools.cached_property
+    def rows(self) -> tuple[NoticeRow, ...]:
+        kinds = [kind.value for kind in NoticeKind]
+        return tuple(zip(self.event_ms.tolist(), [kinds[k] for k in self.event_kinds.tolist()],
+                         self.event_actors.tolist(), self.event_objects.tolist()))
 
     @functools.cached_property
     def notices(self) -> tuple[ComplianceNotice, ...]:
         kinds = {kind.value: kind for kind in NoticeKind}
-        notices = []
-        last_ms = observed_at = None
-        for at_ms, kind, actor_id, object_id in self.rows:
-            if at_ms != last_ms:  # equal stamps share one datetime
-                last_ms, observed_at = at_ms, ms_to_datetime(at_ms)
-            notices.append(ComplianceNotice(kinds[kind], actor_id, object_id, observed_at))
-        return tuple(notices)
+        stamp = functools.lru_cache(maxsize=None)(ms_to_datetime)  # one datetime per stamp
+        return tuple(ComplianceNotice(kinds[kind], actor_id, object_id, stamp(at_ms))
+                     for at_ms, kind, actor_id, object_id in self.rows)
+
+    @functools.cached_property
+    def snapshots(self) -> tuple[AccountSnapshot, ...]:
+        start = self.truth.start_day
+        created = {account: ms_to_datetime(ms) for account, ms in self.created_ms.items()}
+        queried = [ms_to_datetime(_day_start_ms(start, day + 1) + _QUERY_MS)
+                   for day in range(self.truth.days)]
+        return tuple(
+            AccountSnapshot(account, start + timedelta(day), count, AccountStatus.ACTIVE,
+                            self.descriptions[account], created[account], queried[day])
+            for account, day, count in zip(self.snapshot_accounts.tolist(),
+                                           self.snapshot_days.tolist(),
+                                           self.snapshot_counts.tolist())
+        )
 
 
 _DESCRIPTIONS = {
@@ -279,33 +312,37 @@ _DESCRIPTIONS = {
 }
 
 
-class _IdAllocator:
-    """Unique positive tweet IDs: time-encoded (at least
-    ``MIN_TIME_ENCODED_ID``) when creation is after the scheme's epoch, and
-    legacy (below it) at or before the epoch, where the time field would be
-    0 and an encoded ID could equal a legacy one."""
+def _tweet_ids(at_ms: np.ndarray, ages_ms: np.ndarray, sequence: int = 0) -> np.ndarray:
+    """Unique positive IDs, in order, of tweets deleted at ``at_ms`` and
+    created ``ages_ms`` before: legacy (1, 2, ...) when created at or before
+    the scheme's epoch, where the time field would be 0, else time-encoded,
+    the count of such IDs after ``sequence`` in the low 22 bits; Python ints
+    when one passes int64 (a creation after about 2080)."""
+    import numpy as np
 
-    def __init__(self):
-        self._sequence = 0
-        self._legacy = 0
+    legacy = ages_ms >= at_ms - SNOWFLAKE_EPOCH_MS  # compared: the creation may pass int64
+    if np.count_nonzero(legacy) >= MIN_TIME_ENCODED_ID:
+        raise ValueError("legacy ID space exhausted")
+    offsets = at_ms[~legacy] - SNOWFLAKE_EPOCH_MS
+    offsets -= ages_ms[~legacy]
+    counts = np.arange(sequence + 1, sequence + 1 + offsets.size) & 0x3FFFFF
+    if offsets.size and offsets.max() >= 2**41:  # << wraps silently in int64
+        offsets, counts = offsets.astype(object), counts.astype(object)
+    offsets <<= 22
+    offsets |= counts
+    ids = np.empty(at_ms.size, offsets.dtype)
+    ids[legacy] = np.arange(1, np.count_nonzero(legacy) + 1)
+    ids[~legacy] = offsets
+    return ids
 
-    def for_creation_ms(self, created_ms: int) -> int:
-        if created_ms <= SNOWFLAKE_EPOCH_MS:
-            self._legacy += 1
-            if self._legacy >= MIN_TIME_ENCODED_ID:
-                raise ValueError("legacy ID space exhausted")
-            return self._legacy
-        self._sequence += 1
-        return ((created_ms - SNOWFLAKE_EPOCH_MS) << 22) | (self._sequence & 0x3FFFFF)
 
-
-def _day_start_ms(start_day: date, day_index: int) -> int:
+def _day_start_ms(start_day: date, day_index):
+    """Unix ms of a window day's start; ``day_index`` an int or a numpy array."""
     return (start_day.toordinal() - UNIX_EPOCH_ORDINAL + day_index) * DAY_MS
 
 
-def _event_ms(day_start: int, index: int, count: int) -> int:
-    # Spread events over 01:00..23:00 so every event stays inside its day.
-    return day_start + 3_600_000 + (index * 79_200_000) // count
+#: Each day's snapshots are queried 35 minutes after the day ends.
+_QUERY_MS = 35 * 60_000
 
 
 class _Account:
@@ -345,103 +382,78 @@ def _plan_activity(account: _Account, rng: np.random.Generator, days: int) -> No
             account.deletions[day] = drawn
 
 
-def _deletion_notices(
-    account: _Account,
-    rng: np.random.Generator,
-    start_day: date,
-    alloc: _IdAllocator,
-    rows: list[NoticeRow],
-) -> list[int]:
-    """Append the account's deletion rows; returns farm-day tweet IDs."""
+def _draw_ages(account: _Account, rng: np.random.Generator, ages: list[np.ndarray]) -> None:
+    """Append, per day the account deletes on, the ages in ms of the tweets it
+    deletes: drawn if its profile ages them, else 30 minutes each."""
     import numpy as np
 
     profile = account.profile
-    aged = profile.age_median_days > 0
-    log_median = math.log(profile.age_median_days) if aged else 0.0
-    farm_day = profile.farm_day if profile.kind is ProfileKind.LIKE_FARM_HUB else None
-    actor_id = account.account_id
-    delete = NoticeKind.TWEET_DELETE.value
-    farm_tweet_ids: list[int] = []
-    for day, count in enumerate(account.deletions):
-        if count == 0:
+    for count in filter(None, account.deletions):
+        if profile.age_median_days <= 0:
+            ages.append(np.full(count, 1_800_000))
             continue
-        day_start = _day_start_ms(start_day, day)
-        ages_ms = None
-        if aged:
-            ages = rng.lognormal(mean=log_median, sigma=profile.age_sigma, size=count)
-            # a Python float product overflows to inf without a warning, and
-            # the largest age gives the largest product
-            if not float(ages.max()) * DAY_MS < 2.0**63:
-                raise ValueError(
-                    f"age_median_days {profile.age_median_days!r:.40} drew a tweet age "
-                    f"of {float(ages.max()):.6g} days, past the {2**63 // DAY_MS} days "
-                    "a millisecond offset holds"
-                )
-            ages_ms = (ages * DAY_MS).astype(np.int64).tolist()
-        for index in range(count):
-            at_ms = _event_ms(day_start, index, count)
-            if ages_ms is None:
-                created_ms = at_ms - 1_800_000
-            else:
-                created_ms = at_ms - ages_ms[index]
-            tweet_id = alloc.for_creation_ms(created_ms)
-            if day == farm_day:
-                farm_tweet_ids.append(tweet_id)
-            rows.append((at_ms, delete, actor_id, tweet_id))
-    return farm_tweet_ids
-
-
-def _snapshots(
-    account: _Account,
-    rng: np.random.Generator,
-    start_day: date,
-    day_stamps: list[tuple[date, datetime]],
-    snapshots: list,
-) -> None:
-    """Append the account's snapshots; ``day_stamps`` holds each window
-    day's (snapshot_day, queried_at), shared by every account."""
-    profile = account.profile
-    pool = _DESCRIPTIONS[profile.kind]
-    description = pool[int(rng.integers(len(pool)))]
-    created_at = ms_to_datetime(
-        _day_start_ms(start_day, 0)
-        - _ACCOUNT_AGE_DAYS[account.account_id * 37 % len(_ACCOUNT_AGE_DAYS)] * DAY_MS
-    )
-    gap_days = set(profile.gap_days)
-    stale_days = set(profile.stale_days)
-    running = profile.initial_count
-    for day, (snapshot_day, queried_at) in enumerate(day_stamps):
-        running += account.posts[day] - account.deletions[day]
-        if running < 0:
+        drawn = rng.lognormal(math.log(profile.age_median_days), profile.age_sigma, count)
+        # a Python float product overflows to inf without a warning, and the
+        # largest age gives the largest product
+        if not float(drawn.max()) * DAY_MS < 2.0**63:
             raise ValueError(
-                f"account {account.account_id}: initial_count {profile.initial_count}"
-                " is too small for the profile's deletion volume"
+                f"age_median_days {profile.age_median_days!r:.40} drew a tweet age "
+                f"of {float(drawn.max()):.6g} days, past the {2**63 // DAY_MS} days "
+                "a millisecond offset holds"
             )
-        if day in gap_days:
-            continue
-        reported = running + (account.deletions[day] if day in stale_days else 0)
-        snapshots.append(
-            AccountSnapshot(
-                account.account_id,
-                snapshot_day,
-                reported,
-                AccountStatus.ACTIVE,
-                description,
-                created_at,
-                queried_at,
-            )
-        )
+        ages.append((drawn * DAY_MS).astype(np.int64))
 
 
-def _unlike_notices(
-    farm: PlantedFarm, start_day: date, farm_day: int, rows: list[NoticeRow]
-) -> None:
-    day_start = _day_start_ms(start_day, farm_day)
-    unlike = NoticeKind.UNLIKE.value
-    for spoke_index, spoke_id in enumerate(farm.spoke_ids):
-        for repeat in range(farm.spoke_unlikes):
-            at_ms = day_start + 3_600_000 + spoke_index * 60_000 + repeat * 1_000
-            rows.append((at_ms, unlike, spoke_id, farm.tweet_id))
+def _events(
+    spec: PopulationSpec,
+    accounts: list[_Account],
+    ids: np.ndarray,
+    ages: list[np.ndarray],
+    farms: list[tuple[int, BehaviorProfile, tuple[int, ...]]],
+) -> tuple[list[np.ndarray], list[int]]:
+    """The four event columns, sorted, and each farm's tweet ID, the first its
+    hub deletes on the farm day. ``ids`` holds the accounts' IDs, ``ages``
+    their deletion days' ages (emptied here, to free them), and ``farms``
+    (hub's index in ``accounts``, hub profile, spoke IDs)."""
+    import numpy as np
+
+    deletions = np.array([account.deletions for account in accounts], dtype=np.int64)
+    deletions = deletions.reshape(len(accounts), spec.days)
+    rows, days = np.nonzero(deletions)  # account-days in generation order
+    counts = deletions[rows, days]
+    each = np.repeat(np.arange(counts.size), counts)
+    # Spread each day's deletions over 01:00..23:00, inside their day.
+    at_ms = np.arange(each.size) - (np.cumsum(counts) - counts)[each]
+    at_ms *= 79_200_000
+    at_ms //= counts[each]
+    at_ms += (_day_start_ms(spec.start_day, days) + 3_600_000)[each]
+    ages_ms = np.concatenate([np.zeros(0, np.int64), *ages])
+    ages.clear()
+    tweet_ids = _tweet_ids(at_ms, ages_ms)
+    del ages_ms
+    before = (np.cumsum(deletions) - deletions.ravel()).reshape(deletions.shape)
+    farm_ids = [int(tweet_ids[before[row, hub.farm_day]]) for row, hub, _ in farms]
+    unlikes = np.array([
+        (_day_start_ms(spec.start_day, hub.farm_day) + 3_600_000 + spoke * 60_000
+         + repeat * 1_000, spoke_id, tweet_id)
+        for (_, hub, spoke_ids), tweet_id in zip(farms, farm_ids)
+        for spoke, spoke_id in enumerate(spoke_ids)
+        for repeat in range(hub.spoke_unlikes)
+    ], dtype=object).reshape(-1, 3)
+    columns = [
+        np.concatenate([at_ms, unlikes[:, 0].astype(np.int64)]),
+        np.repeat(np.arange(2), [at_ms.size, len(unlikes)]),
+        np.concatenate([ids[rows][each], unlikes[:, 1].astype(np.int64)]),
+        np.concatenate([tweet_ids, unlikes[:, 2].astype(tweet_ids.dtype)]),
+    ]
+    del each, at_ms, tweet_ids
+    # One actor's events of a kind share a millisecond only on a day of more
+    # deletions than its 79.2M ms, so only then is the object ID, a random
+    # key, sorted on.
+    order = np.lexsort(columns[::-1] if counts.max(initial=0) > 79_200_000 else columns[2::-1])
+    for index, column in enumerate(columns):
+        columns[index] = column[order]
+    return columns, farm_ids
 
 
 def _true_category(account: _Account, days: int) -> Category | None:
@@ -458,46 +470,46 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
     Account IDs are assigned sequentially in cohort order (hubs directly
     followed by their spokes). Events are sorted by time, snapshots by day,
     and all randomness flows from the given seed, an int >= 0; each distinct
-    seed is a distinct stream.
+    seed is a distinct stream. Each account's draws come first; the event and
+    snapshot columns are then built in one pass over all accounts.
     """
     int_field(seed, "seed", 0)
     import numpy as np
 
-    rows: list[NoticeRow] = []
-    snapshots: list[AccountSnapshot] = []
-    day_stamps = [
-        (
-            spec.start_day + timedelta(days=day),
-            ms_to_datetime(_day_start_ms(spec.start_day, day + 1) + 35 * 60_000),
-        )
-        for day in range(spec.days)
-    ]
+    accounts: list[_Account] = []
+    ages: list[np.ndarray] = []
+    counts: list[list[int]] = []
+    descriptions: dict[int, str] = {}
     truth_posts: dict[int, tuple[int, ...]] = {}
     truth_deletions: dict[int, tuple[int, ...]] = {}
     categories: dict[int, Category] = {}
     kinds: dict[int, ProfileKind] = {}
     flood_days: dict[int, tuple[int, ...]] = {}
     stale_days: dict[int, tuple[int, ...]] = {}
-    farms: list[PlantedFarm] = []
+    farms: list[tuple[int, BehaviorProfile, tuple[int, ...]]] = []
 
-    alloc = _IdAllocator()
     next_id = 1
     for cohort_index, cohort in enumerate(spec.cohorts):
         profile = cohort.profile
+        pool = _DESCRIPTIONS[profile.kind]
         for account_index in range(cohort.count):
-            rng = np.random.default_rng(
-                [seed, profile.seed, cohort_index, account_index]
-            )
+            rng = np.random.default_rng([seed, profile.seed, cohort_index, account_index])
             account = _Account(next_id, profile, spec.days)
             next_id += 1
-            spoke_ids: tuple[int, ...] = ()
-            if profile.kind is ProfileKind.LIKE_FARM_HUB:
-                spoke_ids = tuple(range(next_id, next_id + profile.farm_size))
-                next_id += profile.farm_size
-
             _plan_activity(account, rng, spec.days)
-            farm_tweets = _deletion_notices(account, rng, spec.start_day, alloc, rows)
-            _snapshots(account, rng, spec.start_day, day_stamps, snapshots)
+            _draw_ages(account, rng, ages)
+            descriptions[account.account_id] = pool[int(rng.integers(len(pool)))]
+            running = list(accumulate(map(sub, account.posts, account.deletions),
+                                      initial=profile.initial_count))[1:]
+            if min(running) < 0:
+                raise ValueError(
+                    f"account {account.account_id}: initial_count {profile.initial_count}"
+                    " is too small for the profile's deletion volume"
+                )
+            for day in set(profile.stale_days):  # the count ignores the day's deletions
+                running[day] += account.deletions[day]
+            counts.append(running)
+            accounts.append(account)
 
             truth_posts[account.account_id] = tuple(account.posts)
             truth_deletions[account.account_id] = tuple(account.deletions)
@@ -509,36 +521,35 @@ def generate(spec: PopulationSpec, seed: int) -> SyntheticDataset:
                 flood_days[account.account_id] = tuple(sorted(profile.flood_days))
             if profile.stale_days:
                 stale_days[account.account_id] = tuple(sorted(profile.stale_days))
-
-            if profile.kind is ProfileKind.LIKE_FARM_HUB and spoke_ids:
-                farm = PlantedFarm(
-                    account.account_id,
-                    spoke_ids,
-                    farm_tweets[0],
-                    profile.spoke_unlikes,
-                )
-                farms.append(farm)
-                _unlike_notices(farm, spec.start_day, profile.farm_day, rows)
+            if profile.kind is ProfileKind.LIKE_FARM_HUB and profile.farm_size:
+                spoke_ids = tuple(range(next_id, next_id + profile.farm_size))
+                next_id += profile.farm_size
+                farms.append((len(accounts) - 1, profile, spoke_ids))
                 for spoke_id in spoke_ids:
                     kinds[spoke_id] = ProfileKind.LIKE_FARM_SPOKE
                     truth_posts[spoke_id] = (0,) * spec.days
                     truth_deletions[spoke_id] = (0,) * spec.days
 
-    # In the notices' (observed_at, kind, actor_id, object_id) order.
-    rows.sort()
-    snapshots.sort(key=lambda s: (s.snapshot_day, s.account_id))
-    truth = GroundTruth(
-        spec.days,
-        spec.start_day,
-        truth_posts,
-        truth_deletions,
-        categories,
-        kinds,
-        flood_days,
-        stale_days,
-        tuple(farms),
+    ids = np.array([account.account_id for account in accounts], dtype=np.int64)
+    events, farm_ids = _events(spec, accounts, ids, ages, farms)
+    # Day-major, so sorted by (day, account); gap days take no snapshot.
+    observed = np.ones((len(accounts), spec.days), dtype=bool)
+    for row, account in enumerate(accounts):
+        observed[row, list(account.profile.gap_days)] = False
+    days, rows = np.nonzero(observed.T)
+    farms_truth = tuple(
+        PlantedFarm(accounts[row].account_id, spoke_ids, tweet_id, hub.spoke_unlikes)
+        for (row, hub, spoke_ids), tweet_id in zip(farms, farm_ids)
     )
-    return SyntheticDataset(tuple(rows), tuple(snapshots), truth)
+    truth = GroundTruth(spec.days, spec.start_day, truth_posts, truth_deletions, categories,
+                        kinds, flood_days, stale_days, farms_truth)
+    exact = not counts or max(map(max, counts)) < 2**63
+    grid = np.array(counts, np.int64 if exact else object).reshape(len(accounts), spec.days).T
+    start_ms = _day_start_ms(spec.start_day, 0)
+    created = {account: start_ms - _ACCOUNT_AGE_DAYS[account * 37 % len(_ACCOUNT_AGE_DAYS)]
+               * DAY_MS for account in ids.tolist()}
+    return SyntheticDataset(*events, ids[rows], days, grid[days, rows], descriptions, created,
+                            truth)
 
 
 # -- declarative spec files and ground-truth serialization -------------------
@@ -637,7 +648,8 @@ def read_ground_truth(path) -> GroundTruth:
 def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, str]:
     """Write events, snapshots, and ground truth; returns the file names.
 
-    The events are written from ``dataset.rows``, so no notice is built.
+    The events and snapshots are written from the columns, so no notice or
+    snapshot object is built.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -646,7 +658,18 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, str]:
         "snapshots": "snapshots.ndjson",
         "ground_truth": "ground_truth.json",
     }
-    write_notice_rows(out / names["events"], dataset.rows)
-    write_snapshots(out / names["snapshots"], dataset.snapshots)
+    write_notice_columns(out / names["events"], dataset.event_ms, dataset.event_kinds,
+                         dataset.event_actors, dataset.event_objects)
+    start = dataset.truth.start_day
+    accounts = dataset.snapshot_accounts.tolist()
+    write_snapshot_columns(
+        out / names["snapshots"],
+        dataset.snapshot_accounts,
+        dataset.snapshot_days + start.toordinal(),
+        dataset.snapshot_counts,
+        [dataset.descriptions[account] for account in accounts],
+        [dataset.created_ms[account] for account in accounts],
+        _day_start_ms(start, dataset.snapshot_days + 1) + _QUERY_MS,
+    )
     write_ground_truth(out / names["ground_truth"], dataset.truth)
     return names

@@ -6,8 +6,8 @@ numpy-based references are the code the package's pure-Python CCDF,
 quantiles, means, medians and estimate scoring, and its blocked permutation
 test, replaced, the ``json.dumps`` writers the path its directly formatted
 event and snapshot lines replaced, and the notice objects ``generate`` built
-and sorted before it kept integer rows; the package must match them bit for
-bit.
+and sorted before it kept integer rows, and the row-at-a-time generator its
+columns replaced; the package must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from collections import defaultdict
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 
-from delstream.records import ComplianceNotice, NoticeKind
+from delstream.records import (
+    MIN_TIME_ENCODED_ID,
+    SNOWFLAKE_EPOCH_MS,
+    AccountSnapshot,
+    AccountStatus,
+    ComplianceNotice,
+    NoticeKind,
+)
 
 UTC = timezone.utc
 
@@ -113,6 +120,7 @@ def write_ndjson_oracle(path, items, to_dict) -> int:
 
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_UNIX_EPOCH_ORDINAL = _UNIX_EPOCH.toordinal()
 
 
 def generated_notices_oracle(rows) -> list:
@@ -128,6 +136,123 @@ def generated_notices_oracle(rows) -> list:
     ]
     notices.sort(key=attrgetter("observed_at", "kind", "actor_id", "object_id"))
     return notices
+
+
+class _IdAllocatorOracle:
+    """Tweet IDs one at a time, as ``generate`` allocated them per row:
+    legacy for a creation at or before the ID scheme's epoch, else
+    time-encoded with a running sequence in the low 22 bits."""
+
+    def __init__(self, sequence=0):
+        self._sequence = sequence
+        self._legacy = 0
+
+    def for_creation_ms(self, created_ms: int) -> int:
+        if created_ms <= SNOWFLAKE_EPOCH_MS:
+            self._legacy += 1
+            if self._legacy >= MIN_TIME_ENCODED_ID:
+                raise ValueError("legacy ID space exhausted")
+            return self._legacy
+        self._sequence += 1
+        return ((created_ms - SNOWFLAKE_EPOCH_MS) << 22) | (self._sequence & 0x3FFFFF)
+
+
+def _event_ms_oracle(day_start: int, index: int, count: int) -> int:
+    return day_start + 3_600_000 + (index * 79_200_000) // count
+
+
+def generated_dataset_oracle(spec, seed, sequence=0):
+    """``(rows, snapshots, truth)`` of ``synth.generate(spec, seed)`` as it
+    built them one row at a time, before it kept columns: each event an
+    ``(at_ms, kind value, actor_id, object_id)`` tuple with its ID from a
+    per-row allocator (its sequence starting at ``sequence``), the rows
+    ordered by a tuple sort, and one ``AccountSnapshot`` per account and day.
+    The draws (``synth._plan_activity`` and the order of each account's
+    calls) are the generator's own."""
+    import numpy as np
+
+    from delstream import synth
+
+    def day_start_ms(day_index):
+        return (spec.start_day.toordinal() - _UNIX_EPOCH_ORDINAL + day_index) * 86_400_000
+
+    rows, snapshots, farms = [], [], []
+    posts, deletions, categories, kinds, flood_days, stale_days = {}, {}, {}, {}, {}, {}
+    alloc = _IdAllocatorOracle(sequence)
+    next_id = 1
+    for cohort_index, cohort in enumerate(spec.cohorts):
+        profile = cohort.profile
+        for account_index in range(cohort.count):
+            rng = np.random.default_rng([seed, profile.seed, cohort_index, account_index])
+            account = synth._Account(next_id, profile, spec.days)
+            next_id += 1
+            spoke_ids = ()
+            if profile.kind is synth.ProfileKind.LIKE_FARM_HUB:
+                spoke_ids = tuple(range(next_id, next_id + profile.farm_size))
+                next_id += profile.farm_size
+            synth._plan_activity(account, rng, spec.days)
+            farm_tweets = []
+            for day, count in enumerate(account.deletions):
+                if count == 0:
+                    continue
+                ages_ms = None
+                if profile.age_median_days > 0:
+                    ages = rng.lognormal(math.log(profile.age_median_days), profile.age_sigma,
+                                         count)
+                    ages_ms = (ages * 86_400_000).astype(np.int64).tolist()
+                for index in range(count):
+                    at_ms = _event_ms_oracle(day_start_ms(day), index, count)
+                    age = 1_800_000 if ages_ms is None else ages_ms[index]
+                    tweet_id = alloc.for_creation_ms(at_ms - age)
+                    if profile.kind is synth.ProfileKind.LIKE_FARM_HUB and day == profile.farm_day:
+                        farm_tweets.append(tweet_id)
+                    rows.append((at_ms, "tweet_delete", account.account_id, tweet_id))
+            pool = synth._DESCRIPTIONS[profile.kind]
+            description = pool[int(rng.integers(len(pool)))]
+            created_at = _UNIX_EPOCH + timedelta(milliseconds=day_start_ms(0)) - timedelta(
+                days=300 + account.account_id * 37 % 2000)
+            running = profile.initial_count
+            for day in range(spec.days):
+                running += account.posts[day] - account.deletions[day]
+                if running < 0:
+                    raise ValueError(
+                        f"account {account.account_id}: initial_count {profile.initial_count}"
+                        " is too small for the profile's deletion volume"
+                    )
+                if day in profile.gap_days:
+                    continue
+                stale = account.deletions[day] if day in profile.stale_days else 0
+                snapshots.append(AccountSnapshot(
+                    account.account_id, spec.start_day + timedelta(days=day), running + stale,
+                    AccountStatus.ACTIVE, description, created_at,
+                    _UNIX_EPOCH + timedelta(milliseconds=day_start_ms(day + 1) + 35 * 60_000),
+                ))
+            posts[account.account_id] = tuple(account.posts)
+            deletions[account.account_id] = tuple(account.deletions)
+            kinds[account.account_id] = profile.kind
+            category = synth._true_category(account, spec.days)
+            if category is not None:
+                categories[account.account_id] = category
+            if profile.kind is synth.ProfileKind.FLOODER and profile.flood_days:
+                flood_days[account.account_id] = tuple(sorted(profile.flood_days))
+            if profile.stale_days:
+                stale_days[account.account_id] = tuple(sorted(profile.stale_days))
+            if spoke_ids:
+                farm = synth.PlantedFarm(account.account_id, spoke_ids, farm_tweets[0],
+                                         profile.spoke_unlikes)
+                farms.append(farm)
+                for spoke_index, spoke_id in enumerate(spoke_ids):
+                    for repeat in range(farm.spoke_unlikes):
+                        at_ms = (day_start_ms(profile.farm_day) + 3_600_000
+                                 + spoke_index * 60_000 + repeat * 1_000)
+                        rows.append((at_ms, "unlike", spoke_id, farm.tweet_id))
+                    kinds[spoke_id] = synth.ProfileKind.LIKE_FARM_SPOKE
+                    posts[spoke_id] = deletions[spoke_id] = (0,) * spec.days
+    rows.sort()
+    snapshots.sort(key=lambda s: (s.snapshot_day, s.account_id))
+    truth = synth.GroundTruth(spec.days, spec.start_day, posts, deletions, categories, kinds,
+                              flood_days, stale_days, tuple(farms))
+    return rows, snapshots, truth
 
 
 def notice_lines_oracle(notices) -> bytes:

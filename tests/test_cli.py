@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import functools
 import importlib.util
 import io
 import json
@@ -315,13 +316,9 @@ class TestExitCodes:
         first legacy ID, 1."""
         monkeypatch.chdir(tmp_path)
         if wrapped:
-            init = synth._IdAllocator.__init__
-
-            def wrapped_init(self):
-                init(self)
-                self._sequence = 0x3FFFFF
-
-            monkeypatch.setattr(synth._IdAllocator, "__init__", wrapped_init)
+            monkeypatch.setattr(
+                synth, "_tweet_ids", functools.partial(synth._tweet_ids, sequence=0x3FFFFF)
+            )
         write_spec(tmp_path, {"days": 1, "start_day": "2010-11-04", "cohorts": [
             {"kind": "normal_deleter", "count": 1, "delete_rate": 1,
              "min_daily_deletions": 10591}]})
@@ -737,6 +734,30 @@ class TestGenerate:
         manifest = json.loads(Path("data/manifest.json").read_text())
         lines = Path("data/events.ndjson").read_bytes().count(b"\n")
         assert manifest["parameters"]["events"] == lines > 0
+
+    def test_builds_no_row_notice_or_snapshot(self, tmp_path, monkeypatch):
+        """``generate`` writes from the dataset's columns: with its ``rows``,
+        ``notices`` and ``snapshots`` refused, it exits 0 and writes what
+        the row-at-a-time generator writes."""
+
+        def refuse(dataset):
+            raise AssertionError("generate built Python records")
+
+        for name in ("rows", "notices", "snapshots"):
+            monkeypatch.setattr(synth.SyntheticDataset, name, property(refuse))
+        monkeypatch.chdir(tmp_path)
+        write_spec(tmp_path)
+        assert run("generate", "--spec", "spec.json", "--seed", 5, "--out", "data") == 0
+        rows, snapshots, truth = oracles.generated_dataset_oracle(
+            synth.spec_from_dict(SPEC), 5
+        )
+        records.write_notices("events.ndjson", oracles.generated_notices_oracle(rows))
+        records.write_snapshots("snapshots.ndjson", snapshots)
+        synth.write_ground_truth("ground_truth.json", truth)
+        for name in ("events.ndjson", "snapshots.ndjson", "ground_truth.json"):
+            assert Path("data", name).read_bytes() == Path(name).read_bytes()
+        manifest = json.loads(Path("data/manifest.json").read_text())
+        assert manifest["parameters"]["events"] == len(rows) > 0
 
     def test_outputs_and_manifest(self, workspace):
         data = workspace / "data"

@@ -10,6 +10,7 @@ from datetime import date, datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -605,42 +606,87 @@ class TestWritersEqualTheOracle:
         st.lists(_written_notices, max_size=6),
         st.lists(_written_snapshots(), max_size=6),
         st.lists(_json_values, max_size=6),
+        st.integers(1, 7),
     )
     @settings(max_examples=200, deadline=None)
-    def test_writers(self, notices, snapshots, values):
+    def test_writers(self, notices, snapshots, values, chunk):
+        """The writers give the oracle's bytes, one write per line, however
+        many lines they join into each write."""
         oracle = oracles.write_ndjson_oracle
-        assert _written_bytes(r.write_notices, notices) == (
-            _written_bytes(oracle, notices, oracles.notice_to_dict_oracle)
-        )
-        assert _written_bytes(r.write_snapshots, snapshots) == (
-            _written_bytes(oracle, snapshots, oracles.snapshot_to_dict_oracle)
-        )
         same = lambda value: value  # noqa: E731
-        assert _written_bytes(r.write_ndjson, values, same) == (
-            _written_bytes(oracle, values, same)
-        )
+        with _chunks_of(chunk):
+            assert _written_bytes(r.write_notices, notices) == (
+                _written_bytes(oracle, notices, oracles.notice_to_dict_oracle)
+            )
+            assert _written_bytes(r.write_snapshots, snapshots) == (
+                _written_bytes(oracle, snapshots, oracles.snapshot_to_dict_oracle)
+            )
+            assert _written_bytes(r.write_ndjson, values, same) == (
+                _written_bytes(oracle, values, same)
+            )
 
     @given(
-        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([k.value for k in r.NoticeKind]),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from(list(r.NoticeKind)),
                            st.integers(1, 3), st.integers(1, 2**70)), max_size=12),
-        st.integers(0, 253402300799999 - 3),
+        st.integers(-62135596800000, 253402300799999 - 3),
         st.booleans(),
+        st.integers(1, 5),
     )
     @settings(max_examples=300)
-    def test_notice_rows(self, rows, base_ms, ordered):
-        """``write_notice_rows`` writes the oracle's lines for the rows'
-        notices, in the rows' order, sorted or not; rows a few milliseconds
-        apart, so that neighbours share a stamp or differ by 1 ms."""
+    def test_notice_columns(self, rows, base_ms, ordered, chunk):
+        """``write_notice_columns`` writes the oracle's lines for the rows'
+        notices, in the rows' order, sorted or not, in chunks of any size;
+        rows a few milliseconds apart, so that neighbours share a stamp or
+        differ by 1 ms, and IDs past int64 in a column of Python ints."""
         rows = [(base_ms + offset, kind, actor_id, object_id)
                 for offset, kind, actor_id, object_id in rows]
         if ordered:
             rows.sort()
         notices = [
-            r.ComplianceNotice(r.NoticeKind(kind), actor_id, object_id,
+            r.ComplianceNotice(kind, actor_id, object_id,
                                datetime(1970, 1, 1, tzinfo=UTC) + timedelta(milliseconds=ms))
             for ms, kind, actor_id, object_id in rows
         ]
-        assert _written_bytes(r.write_notice_rows, rows) == oracles.notice_lines_oracle(notices)
+        kinds = list(r.NoticeKind)
+        columns = (
+            np.array([row[0] for row in rows], dtype=np.int64),
+            np.array([kinds.index(row[1]) for row in rows], dtype=np.int64),
+            np.array([row[2] for row in rows], dtype=np.int64),
+            _int_column([row[3] for row in rows]),
+        )
+        with _chunks_of(chunk):
+            written = _written_bytes(lambda path, _: r.write_notice_columns(path, *columns), rows)
+        assert written == oracles.notice_lines_oracle(notices)
+
+    @given(
+        st.lists(st.tuples(_written_ids, st.dates(date(1, 1, 1), date(9999, 12, 31)),
+                           st.integers(0, 2**70), st.text(max_size=6),
+                           st.integers(-62135596800000, 253402300799999),
+                           st.integers(-62135596800000, 253402300799999)), max_size=12),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=300)
+    def test_snapshot_columns(self, rows, chunk):
+        """``write_snapshot_columns`` writes what ``write_snapshots`` writes
+        for the active snapshots the rows hold, in chunks of any size, over
+        descriptions that need JSON escapes and counts past int64."""
+        snapshots = [
+            r.AccountSnapshot(account_id, day, count, r.AccountStatus.ACTIVE, description,
+                              r.ms_to_datetime(created), r.ms_to_datetime(queried))
+            for account_id, day, count, description, created, queried in rows
+        ]
+        columns = (
+            _int_column([row[0] for row in rows]),
+            np.array([row[1].toordinal() for row in rows], dtype=np.int64),
+            _int_column([row[2] for row in rows]),
+            [row[3] for row in rows],
+            [row[4] for row in rows],
+            np.array([row[5] for row in rows], dtype=np.int64),
+        )
+        with _chunks_of(chunk):
+            written = _written_bytes(lambda path, _: r.write_snapshot_columns(path, *columns),
+                                     rows)
+        assert written == _written_bytes(r.write_snapshots, snapshots)
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_generated_files(self, tmp_path, seed):
@@ -674,6 +720,55 @@ class TestWritersEqualTheOracle:
             written = (tmp_path / "data" / f"{name}.ndjson").read_bytes()
             assert written == (tmp_path / name).read_bytes()
 
+
+def _int_column(values: list[int]):
+    """An int64 column, or one of Python ints if a value passes int64."""
+    return np.array(values, dtype=np.int64 if max(values, default=0) < 2**63 else object)
+
+
+@contextmanager
+def _chunks_of(size: int) -> Iterator[None]:
+    """Inside the block, the column writers write ``size`` rows at a time,
+    and ``_write_lines`` joins lines into writes of about ``size``
+    characters."""
+    saved = r._CHUNK_LINES, r._CHUNK_CHARS
+    r._CHUNK_LINES = r._CHUNK_CHARS = size
+    try:
+        yield
+    finally:
+        r._CHUNK_LINES, r._CHUNK_CHARS = saved
+
+
+def _ms(day: date, ms_of_day: int) -> int:
+    return (day.toordinal() - r.UNIX_EPOCH_ORDINAL) * r.DAY_MS + ms_of_day
+
+
+class TestNumpyTheWritersRelyOn:
+    """The numpy behaviour the column writers and ``synth.generate`` rely on,
+    pinned on every numpy the package supports."""
+
+    @pytest.mark.parametrize("ms", [
+        0, -1, 1, 999, 1000, _ms(date(1, 1, 1), 3_600_000), _ms(date(9999, 12, 31), 82_800_001),
+    ])
+    def test_stamp_text_is_format_timestamps(self, ms):
+        assert r._stamps(np.array([ms, ms])) == [r.format_timestamp(r.ms_to_datetime(ms))] * 2
+        assert r._stamps(np.array([ms]), '"') == [f'"{r.format_timestamp(r.ms_to_datetime(ms))}"']
+
+    def test_datetime_as_string_writes_every_millisecond_digit(self):
+        """Why ``_stamps`` formats whole seconds and appends the fraction:
+        numpy writes ``.000`` where Python writes nothing, and ``.999`` where
+        Python writes ``.999000``."""
+        texts = np.datetime_as_string(np.array([0, -1], dtype="datetime64[ms]")).tolist()
+        assert texts == ["1970-01-01T00:00:00.000", "1969-12-31T23:59:59.999"]
+
+    def test_lexsort_on_ties_is_the_tuple_sort(self):
+        """With ties in the first key, the second and the third, the order
+        of ``np.lexsort`` over the keys reversed is that of the tuple sort."""
+        rows = [(ms, kind, actor, obj) for ms in (5, 3) for kind in (1, 0)
+                for actor in (7, 2, 9) for obj in (2**62, 4, 11)]
+        random.Random(0).shuffle(rows)
+        order = np.lexsort(np.array(rows, dtype=np.int64).T[::-1])
+        assert [rows[i] for i in order.tolist()] == sorted(rows)
 
 class TestWrittenRecordsReadBack:
     """Every record the constructors accept reads back from what its writer

@@ -6,6 +6,7 @@ import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from delstream.records import (
     creation_ms,
     serialize_notice,
     serialize_snapshot,
+    write_notices,
+    write_snapshots,
 )
 
 
@@ -313,18 +316,38 @@ class TestValidation:
     )
     @example(offsets=[-5, 0], sequence=0)
     @example(offsets=[0], sequence=0x3FFFFF)
+    @example(offsets=[1, 2, 3, -1, 3], sequence=0x3FFFFE)
     def test_ids_time_encoded_exactly_after_the_epoch(self, offsets, sequence):
         """A creation at the ID scheme's epoch has time field 0, so it takes a
         legacy ID; a time-encoded one would lie in the legacy range."""
-        alloc = synth._IdAllocator()
-        alloc._sequence = sequence
-        ids = [alloc.for_creation_ms(SNOWFLAKE_EPOCH_MS + offset) for offset in offsets]
+        at_ms = np.array([SNOWFLAKE_EPOCH_MS + offset for offset in offsets])
+        ids = synth._tweet_ids(at_ms, np.zeros_like(at_ms), sequence).tolist()
         assert len(set(ids)) == len(ids)
         for offset, tweet_id in zip(offsets, ids):
             assert tweet_id > 0
             assert (tweet_id >= MIN_TIME_ENCODED_ID) == (offset > 0)
             if offset > 0:
                 assert creation_ms(tweet_id) == SNOWFLAKE_EPOCH_MS + offset
+
+    @given(
+        st.lists(st.tuples(st.integers(-62135596800000, 253402300799999),
+                           st.one_of(st.integers(0, 10**13), st.integers(0, 2**63 - 1))),
+                 max_size=20),
+        st.integers(0, 3 * 0x3FFFFF),
+    )
+    @example([(SNOWFLAKE_EPOCH_MS + 5, 5), (SNOWFLAKE_EPOCH_MS + 6, 5)], 0x3FFFFF)
+    @example([(SNOWFLAKE_EPOCH_MS + 7, 5)] * 3, 0x3FFFFE)
+    @example([(-62135596800000, 2**63 - 1), (4102444800000, 0)], 0)
+    def test_ids_equal_the_per_row_allocator(self, deletions, sequence):
+        """``_tweet_ids`` equals allocating one row at a time, in order, for
+        creations before the epoch, after it, past int64's least value
+        (1 AD less the largest age) and past 2080, where IDs pass int64."""
+        alloc = oracles._IdAllocatorOracle(sequence)
+        at_ms = np.array([at for at, _ in deletions], dtype=np.int64)
+        ages_ms = np.array([age for _, age in deletions], dtype=np.int64)
+        assert synth._tweet_ids(at_ms, ages_ms, sequence).tolist() == [
+            alloc.for_creation_ms(at - age) for at, age in deletions
+        ]
 
     @pytest.mark.parametrize(
         "field", ["post_rate", "delete_rate", "age_median_days", "age_sigma"]
@@ -474,7 +497,8 @@ def _specs(draw) -> dict:
     """Small specs whose events often share a millisecond: each deleting
     account's first deletion of a day, and each hub's first spoke unlike on
     its farm day, fall at the day's 01:00, and a later cohort's accounts have
-    higher IDs than an earlier hub's spokes."""
+    higher IDs than an earlier hub's spokes. Deleters may have gap and stale
+    days, a day listed twice among them."""
     days = draw(st.integers(1, 4))
     day = st.integers(0, days - 1)
     cohorts = []
@@ -487,6 +511,8 @@ def _specs(draw) -> dict:
                 min_daily_deletions=draw(st.integers(1, 12)),
                 delete_days=sorted(draw(st.sets(day, min_size=1))),
                 age_median_days=draw(st.sampled_from([0, 30, 400, 4200])),
+                gap_days=draw(st.lists(day, max_size=2)),
+                stale_days=draw(st.lists(day, max_size=2)),
             )
         elif kind == "flooder":
             cohort.update(flood_days=[draw(day)], cycle_posts=draw(st.integers(1, 40)),
@@ -547,3 +573,80 @@ class TestRowsEqualTheObjectPath:
                    for a, b in zip(ties, ties[1:]))
         dense = synth.generate(synth.spec_from_dict(_DENSE), 3).rows
         assert any(b[0] - a[0] == 1 for a, b in zip(dense, dense[1:]))
+
+
+#: Deleters and a hub starting before the ID scheme's epoch: legacy IDs only.
+_PRE_EPOCH = {"days": 2, "start_day": "2009-06-01", "cohorts": [
+    {"kind": "normal_deleter", "count": 2, "delete_rate": 9, "age_median_days": 30},
+    {"kind": "like_farm_hub", "count": 1, "farm_size": 2, "farm_day": 1},
+]}
+
+#: A day whose tweet ages straddle the epoch (2010-11-04T01:42:54.657Z).
+_STRADDLE = {"days": 1, "start_day": "2010-11-20", "cohorts": [
+    {"kind": "mass_deleter", "count": 2, "delete_rate": 60, "age_median_days": 16,
+     "initial_count": 1000},
+]}
+
+#: Gap and stale days each listed twice, as a list may list a day.
+_REPEATED_DAYS = {"days": 3, "cohorts": [
+    {"kind": "normal_deleter", "count": 2, "post_rate": 2, "delete_rate": 9,
+     "gap_days": [0, 0], "stale_days": [1, 2, 1]},
+]}
+
+#: Specs whose time-encoded IDs pass int64 (creation after about 2080), so
+#: that they need exact Python ints: one in 2090, and one on the last day
+#: a spec may start.
+_Y2090 = {"days": 2, "start_day": "2090-01-01", "cohorts": [
+    {"kind": "normal_deleter", "count": 2, "delete_rate": 8},
+    {"kind": "like_farm_hub", "count": 1, "farm_size": 2, "farm_day": 1},
+]}
+_Y9999 = {"days": 1, "start_day": "9999-12-30", "cohorts": [
+    {"kind": "normal_deleter", "count": 2, "delete_rate": 8, "age_median_days": 400},
+    {"kind": "like_farm_hub", "count": 1, "farm_size": 3},
+]}
+
+
+class TestColumnsEqualTheRowGenerator:
+    @given(_specs(), st.integers(0, 2**32 - 1))
+    @example(_TIES, 1)
+    @example(_DENSE, 3)
+    @example(_PRE_EPOCH, 1)
+    @example(_STRADDLE, 2)
+    @example(_REPEATED_DAYS, 4)
+    @example(_Y2090, 1)
+    @example(_Y9999, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_generate_equals_the_row_generator(self, raw, seed):
+        """``generate``'s rows, snapshots and truth, and the three files
+        ``write_dataset`` writes from its columns, equal those of the
+        row-at-a-time generator (``oracles.generated_dataset_oracle``)
+        written through ``write_notices``, ``write_snapshots`` and
+        ``write_ground_truth``."""
+        spec = synth.spec_from_dict(raw)
+        dataset = synth.generate(spec, seed)
+        rows, snapshots, truth = oracles.generated_dataset_oracle(spec, seed)
+        assert dataset.rows == tuple(rows)
+        assert dataset.snapshots == tuple(snapshots)
+        assert dataset.truth == truth
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory)
+            synth.write_dataset(dataset, out / "columns")
+            write_notices(out / "events.ndjson", oracles.generated_notices_oracle(rows))
+            write_snapshots(out / "snapshots.ndjson", snapshots)
+            synth.write_ground_truth(out / "ground_truth.json", truth)
+            for name in ("events.ndjson", "snapshots.ndjson", "ground_truth.json"):
+                assert (out / "columns" / name).read_bytes() == (out / name).read_bytes()
+
+    def test_examples_hold_the_cases_they_name(self):
+        """Only legacy IDs before the epoch, both kinds on the straddling day,
+        and IDs past int64 in 2090 and 9999, unlikes included."""
+        def ids(raw, seed):
+            return [row[3] for row in synth.generate(synth.spec_from_dict(raw), seed).rows]
+
+        assert max(ids(_PRE_EPOCH, 1)) < MIN_TIME_ENCODED_ID
+        straddle = ids(_STRADDLE, 2)
+        assert min(straddle) < MIN_TIME_ENCODED_ID <= max(straddle)
+        for raw in (_Y2090, _Y9999):
+            dataset = synth.generate(synth.spec_from_dict(raw), 1)
+            assert min(ids(raw, 1)) >= 2**63
+            assert set(dataset.event_kinds.tolist()) == {0, 1}
