@@ -50,12 +50,6 @@ class AccountBehaviorSummary:
             raise ValueError("bot_score must be within [0, 1]")
 
 
-def _lower_median(values: list[int]) -> int:
-    # Lower median keeps whole-day ages integral for even-sized multisets.
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 def categorize(deleting_days: int, violated: bool, window_days: int) -> Category:
     """Frequency category with limit violation taking precedence."""
     if violated:
@@ -88,16 +82,14 @@ def summarize(
         if not counts:
             continue
         deleting_days = len(counts)
-        ages = [age for day_ages in timeline.deleted_ages_days for age in day_ages]
+        median_age = timeline.median_deleted_age_days
         summaries.append(
             AccountBehaviorSummary(
                 timeline.account_id,
                 deleting_days,
                 sum(counts) / deleting_days,
-                float(_lower_median(ages)) if ages else None,
-                categorize(
-                    deleting_days, timeline.account_id in violators, window_days
-                ),
+                None if median_age is None else float(median_age),
+                categorize(deleting_days, timeline.account_id in violators, window_days),
                 scores.get(timeline.account_id),
             )
         )

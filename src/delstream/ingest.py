@@ -13,24 +13,24 @@ groups, so a sharded run equals a single one for any partition.
 
 The records' wire forms are the ``*_to_dict``/``*_from_dict`` pairs below.
 Each ``*_from_dict`` converts only what JSON cannot hold (a day's text to a
-``date``, a status to its enum) and passes every other value to the
-record's constructor, which checks each field with the ``records`` field
-checks (every ID positive, every age at least 0); the decoder raises without
-a line number, which the file framing, ``records.read_ndjson``, adds. As
-every record's constructor refuses what its reader refuses, any record built
-is written in a line its reader accepts. A daily deletion record holds its
-account, day and tweet IDs, which coordination reads; only
+``date``, a status to its enum) and passes every other value to the record's
+constructor, which checks each field with the ``records`` field checks
+(every ID positive, every count and age at least 0); the decoder raises
+without a line number, which the file framing, ``records.read_ndjson``,
+adds. As every record's constructor refuses what its reader refuses, any
+record built is written in a line its reader accepts. A daily deletion
+record holds its account, day and tweet IDs, which coordination reads; only
 ``build_timelines`` derives tweet ages from the IDs, by
-``records.ages_in_days``. A timeline keeps only what ``estimate``,
-``detect-flooding`` and ``stats`` read, built or read back: each snapshot's
-day, status and count as three parallel columns, the account's description,
-and each deletion day's day, count and ages as three more. The intermediate
-files are sorted: timelines by account, daily records by (account, day),
-unlike records by (liker, tweet). Each reader refuses a repeated or
-out-of-order line, and each writer refuses, before it opens its file, a
-list its reader would refuse, with the reader's message and line.
-``build_timelines`` raises ValueError for a repeated snapshot or deletion
-record of one (account, day).
+``records.ages_in_days``, and keeps only their median. A timeline keeps only
+what ``estimate``, ``detect-flooding`` and ``stats`` read, built or read
+back: each snapshot's day, status and count as three parallel columns, the
+account's description, each deletion day's day and count as two more, and
+the account's median deleted-tweet age. The intermediate files are sorted:
+timelines by account, daily records by (account, day), unlike records by
+(liker, tweet). Each reader refuses a repeated or out-of-order line, and
+each writer refuses, before it opens its file, a list its reader would
+refuse, with the reader's message and line. ``build_timelines`` raises
+ValueError for a repeated snapshot or deletion record of one (account, day).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class DailyDeletionRecord:
     """The tweets one account deleted on one UTC day, by ID, sorted.
 
     ``tweet_ids`` serves the coordination graph; ``build_timelines`` turns
-    the record into a timeline's deletion count and ages.
+    the record into a timeline's deletion count and median age.
     """
 
     account_id: int
@@ -111,13 +111,10 @@ class AccountTimeline:
 
     The snapshots are three parallel columns: ``snapshot_days``, ``statuses``
     and ``statuses_counts``. ``description`` is the last snapshot's, so it is
-    empty without snapshots. The deletion days are three more:
-    ``deletion_days``, ``deletion_counts`` (each at least 1) and
-    ``deleted_ages_days``, one tuple per day of the whole-day age of each
-    deleted tweet whose ID carries a decodable creation time. Undecodable IDs
-    have no age, so a day may hold fewer ages than deletions, never more.
-    ``build_timelines`` sorts each day's ages; the reader does not check
-    their order, and no analysis relies on it.
+    empty without snapshots. The deletion days are two more: ``deletion_days``
+    and ``deletion_counts`` (each at least 1). ``median_deleted_age_days``, an
+    int >= 0, is the lower median of the whole-day ages of the deleted tweets
+    whose IDs are decodable; None if none is, as without deletion days.
     """
 
     account_id: int
@@ -126,28 +123,25 @@ class AccountTimeline:
     statuses_counts: tuple[int | None, ...] = ()
     deletion_days: tuple[date, ...] = ()
     deletion_counts: tuple[int, ...] = ()
-    deleted_ages_days: tuple[tuple[int, ...], ...] = ()
+    median_deleted_age_days: int | None = None
     description: str = ""
 
     def __post_init__(self):
         for name in ("snapshot_days", "statuses", "statuses_counts", "deletion_days",
-                     "deletion_counts", "deleted_ages_days"):
+                     "deletion_counts"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         int_field(self.account_id, "account_id", 1)
         if not len(self.snapshot_days) == len(self.statuses) == len(self.statuses_counts):
             raise ValueError("the snapshot columns differ in length")
-        deletions = (self.deletion_days, self.deletion_counts, self.deleted_ages_days)
-        if len(set(map(len, deletions))) > 1:
+        if len(self.deletion_days) != len(self.deletion_counts):
             raise ValueError("the deletion columns differ in length")
-        ages = []
-        for day, count, day_ages in zip(*deletions):
+        for day, count in zip(self.deletion_days, self.deletion_counts):
             date_field(day, "day")
             int_field(count, "deletion_count", 1)
-            day_ages = int_list_field(day_ages, "deleted_ages_days", 0)
-            if len(day_ages) > count:
-                raise ValueError("more ages than deletions")
-            ages.append(day_ages)
-        object.__setattr__(self, "deleted_ages_days", tuple(ages))
+        if self.median_deleted_age_days is not None:
+            int_field(self.median_deleted_age_days, "median_deleted_age_days", 0)
+            if not self.deletion_days:
+                raise ValueError("a median deleted-tweet age without deletion days")
         if str_field(self.description, "description") and not self.snapshot_days:
             raise ValueError("a description without snapshots")
         for row in zip(self.snapshot_days, self.statuses, self.statuses_counts):
@@ -301,7 +295,8 @@ def build_timelines(
 ) -> list[AccountTimeline]:
     """Outer-join snapshots and deletion records into per-account timelines.
 
-    A record's ages are ``records.ages_in_days`` of its day and tweet IDs.
+    An account's median deleted-tweet age is the lower median of
+    ``records.ages_in_days`` over each of its records' day and tweet IDs.
     Accounts with any deleted-status snapshot are excluded entirely (their
     deletions are platform-driven teardown, not behavior). Duplicate
     (account, day) snapshots or records are corrupt input and raise.
@@ -338,6 +333,7 @@ def build_timelines(
         snapshot_days = sorted(snaps)
         ordered = [snaps[d] for d in snapshot_days]
         deletion_days = sorted(ids)
+        ages = sorted(age for d in deletion_days for age in ages_in_days(d, ids[d]))
         timelines.append(
             AccountTimeline(
                 account_id,
@@ -346,7 +342,7 @@ def build_timelines(
                 [s.statuses_count for s in ordered],
                 deletion_days,
                 [len(ids[d]) for d in deletion_days],
-                [ages_in_days(d, ids[d]) for d in deletion_days],
+                ages[(len(ages) - 1) // 2] if ages else None,  # the lower median
                 ordered[-1].description if ordered else "",
             )
         )
@@ -366,7 +362,7 @@ def daily_record_to_dict(record: DailyDeletionRecord) -> dict:
 
 def daily_record_from_dict(raw: dict) -> DailyDeletionRecord:
     """Read ``daily_record_to_dict``'s form back, ignoring other keys, such
-    as the ``deletion_count`` and ``deleted_ages_days`` earlier runs wrote."""
+    as the day's deletion count and tweet ages earlier runs wrote."""
     try:
         raw = json_object(raw)
         return DailyDeletionRecord(
@@ -393,12 +389,8 @@ def unlike_record_from_dict(raw: dict) -> UnlikeRecord:
 
 
 def timeline_to_dict(timeline: AccountTimeline) -> dict:
-    """The timeline as the analysis stages read it.
-
-    ``snapshots`` rows are ``[day, status, statuses_count]`` and
-    ``deletion_days`` rows are ``[day, deletion_count, deleted_ages_days]``,
-    each row one day of the columns.
-    """
+    """The timeline as the analysis stages read it, each day of its columns
+    as one row of the columns ``timeline_from_dict`` names."""
     return {
         "account_id": timeline.account_id,
         "snapshots": [
@@ -406,37 +398,38 @@ def timeline_to_dict(timeline: AccountTimeline) -> dict:
             in zip(timeline.snapshot_days, timeline.statuses, timeline.statuses_counts)
         ],
         "description": timeline.description,
-        "deletion_days": [
-            [day.isoformat(), count, ages] for day, count, ages
-            in zip(timeline.deletion_days, timeline.deletion_counts, timeline.deleted_ages_days)
-        ],
+        "deletion_days": [[day.isoformat(), count] for day, count
+                          in zip(timeline.deletion_days, timeline.deletion_counts)],
+        "median_deleted_age_days": timeline.median_deleted_age_days,
     }
 
 
-def _rows(raw: dict, key: str) -> list[list]:
+def _rows(raw: dict, key: str, *columns: str) -> list[list]:
     rows = raw.get(key)
     if type(rows) is not list or not all(
-        type(row) is list and len(row) == 3 for row in rows
+        type(row) is list and len(row) == len(columns) for row in rows
     ):
-        raise RecordParseError(f"{key!r} must be a list of three-item lists")
+        raise RecordParseError(f"{key!r} must be a list of [{', '.join(columns)}] rows")
     return rows
 
 
 def timeline_from_dict(raw: dict) -> AccountTimeline:
-    """Read ``timeline_to_dict``'s form back, the rows as columns."""
+    """Read ``timeline_to_dict``'s form back, the rows as columns; an earlier
+    run's line, without ``median_deleted_age_days``, is refused."""
     try:
         raw = json_object(raw)
-        snapshots = _rows(raw, "snapshots")
-        deletions = _rows(raw, "deletion_days")
-        deletion_days = [day_field(row[0], "day") for row in deletions]
+        snapshots = _rows(raw, "snapshots", "day", "status", "statuses_count")
+        deletions = _rows(raw, "deletion_days", "day", "deletion_count")
+        if "median_deleted_age_days" not in raw:
+            raise RecordParseError("'median_deleted_age_days' is missing")
         return AccountTimeline(
             raw.get("account_id"),
             [day_field(row[0], "snapshot_day") for row in snapshots],
             [status_field(row[1]) for row in snapshots],
             [row[2] for row in snapshots],
-            deletion_days,
+            [day_field(row[0], "day") for row in deletions],
             [row[1] for row in deletions],
-            [row[2] for row in deletions],
+            raw["median_deleted_age_days"],
             raw.get("description", ""),
         )
     except ValueError as err:

@@ -274,17 +274,15 @@ def creation_ms(tweet_id: int) -> int | None:
     return SNOWFLAKE_EPOCH_MS + (tweet_id >> 22)
 
 
-def ages_in_days(day: date, tweet_ids: Iterable[int]) -> tuple[int, ...]:
-    """The sorted whole-day ages of deleted tweets at the start of UTC ``day``.
+def ages_in_days(day: date, tweet_ids: Iterable[int]) -> list[int]:
+    """The whole-day ages of deleted tweets at the start of UTC ``day``, unsorted.
 
     Each age is the whole days from the tweet's ``creation_ms`` to the day's
     start, clamped at 0 for a tweet created later; an undecodable ID has none.
     """
     start_ms = (day.toordinal() - UNIX_EPOCH_ORDINAL) * DAY_MS - SNOWFLAKE_EPOCH_MS
     ages = [(start_ms - (i >> 22)) // DAY_MS for i in tweet_ids if i >= MIN_TIME_ENCODED_ID]
-    ages = [age if age > 0 else 0 for age in ages]
-    ages.sort()
-    return tuple(ages)
+    return [age if age > 0 else 0 for age in ages]
 
 
 def decode_creation_time(tweet_id: int) -> datetime | None:

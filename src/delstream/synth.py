@@ -15,7 +15,8 @@ downstream labels may diverge from truth there.
 Each spec record refuses, naming it, a field of the wrong type or range when
 built, so a spec built in the library is refused as a spec file is; a
 ``post_rate`` or ``delete_rate`` past ``POISSON_RATE_MAX`` is out of range,
-as numpy draws no Poisson count from it. ``spec_from_dict`` only converts.
+as numpy draws no Poisson count from it, and so is a field asking more than
+``MAX_DAILY_EVENTS`` of one account-day. ``spec_from_dict`` only converts.
 ``generate`` refuses a seed that is not an int >= 0, and otherwise raises
 only for what its draws decide: an ``initial_count`` too small, a tweet age
 past what an int64 count of milliseconds holds (``age_median_days``), or
@@ -106,6 +107,10 @@ _DAY_LISTS = ("delete_days", "flood_days", "gap_days", "stale_days")
 #: ``delete_rate`` are Poisson means, so neither may exceed it.
 POISSON_RATE_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
+#: The most events a profile may ask of one account on one day, deleted or
+#: unliked: about 40 times the paper's largest flooders (26,000 tweets a day).
+MAX_DAILY_EVENTS = 10**6
+
 
 @dataclass(frozen=True)
 class BehaviorProfile:
@@ -153,6 +158,16 @@ class BehaviorProfile:
         for name in _DAY_LISTS:
             if getattr(self, name) is not None or name != "delete_days":
                 object.__setattr__(self, name, int_list_field(getattr(self, name), name, 0))
+        volumes = {  # a day's deletions are the larger of two fields, so each is bounded
+            "min_daily_deletions": self.min_daily_deletions, "delete_rate": self.delete_rate,
+            "farm_tweets": self.farm_tweets,
+            "cycle_posts * (cycles_per_day - 1)": self.cycle_posts * (self.cycles_per_day - 1),
+            "farm_size * spoke_unlikes": self.farm_size * self.spoke_unlikes,
+        }
+        for name, volume in volumes.items():
+            if volume > MAX_DAILY_EVENTS:
+                raise ValueError(f"{name} must be <= {MAX_DAILY_EVENTS} events a day, "
+                                 f"got {volume!r:.40}")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ def make_timeline(account_id, counts, deletions):
         tuple(counts[offset] for offset in offsets),
         tuple(day(offset) for offset in deleted),
         tuple(deletions[offset] for offset in deleted),
-        ((),) * len(deleted),
     )
 
 

@@ -18,13 +18,13 @@ def day(offset: int) -> date:
     return DAY0 + timedelta(days=offset)
 
 
-def timeline(account_id: int, deleting_days, per_day=20, ages=()) -> AccountTimeline:
+def timeline(account_id: int, deleting_days, per_day=20, median_age=None) -> AccountTimeline:
     days = [day(offset) for offset in sorted(deleting_days)]
     return AccountTimeline(
         account_id,
         deletion_days=days,
         deletion_counts=[per_day] * len(days),
-        deleted_ages_days=[tuple(sorted(ages))] * len(days),
+        median_deleted_age_days=median_age,
     )
 
 
@@ -70,17 +70,17 @@ class TestSummarize:
         assert summary.category is b.Category.THIRTY_DAY
 
     def test_mean_daily_deletions(self):
-        tl = AccountTimeline(1, deletion_days=(day(0), day(1)), deletion_counts=(10, 30),
-                             deleted_ages_days=((), ()))
+        tl = AccountTimeline(1, deletion_days=(day(0), day(1)), deletion_counts=(10, 30))
         [summary] = b.summarize([tl], [])
         assert summary.mean_daily_deletions == 20.0
 
-    def test_median_age_is_lower_median(self):
-        [summary] = b.summarize([timeline(1, [0], ages=(3, 10, 40, 100))], [])
+    def test_median_age_is_the_timelines(self):
+        [summary] = b.summarize([timeline(1, [0, 3], median_age=10)], [])
         assert summary.median_deleted_age_days == 10.0
+        assert type(summary.median_deleted_age_days) is float
 
     def test_median_age_unavailable_without_decodable_ages(self):
-        [summary] = b.summarize([timeline(1, [0], ages=())], [])
+        [summary] = b.summarize([timeline(1, [0])], [])
         assert summary.median_deleted_age_days is None
 
     def test_accounts_without_deletions_skipped(self):

@@ -106,7 +106,8 @@ _GOOD_RECORDS = {
     "daily.ndjson": {"account_id": 1, "day": "2021-04-26", "tweet_ids": [5, 6]},
     "unlikes.ndjson": {"liker_id": 2, "tweet_id": 5, "unlike_count": 5},
     "timelines.ndjson": {"account_id": 1, "snapshots": [["2021-04-26", "active", 5]],
-                         "description": "", "deletion_days": [["2021-04-26", 10, [1]]]},
+                         "description": "", "deletion_days": [["2021-04-26", 10]],
+                         "median_deleted_age_days": 1},
 }
 _BAD_JSON_IDS = st.sampled_from([0, -5, True, "5", 5.0])
 _BAD_TEXT_IDS = st.sampled_from(
@@ -158,7 +159,7 @@ _BAD_FIELD_CASES = {
                             _second_record("timelines.ndjson", "account_id"),
                             _ON_TIMELINES, 2, _BAD_JSON_IDS),
     "timeline age": ("timelines.ndjson",
-                     _second_record("timelines.ndjson", "deletion_days", 0, 2, 0),
+                     _second_record("timelines.ndjson", "median_deleted_age_days"),
                      _ON_TIMELINES, 2, _BAD_AGES),
     "timeline day": ("timelines.ndjson",
                      _second_record("timelines.ndjson", "deletion_days", 0, 0),
@@ -245,7 +246,7 @@ class TestExitCodes:
     def test_negative_permutations_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
         )
         argv = ["estimate", "--timelines", "timelines.ndjson", "--permutations", -5,
                 "--out", "out"]
@@ -257,7 +258,7 @@ class TestExitCodes:
     def test_negative_seed_exit_3(self, tmp_path, monkeypatch, capsys, permutations):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
         )
         argv = ["estimate", "--timelines", "timelines.ndjson", "--seed", -1,
                 "--permutations", permutations, "--out", "out"]
@@ -366,8 +367,8 @@ class TestExitCodes:
     def test_non_integer_timeline_account_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":"x","snapshots":[],"deletion_days":[]}\n'
-            '{"account_id":2,"snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":"x","snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
+            '{"account_id":2,"snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
         )
         assert run("stats", "--timelines", "timelines.ndjson", "--out", "out") == 3
 
@@ -398,16 +399,20 @@ class TestExitCodes:
             {"snapshots": [], "description": "orphan"},
             {"deletion_days": ...},
             {"deletion_days": {}},
-            {"deletion_days": [["2021-04-27", 10]]},
-            {"deletion_days": [["x", 10, []]]},
-            {"deletion_days": [["2021-04-27", "10", []]]},
-            {"deletion_days": [["2021-04-27", True, []]]},
-            {"deletion_days": [["2021-04-27", 0, []]]},
-            {"deletion_days": [["2021-04-27", 10, "1,2"]]},
-            {"deletion_days": [["2021-04-27", 10, [1.5]]]},
-            {"deletion_days": [["2021-04-27", 10, [False]]]},
-            {"deletion_days": [["2021-04-27", 1, [1, 2]]]},
-            {"deletion_days": [["2021-04-27", 10, []], ["2021-04-27", 10, []]]},
+            {"deletion_days": [["2021-04-27", 10, [1, 2]]]},
+            {"deletion_days": [["2021-04-27"]]},
+            {"deletion_days": [["x", 10]]},
+            {"deletion_days": [["2021-04-27", "10"]]},
+            {"deletion_days": [["2021-04-27", True]]},
+            {"deletion_days": [["2021-04-27", 0]]},
+            {"median_deleted_age_days": ...},
+            {"median_deleted_age_days": "1"},
+            {"median_deleted_age_days": 1.5},
+            {"median_deleted_age_days": False},
+            {"median_deleted_age_days": -1},
+            {"median_deleted_age_days": [1, 2]},
+            {"deletion_days": [], "median_deleted_age_days": 1},
+            {"deletion_days": [["2021-04-27", 10], ["2021-04-27", 10]]},
             {"deletion_days": [{"account_id": 7, "day": "2021-04-27",
                                 "deletion_count": 10, "deleted_ages_days": [],
                                 "tweet_ids": list(range(1, 11))}]},
@@ -420,7 +425,8 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         good = {"account_id": 7,
                 "snapshots": [["2021-04-26", "active", 5], ["2021-04-27", "suspended", None]],
-                "description": "hi", "deletion_days": [["2021-04-27", 10, [1, 2]]]}
+                "description": "hi", "deletion_days": [["2021-04-27", 10]],
+                "median_deleted_age_days": 1}
         # ... drops the key
         bad = {key: value for key, value in {**good, **change}.items() if value is not ...}
         Path("timelines.ndjson").write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n")
@@ -428,6 +434,30 @@ class TestExitCodes:
                            ("stats", "stats")):
             assert run(stage, "--timelines", "timelines.ndjson", "--out", out) == 3
             assert "line 2: bad timeline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("earlier, message", [
+        ('{"account_id":8,"snapshots":[],"description":"",'
+         '"deletion_days":[["2021-04-27",2,[373]]]}',
+         "'deletion_days' must be a list of [day, deletion_count] rows"),
+        ('{"account_id":8,"snapshots":[],"description":"","deletion_days":[]}',
+         "'median_deleted_age_days' is missing"),
+    ], ids=["ages-per-day", "no-deletion-days"])
+    def test_earlier_runs_timeline_line_exit_3_naming_the_form(
+        self, tmp_path, monkeypatch, capsys, earlier, message
+    ):
+        """A line an earlier run wrote, with each deletion day's ages, is
+        refused with its line number; re-running ``aggregate`` rewrites it."""
+        monkeypatch.chdir(tmp_path)
+        Path("timelines.ndjson").write_text(
+            '{"account_id":7,"snapshots":[],"description":"","deletion_days":[],'
+            '"median_deleted_age_days":null}\n' + earlier + "\n"
+        )
+        for stage, out in (("estimate", "est"), ("detect-flooding", "v.csv"),
+                           ("stats", "stats")):
+            assert run(stage, "--timelines", "timelines.ndjson", "--out", out) == 3
+            assert (f"delstream: invalid input: line 2: bad timeline: {message}"
+                    in capsys.readouterr().err)
+            assert not Path(out).exists()
 
     @pytest.mark.parametrize(
         "flag, content, error",
@@ -451,7 +481,7 @@ class TestExitCodes:
     ):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
         )
         Path("input.csv").write_text(content)
         argv = ["stats", "--timelines", "timelines.ndjson", flag, "input.csv", "--out", "out"]
@@ -461,7 +491,7 @@ class TestExitCodes:
     def test_bot_scores_duplicate_account_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
         )
         Path("scores.csv").write_text("account_id,bot_score\n1,0.1\n2,0.5\n1,0.9\n")
         argv = ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "scores.csv",
@@ -475,7 +505,7 @@ class TestExitCodes:
         """Rejected with its line, whether or not the account has deletion days."""
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
         )
         Path("scores.csv").write_text(f"account_id,bot_score\n{row}\n")
         argv = ["stats", "--timelines", "timelines.ndjson", "--bot-scores", "scores.csv",
@@ -490,7 +520,7 @@ class TestExitCodes:
     def test_window_below_one_day_exit_3(self, tmp_path, monkeypatch, window):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
         )
         argv = ["stats", "--timelines", "timelines.ndjson", "--window", window, "--out", "out"]
         assert run(*argv) == 3
@@ -499,21 +529,21 @@ class TestExitCodes:
         "lines, window, code, error",
         [
             (['{"account_id":1,"snapshots":[["2021-01-01","active",5]],'
-              '"deletion_days":[["2021-02-10",10,[]]]}'], 41, 0, None),
+              '"deletion_days":[["2021-02-10",10]],"median_deleted_age_days":null}'], 41, 0, None),
             (['{"account_id":1,"snapshots":[["2021-01-01","active",5]],'
-              '"deletion_days":[["2021-02-10",10,[]]]}'], 42, 3,
+              '"deletion_days":[["2021-02-10",10]],"median_deleted_age_days":null}'], 42, 3,
              "--window 42 exceeds the collection span of 41 days"),
             (['{"account_id":1,"snapshots":[["2021-01-05","active",5]],'
-              '"deletion_days":[]}',
-              '{"account_id":2,"snapshots":[],"deletion_days":[["2021-01-01",10,[]],'
-              '["2021-01-08",10,[]]]}'], 31, 3,
+              '"deletion_days":[],"median_deleted_age_days":null}',
+              '{"account_id":2,"snapshots":[],"deletion_days":[["2021-01-01",10],'
+              '["2021-01-08",10]],"median_deleted_age_days":null}'], 31, 3,
              "--window 31 exceeds the collection span of 8 days and the default of 30"),
             (['{"account_id":1,"snapshots":[["2021-01-05","active",5]],'
-              '"deletion_days":[]}'], 30, 0, None),
+              '"deletion_days":[],"median_deleted_age_days":null}'], 30, 0, None),
             ([], 100_000, 3, "--window 100000 exceeds the collection span of 0 days"),
             ([], None, 0, None),
-            (['{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]],'
-              '["2021-01-02",10,[]]]}'], 1, 3,
+            (['{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10],'
+              '["2021-01-02",10]],"median_deleted_age_days":null}'], 1, 3,
              "account 1 deleted on 2 days, more than the window of 1"),
         ],
         ids=["span", "span+1", "short-span+1", "short-default", "empty", "empty-default",
@@ -605,7 +635,7 @@ class TestExitCodes:
     ):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[],"median_deleted_age_days":null}\n'
         )
         Path("allow.txt").write_text(f"# partner\n1\n{account}\n", encoding="utf-8")
         argv = ["detect-flooding", "--timelines", "timelines.ndjson",
@@ -1035,7 +1065,7 @@ class TestPipeline:
     def test_stats_warning_says_one_day(self, tmp_path, monkeypatch, caplog):
         monkeypatch.chdir(tmp_path)
         Path("timelines.ndjson").write_text(
-            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+            '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
         )
         with caplog.at_level("WARNING", logger="delstream.cli"):
             assert run("stats", "--timelines", "timelines.ndjson", "--out", "stats") == 0

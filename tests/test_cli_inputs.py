@@ -119,7 +119,7 @@ def test_an_extra_unlike_line_for_a_counted_pair_exit_3(agg, tmp_path, capsys):
 def test_bot_score_not_decimal_text_exit_3(tmp_path, monkeypatch, capsys, score):
     monkeypatch.chdir(tmp_path)
     Path("timelines.ndjson").write_text(
-        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
     )
     Path("scores.csv").write_text(f"account_id,bot_score\n2,0.5\n1,{score}\n",
                                   encoding="utf-8")
@@ -137,7 +137,7 @@ def test_bot_score_not_decimal_text_exit_3(tmp_path, monkeypatch, capsys, score)
 def test_bot_score_decimal_text_read(tmp_path, monkeypatch, score, value):
     monkeypatch.chdir(tmp_path)
     Path("timelines.ndjson").write_text(
-        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
     )
     Path("scores.csv").write_text(f"account_id,bot_score\n1,{score}\n")
     assert run("stats", "--timelines", "timelines.ndjson", "--bot-scores", "scores.csv",
@@ -150,7 +150,7 @@ def test_bot_score_decimal_text_read(tmp_path, monkeypatch, score, value):
 def test_violation_total_posted_not_the_sum_exit_3(tmp_path, monkeypatch, capsys, total):
     monkeypatch.chdir(tmp_path)
     Path("timelines.ndjson").write_text(
-        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
     )
     Path("v.csv").write_text("account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
                              f"1,2021-04-26,10,2500,2510,0\n2,2021-04-26,10,2500,{total},0\n")
@@ -171,7 +171,7 @@ _CSV_INPUTS = {
 
 def _stats_with_csv(name: str, text: bytes) -> int:
     Path("timelines.ndjson").write_text(
-        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10,[]]]}\n'
+        '{"account_id":1,"snapshots":[],"deletion_days":[["2021-01-01",10]],"median_deleted_age_days":null}\n'
     )
     Path("input.csv").write_bytes(text)
     return run("stats", "--timelines", "timelines.ndjson", _CSV_INPUTS[name][0], "input.csv",
@@ -224,7 +224,13 @@ def test_spec_rate_past_the_largest_float_exit_3(tmp_path, capsys):
      "age_median_days 1e+300 drew a tweet age of "),
     ({"delete_rate": 1e19}, "delete_rate must be <= 9.223372006484771e+18, got 1e+19"),
     ({"post_rate": 1e300}, "post_rate must be <= 9.223372006484771e+18, got 1e+300"),
-], ids=["age-median", "delete-rate", "post-rate"])
+    ({"delete_rate": 1, "min_daily_deletions": 2**63},
+     "min_daily_deletions must be <= 1000000 events a day, got 9223372036854775808"),
+    ({"delete_rate": 10**12}, "delete_rate must be <= 1000000 events a day, got 1000000000000"),
+    ({"kind": "like_farm_hub", "farm_size": 10**12},
+     "farm_size * spoke_unlikes must be <= 1000000 events a day, got 5000000000000"),
+], ids=["age-median", "delete-rate", "post-rate", "min-daily-deletions", "daily-events",
+        "farm-unlikes"])
 def test_spec_past_what_the_draws_hold_exit_3_naming_the_field(
     tmp_path, capsys, profile, message
 ):

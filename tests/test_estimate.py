@@ -37,7 +37,6 @@ def make_timeline(counts: dict[int, int], records=(), suspended=()) -> AccountTi
         tuple(counts[offset] for offset in offsets),
         tuple(day for _, day, _ in records),
         tuple(count for _, _, count in records),
-        ((),) * len(records),
     )
 
 

@@ -34,7 +34,6 @@ def timeline(account_id: int, counts: dict[int, int | None],
         tuple(counts[offset] for offset in offsets),
         tuple(day(offset) for offset in deleted),
         tuple(deletions[offset] for offset in deleted),
-        ((),) * len(deleted),
     )
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import statistics
 import tempfile
 from dataclasses import fields, replace
 from datetime import date, datetime, timedelta, timezone
@@ -23,6 +24,7 @@ from delstream.records import (
     NOTICE_LINE,
     NoticeKind,
     RecordParseError,
+    ages_in_days,
     format_timestamp,
     parse_timestamp,
     read_notices,
@@ -135,10 +137,8 @@ class TestAggregateDaily:
             ComplianceNotice(NoticeKind.TWEET_DELETE, 1, tweet_id, at(day, 20))
             for tweet_id in ids
         ]
-        records = ingest.aggregate_daily(notices, threshold=10)
-        [timeline] = ingest.build_timelines([], records)
-        assert timeline.deletion_counts == (11,)
-        [ages] = timeline.deleted_ages_days
+        [record] = ingest.aggregate_daily(notices, threshold=10)
+        ages = ages_in_days(record.day, record.tweet_ids)
         assert len(ages) == 10  # undecodable ID excluded
         assert sorted(ages)[:3] == [0, 4, 5]
         assert ages.count(400) == 7
@@ -146,6 +146,9 @@ class TestAggregateDaily:
             expected = oracles.age_days_oracle(day, tweet_id)
             if expected is not None:
                 assert expected in ages
+        [timeline] = ingest.build_timelines([], [record])
+        assert timeline.deletion_counts == (11,)
+        assert timeline.median_deleted_age_days == 400
 
     @given(
         st.lists(
@@ -223,7 +226,7 @@ class TestBuildTimelines:
         age = oracles.age_days_oracle(DAY0, 10**18)
         assert timelines[0].deletion_days == (DAY0,)
         assert timelines[0].deletion_counts == (10,)
-        assert timelines[0].deleted_ages_days == ((age,) * 10,)
+        assert timelines[0].median_deleted_age_days == age
 
     def test_snapshot_only_account(self):
         timelines = ingest.build_timelines([snap(3, DAY0, 50)], [])
@@ -260,20 +263,37 @@ class TestBuildTimelines:
         # independent sort-merge join
         paired = {}
         for s in sorted(snapshots, key=lambda s: (s.account_id, s.snapshot_day)):
-            paired.setdefault(s.account_id, ([], []))[0].append(s)
+            paired.setdefault(s.account_id, ([], [], []))[0].append(s)
         for rec in sorted(records, key=lambda r: (r.account_id, r.day)):
             ages = [oracles.age_days_oracle(rec.day, i) for i in rec.tweet_ids]
-            paired.setdefault(rec.account_id, ([], []))[1].append(
-                (rec.day, len(rec.tweet_ids), tuple(sorted(a for a in ages if a is not None)))
-            )
+            _, days, all_ages = paired.setdefault(rec.account_id, ([], [], []))
+            days.append((rec.day, len(rec.tweet_ids)))
+            all_ages += [a for a in ages if a is not None]
         assert len(timelines) == len(paired)
         for timeline in timelines:
-            snaps, recs = paired[timeline.account_id]
+            snaps, recs, ages = paired[timeline.account_id]
             assert timeline.snapshot_days == tuple(s.snapshot_day for s in snaps)
             assert timeline.statuses == tuple(s.status for s in snaps)
             assert timeline.statuses_counts == tuple(s.statuses_count for s in snaps)
-            assert list(zip(timeline.deletion_days, timeline.deletion_counts,
-                            timeline.deleted_ages_days)) == recs
+            assert list(zip(timeline.deletion_days, timeline.deletion_counts)) == recs
+            assert timeline.median_deleted_age_days == (
+                statistics.median_low(ages) if ages else None
+            )
+
+    def test_median_age_is_lower_median(self):
+        """Over all of an account's days, and the lower of the middle two."""
+        def created(day, age_days):  # the ID of a tweet ``age_days`` old at ``day``
+            return snowflake(at(day - timedelta(days=age_days), 0, 0))
+
+        later = DAY0 + timedelta(days=2)
+        records = [  # 123 is undecodable
+            ingest.DailyDeletionRecord(1, DAY0, (123, created(DAY0, 40), created(DAY0, 3))),
+            ingest.DailyDeletionRecord(1, later, (created(later, 100), created(later, 10))),
+        ]
+        assert [sorted(ages_in_days(r.day, r.tweet_ids)) for r in records] == [
+            [3, 40], [10, 100]]
+        [timeline] = ingest.build_timelines([], records)
+        assert timeline.median_deleted_age_days == 10
 
     def test_timeline_day_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -605,6 +625,12 @@ class TestAggregateEvents:
         assert err.value.line_number == 2
 
 
+def _bare_timeline(account_id: int) -> dict:
+    """The line of a timeline without snapshots or deletion days."""
+    return {"account_id": account_id, "snapshots": [], "deletion_days": [],
+            "median_deleted_age_days": None}
+
+
 def _two_lines(tmp_path: Path, first: dict, second: dict) -> Path:
     path = tmp_path / "records.ndjson"
     path.write_text(f"{json.dumps(first)}\n{json.dumps(second)}\n")
@@ -685,7 +711,7 @@ class TestSerialization:
         assert err.value.line_number == 2
 
     def test_timeline_non_integer_account_rejected(self, tmp_path):
-        raw = {"account_id": 1, "snapshots": [], "deletion_days": []}
+        raw = _bare_timeline(1)
         path = _two_lines(tmp_path, raw, {**raw, "account_id": "1"})
         with pytest.raises(RecordParseError, match="account_id") as err:
             list(ingest.read_timelines(path))
@@ -702,12 +728,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("read, first, second, message", [
         (ingest.read_timelines,
-         {"account_id": 2, "snapshots": [], "deletion_days": []},
-         {"account_id": 2, "snapshots": [], "deletion_days": []},
+         _bare_timeline(2),
+         _bare_timeline(2),
          "account_id 2 repeats or precedes the line before"),
         (ingest.read_timelines,
-         {"account_id": 2, "snapshots": [], "deletion_days": []},
-         {"account_id": 1, "snapshots": [], "deletion_days": []},
+         _bare_timeline(2),
+         _bare_timeline(1),
          "account_id 1 repeats or precedes the line before"),
         (ingest.read_daily_records,
          {"account_id": 1, "day": "2021-04-27", "tweet_ids": [5]},
@@ -741,8 +767,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("read, first, second", [
         (ingest.read_timelines,
-         {"account_id": 9, "snapshots": [], "deletion_days": []},
-         {"account_id": 10, "snapshots": [], "deletion_days": []}),
+         _bare_timeline(9),
+         _bare_timeline(10)),
         (ingest.read_daily_records,
          {"account_id": 1, "day": "2021-04-27", "tweet_ids": [5]},
          {"account_id": 2, "day": "2021-04-26", "tweet_ids": [5]}),
@@ -767,16 +793,13 @@ _STAMPS = st.none() | st.datetimes(
 @st.composite
 def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
     """Any valid timeline: every status, None counts off active days, empty
-    snapshot or day lists, and fewer ages than deletions, none included."""
+    snapshot or day lists, and deletion days with or without a median age."""
     offsets = sorted(draw(st.sets(st.integers(0, 40), max_size=8)))
     statuses = [draw(st.sampled_from(list(AccountStatus))) for _ in offsets]
     counts = st.integers(0, 10**6)
     deletion_days = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
     deletion_counts = [draw(st.integers(1, 30)) for _ in deletion_days]
-    ages = [
-        tuple(sorted(draw(st.lists(st.integers(0, 4000), max_size=count))))
-        for count in deletion_counts
-    ]
+    median_age = draw(st.none() | st.integers(0, 4000)) if deletion_days else None
     return ingest.AccountTimeline(
         account_id,
         tuple(DAY0 + timedelta(days=offset) for offset in offsets),
@@ -787,7 +810,7 @@ def _timelines(draw, account_id: int) -> ingest.AccountTimeline:
         ),
         tuple(DAY0 + timedelta(days=offset) for offset in deletion_days),
         tuple(deletion_counts),
-        tuple(ages),
+        median_age,
         draw(_DESCRIPTIONS) if offsets else "",
     )
 
@@ -850,7 +873,7 @@ class TestTimelineForm:
     @given(_timeline_lists() | _built_timeline_lists())
     @example([ingest.AccountTimeline(
         7, deletion_days=(DAY0, DAY0 + timedelta(days=2), DAY0 + timedelta(days=3)),
-        deletion_counts=(3, 2, 12), deleted_ages_days=((0, 5), (9, 9), ()),
+        deletion_counts=(3, 2, 12), median_deleted_age_days=5,
     )])
     def test_roundtrip_is_the_timeline(self, timelines):
         assert _written_and_read(timelines) == timelines
@@ -897,7 +920,7 @@ class TestTimelineForm:
             [],
         )
         timeline = replace(
-            built, deletion_days=(DAY0,), deletion_counts=(2,), deleted_ages_days=((3,),)
+            built, deletion_days=(DAY0,), deletion_counts=(2,), median_deleted_age_days=3
         )
         path = tmp_path / "timelines.ndjson"
         ingest.write_timelines(path, [timeline])
@@ -905,12 +928,13 @@ class TestTimelineForm:
             "account_id": 7,
             "snapshots": [["2021-04-26", "active", 5], ["2021-04-27", "suspended", None]],
             "description": "new",
-            "deletion_days": [["2021-04-26", 2, [3]]],
+            "deletion_days": [["2021-04-26", 2]],
+            "median_deleted_age_days": 3,
         }
 
     def test_description_defaults_to_empty(self):
         raw = {"account_id": 7, "snapshots": [["2021-04-26", "active", 5]],
-               "deletion_days": []}
+               "deletion_days": [], "median_deleted_age_days": None}
         assert ingest.timeline_from_dict(raw).description == ""
 
 
@@ -962,13 +986,17 @@ class TestBuiltRecordsReadBack:
 _DAY_MS = 86_400_000
 
 
+#: IDs below the time-encoding range, which carry no creation time.
+_UNDECODABLE_IDS = st.integers(1, (1 << 22) - 1)
+
+
 def _tweet_ids(day: date):
     """Undecodable IDs, IDs created up to 3,000 days before ``day`` or up to
     two days after its start (ages clamped at 0), and any other ID."""
     start_ms = (day - date(1970, 1, 1)).days * _DAY_MS - SNOWFLAKE_EPOCH_MS
     created = st.integers(-3000 * _DAY_MS, 2 * _DAY_MS).map(lambda ms: start_ms + ms)
     return st.one_of(
-        st.integers(1, (1 << 22) - 1),
+        _UNDECODABLE_IDS,
         st.builds(lambda ms, low: ms << 22 | low, created, st.integers(0, (1 << 22) - 1)),
         st.integers(1 << 22, 2**63 - 1),
     )
@@ -976,11 +1004,14 @@ def _tweet_ids(day: date):
 
 @st.composite
 def _daily_record_lists(draw) -> list[ingest.DailyDeletionRecord]:
+    """Records of up to four accounts, each day's IDs often all undecodable,
+    so that some accounts have no age at all."""
     records = []
     for account_id in sorted(draw(st.sets(st.integers(1, 2**40), max_size=4))):
         for offset in sorted(draw(st.sets(st.integers(0, 400), min_size=1, max_size=3))):
             day = DAY0 + timedelta(days=offset)
-            ids = draw(st.lists(_tweet_ids(day), min_size=1, max_size=12))
+            ids = draw(st.lists(_tweet_ids(day), min_size=1, max_size=12)
+                       | st.lists(_UNDECODABLE_IDS, min_size=1, max_size=4))
             records.append(ingest.DailyDeletionRecord(account_id, day, tuple(sorted(ids))))
     return records
 
@@ -994,16 +1025,27 @@ class TestBuiltTimelines:
         # undecodable, 373 days old, created 8 hours after the day's start
         (1234, 1251442846725046277, snowflake(at(date(2021, 4, 27), 8))),
     )])
+    @example([  # no decodable ID on either day
+        ingest.DailyDeletionRecord(42, date(2021, 4, 27), (1234, 5678)),
+        ingest.DailyDeletionRecord(42, date(2021, 4, 29), ((1 << 22) - 1,)),
+    ])
     def test_deletion_days_are_what_the_reader_returns(self, records):
+        """Each account's deletion days and counts are its records', and its
+        median deleted-tweet age is the lower median of every age of every
+        day, by the oracle's decoding, or None without one."""
         built = ingest.build_timelines([], records)
         assert _written_and_read(built) == built
         ids = {(r.account_id, r.day): r.tweet_ids for r in records}
+        assert [(tl.account_id, day) for tl in built for day in tl.deletion_days] == list(ids)
         for timeline in built:
-            for day, count, day_ages in zip(timeline.deletion_days, timeline.deletion_counts,
-                                            timeline.deleted_ages_days):
-                ages = [oracles.age_days_oracle(day, i) for i in ids[timeline.account_id, day]]
-                assert count == len(ages)
-                assert day_ages == tuple(sorted(age for age in ages if age is not None))
+            ages = []
+            for day, count in zip(timeline.deletion_days, timeline.deletion_counts):
+                day_ages = [oracles.age_days_oracle(day, i) for i in ids[timeline.account_id, day]]
+                assert count == len(day_ages)
+                ages += [age for age in day_ages if age is not None]
+            assert timeline.median_deleted_age_days == (
+                statistics.median_low(ages) if ages else None
+            )
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -1040,6 +1082,7 @@ class TestReadmeExamples:
         path = tmp_path / "daily_deletions.ndjson"
         path.write_text(examples["daily_deletions.ndjson"] + "\n", encoding="utf-8")
         [timeline] = ingest.build_timelines([], ingest.read_daily_records(path))
-        rows = json.loads(json.dumps(ingest.timeline_to_dict(timeline)["deletion_days"]))
-        assert rows == [["2021-04-27", 2, [373]]]
-        assert rows == json.loads(examples["timelines.ndjson"])["deletion_days"]
+        line = json.loads(json.dumps(ingest.timeline_to_dict(timeline)))
+        example = json.loads(examples["timelines.ndjson"])
+        assert line["deletion_days"] == [["2021-04-27", 2]] == example["deletion_days"]
+        assert line["median_deleted_age_days"] == 373 == example["median_deleted_age_days"]

@@ -840,7 +840,7 @@ _MIDNIGHT = datetime(2021, 4, 26)
 _DAILY = ingest.DailyDeletionRecord(7, _DAY, (5,))
 _UNLIKE = ingest.UnlikeRecord(1, 5, 2)
 _ACTIVE, _SUSPENDED = r.AccountStatus.ACTIVE, r.AccountStatus.SUSPENDED
-_TIMELINE = ingest.AccountTimeline(7, (_DAY,), (_ACTIVE,), (5,), (_DAY,), (2,), ((1,),), "bio")
+_TIMELINE = ingest.AccountTimeline(7, (_DAY,), (_ACTIVE,), (5,), (_DAY,), (2,), 1, "bio")
 _NEXT_DAY = _DAY + timedelta(days=1)
 _VIOLATION = flooding.FloodingViolation(1, _DAY, 10, 2500, True)
 
@@ -868,13 +868,17 @@ def _positive_int_error(name, value):
     (_TIMELINE, {"deletion_counts": (0,)}, _positive_int_error("deletion_count", 0)),
     (_TIMELINE, {"deletion_counts": (1.5,)}, _positive_int_error("deletion_count", 1.5)),
     (_TIMELINE, {"deletion_counts": (True,)}, _positive_int_error("deletion_count", True)),
-    (_TIMELINE, {"deleted_ages_days": ((-1,),)},
-     "'deleted_ages_days' must be a list of integers >= 0"),
-    (_TIMELINE, {"deleted_ages_days": ((1.0,),)},
-     "'deleted_ages_days' must be a list of integers >= 0"),
-    (_TIMELINE, {"deleted_ages_days": ((1, 2, 3),)}, "more ages than deletions"),
+    (_TIMELINE, {"median_deleted_age_days": -1},
+     "'median_deleted_age_days' must be an integer >= 0, got -1"),
+    (_TIMELINE, {"median_deleted_age_days": 1.0},
+     "'median_deleted_age_days' must be an integer >= 0, got 1.0"),
+    (_TIMELINE, {"median_deleted_age_days": True},
+     "'median_deleted_age_days' must be an integer >= 0, got True"),
+    (_TIMELINE, {"median_deleted_age_days": (1,)},
+     "'median_deleted_age_days' must be an integer >= 0, got (1,)"),
     (_TIMELINE, {"deletion_counts": ()}, "the deletion columns differ in length"),
-    (_TIMELINE, {"deleted_ages_days": ((1,), ())}, "the deletion columns differ in length"),
+    (_TIMELINE, {"deletion_days": (), "deletion_counts": ()},
+     "a median deleted-tweet age without deletion days"),
     (_TIMELINE, {"deletion_days": ()}, "the deletion columns differ in length"),
     (_TIMELINE, {"account_id": True}, _positive_int_error("account_id", True)),
     (_TIMELINE, {"account_id": 7.0}, _positive_int_error("account_id", 7.0)),
@@ -901,10 +905,10 @@ def _positive_int_error(name, value):
                  "statuses_counts": (5, None)}, "timeline days must be strictly increasing"),
     (_TIMELINE, {"snapshot_days": (_DAY, _DAY), "statuses": (_ACTIVE, _SUSPENDED),
                  "statuses_counts": (5, None)}, "timeline days must be strictly increasing"),
-    (_TIMELINE, {"deletion_days": (_DAY, _DAY), "deletion_counts": (2, 2),
-                 "deleted_ages_days": ((1,), ())}, "timeline days must be strictly increasing"),
-    (_TIMELINE, {"deletion_days": (_NEXT_DAY, _DAY), "deletion_counts": (2, 2),
-                 "deleted_ages_days": ((1,), ())}, "timeline days must be strictly increasing"),
+    (_TIMELINE, {"deletion_days": (_DAY, _DAY), "deletion_counts": (2, 2)},
+     "timeline days must be strictly increasing"),
+    (_TIMELINE, {"deletion_days": (_NEXT_DAY, _DAY), "deletion_counts": (2, 2)},
+     "timeline days must be strictly increasing"),
     (_SNAPSHOT, {"status": "active"}, "'status' must be an AccountStatus, got 'active'"),
     (_VIOLATION, {"account_id": True}, _positive_int_error("account_id", True)),
     (_VIOLATION, {"account_id": 0}, _positive_int_error("account_id", 0)),

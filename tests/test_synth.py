@@ -17,6 +17,7 @@ from delstream.records import (
     MIN_TIME_ENCODED_ID,
     SNOWFLAKE_EPOCH_MS,
     NoticeKind,
+    ages_in_days,
     creation_ms,
     serialize_notice,
     serialize_snapshot,
@@ -171,9 +172,8 @@ class TestProfiles:
         data = synth.generate(spec, seed=5)
         records = ingest.aggregate_daily(data.notices)
         assert records
-        for timeline in ingest.build_timelines([], records):
-            for ages, count in zip(timeline.deleted_ages_days, timeline.deletion_counts):
-                assert len(ages) < count
+        for record in records:
+            assert len(ages_in_days(record.day, record.tweet_ids)) < record.deletion_count
 
     def test_gap_days_drop_snapshots_and_feed_gap_estimates(self):
         spec = synth.PopulationSpec(
@@ -375,9 +375,46 @@ class TestValidation:
         rng.poisson(synth.POISSON_RATE_MAX)
         with pytest.raises(ValueError):
             rng.poisson(math.nextafter(synth.POISSON_RATE_MAX, math.inf))
-        for field in ("post_rate", "delete_rate"):
+        synth.BehaviorProfile(synth.ProfileKind.NORMAL_DELETER,
+                              post_rate=synth.POISSON_RATE_MAX)
+        # a deletion rate this large also asks for more events than a day holds
+        with pytest.raises(ValueError, match="^delete_rate must be <= 1000000 events a day"):
             synth.BehaviorProfile(synth.ProfileKind.NORMAL_DELETER,
-                                  **{field: synth.POISSON_RATE_MAX})
+                                  delete_rate=synth.POISSON_RATE_MAX)
+
+    @pytest.mark.parametrize("kind, params, name, volume", [
+        ("normal_deleter", {"delete_rate": 1, "min_daily_deletions": 2**63},
+         "min_daily_deletions", 2**63),
+        ("normal_deleter", {"min_daily_deletions": 10**12}, "min_daily_deletions", 10**12),
+        ("mass_deleter", {"delete_rate": 10**12}, "delete_rate", 10**12),
+        ("normal_deleter", {"delete_rate": 1e12}, "delete_rate", 1e12),
+        ("flooder", {"cycle_posts": 10**12, "cycles_per_day": 2},
+         "cycle_posts * (cycles_per_day - 1)", 10**12),
+        ("flooder", {"cycles_per_day": 2**63}, "cycle_posts * (cycles_per_day - 1)",
+         2400 * (2**63 - 1)),
+        ("like_farm_hub", {"farm_tweets": 2**63}, "farm_tweets", 2**63),
+        ("like_farm_hub", {"farm_size": 10**12}, "farm_size * spoke_unlikes", 5 * 10**12),
+        ("like_farm_hub", {"farm_size": 2**63, "spoke_unlikes": 1},
+         "farm_size * spoke_unlikes", 2**63),
+    ])
+    def test_daily_events_past_the_ceiling_rejected(self, kind, params, name, volume):
+        """Only values refused before anything is drawn or allocated: one
+        account-day at 10**12 events would ask numpy for terabytes."""
+        with pytest.raises(ValueError) as err:
+            synth.BehaviorProfile(synth.ProfileKind(kind), **params)
+        assert str(err.value) == (
+            f"{name} must be <= {synth.MAX_DAILY_EVENTS} events a day, got {volume!r}"
+        )
+
+    def test_daily_events_at_the_ceiling_accepted(self):
+        ceiling = synth.MAX_DAILY_EVENTS
+        for kind, params in [
+            ("normal_deleter", {"delete_rate": ceiling, "min_daily_deletions": ceiling}),
+            ("flooder", {"cycle_posts": ceiling, "cycles_per_day": 2}),
+            ("like_farm_hub", {"farm_tweets": ceiling, "farm_size": ceiling,
+                               "spoke_unlikes": 1}),
+        ]:
+            synth.BehaviorProfile(synth.ProfileKind(kind), **params)
 
     @pytest.mark.filterwarnings("error")
     def test_age_past_the_millisecond_range_rejected(self):
