@@ -16,6 +16,9 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
+from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -45,6 +48,7 @@ from .estimate import (
 from .flooding import DEFAULT_DAILY_LIMIT, detect, write_violations, read_violations
 from .ingest import (
     DEFAULT_INCLUSION_THRESHOLD,
+    AccountTimeline,
     aggregate_events,
     build_timelines,
     read_daily_records,
@@ -168,15 +172,13 @@ def _cmd_aggregate(args) -> int:
 def _cmd_estimate(args) -> int:
     check_at_least("--permutations", args.permutations, 0)
     check_at_least("--seed", args.seed, 0)
-    timelines = list(read_timelines(_resolve_timelines(args.timelines)))
-    estimates = [e for tl in timelines for e in estimate_timeline(tl)]
+    estimates, actuals = [], []  # one pass: no timeline is held
+    for tl in read_timelines(_resolve_timelines(args.timelines)):
+        estimates += estimate_timeline(tl)
+        actuals += zip(repeat(tl.account_id), tl.deletion_days, tl.deletion_counts)
     report = compare(
         estimates,
-        (
-            (tl.account_id, day, count)
-            for tl in timelines
-            for day, count in zip(tl.deletion_days, tl.deletion_counts)
-        ),
+        actuals,
         floor=args.floor,
         include_gaps=not args.no_gaps,
         per_account_median=args.per_account_median,
@@ -227,28 +229,37 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _span_days(timelines) -> int:
-    """Days from the earliest to the latest snapshot or deletion day, inclusive.
+def _deleting_timelines(timelines) -> tuple[list[AccountTimeline], int]:
+    """The timelines with deletion days, each cut to its last snapshot, and
+    the days from the earliest to the latest snapshot or deletion day of all
+    the timelines, inclusive (0 when none has a day).
 
-    0 when no timeline has a day. Days ascend within a timeline, so its first
-    and last rows suffice.
+    The cut timelines hold all that ``stats`` reads: ``summarize`` skips an
+    account without deletion days, and the final status and description are
+    the last snapshot's. Days ascend within a timeline, so its first and last
+    rows give the span.
     """
-    ends = []
+    kept = []
+    first, last = date.max, date.min
     for tl in timelines:
-        if tl.snapshot_days:
-            ends += (tl.snapshot_days[0], tl.snapshot_days[-1])
+        for days in (tl.snapshot_days, tl.deletion_days):
+            if days:
+                first, last = min(first, days[0]), max(last, days[-1])
         if tl.deletion_days:
-            ends += (tl.deletion_days[0], tl.deletion_days[-1])
-    return (max(ends) - min(ends)).days + 1 if ends else 0
+            kept.append(replace(tl, snapshot_days=tl.snapshot_days[-1:],
+                                statuses=tl.statuses[-1:],
+                                statuses_counts=tl.statuses_counts[-1:]))
+    return kept, (last - first).days + 1 if first <= last else 0
 
 
 def _cmd_stats(args) -> int:
-    timelines = list(read_timelines(_resolve_timelines(args.timelines)))
+    # The timelines first, in one pass, so a malformed timeline file is
+    # reported before a malformed violations or bot-score file.
+    timelines, span = _deleting_timelines(read_timelines(_resolve_timelines(args.timelines)))
     violations = read_violations(args.violations) if args.violations else []
     bot_scores = _read_bot_scores(args.bot_scores) if args.bot_scores else None
     # The default window is the paper's collection length and is always
     # allowed, so a run without --window behaves the same on any input.
-    span = _span_days(timelines)
     if args.window > max(span, DEFAULT_WINDOW_DAYS):
         raise ValueError(
             f"--window {args.window} exceeds the collection span of {span} days "
@@ -378,9 +389,14 @@ def _cmd_detect_flooding(args) -> int:
 
 
 def _cmd_detect_coordination(args) -> int:
-    daily = list(read_daily_records(args.deletions))
+    # The unlike records are held and the daily records stream through, so
+    # with both files malformed the unlike file's error is the one reported;
+    # a daily file that cannot be opened is still reported first.
+    open(args.deletions, "rb").close()
     unlikes = list(read_unlike_records(args.unlikes))
-    graph = detect_coordination(daily, unlikes, args.min_unlikes, args.min_component)
+    graph = detect_coordination(
+        read_daily_records(args.deletions), unlikes, args.min_unlikes, args.min_component
+    )
     funnel = graph.funnel
 
     component_of = {node.account_id: node.component_id for node in graph.nodes}

@@ -7,12 +7,13 @@ the unlike side. It keeps only the tweets that have an unlike record, maps
 each of them to its deleters in one pass over the daily deletion records,
 drops unlikes of tweets nobody deleted and casual unlikers, then projects
 the rest onto a directed liker-to-deleter graph and runs the components
-step. No deleter edge is built for a tweet nobody unliked, and a node's
+step. No deleter edge is built for a tweet nobody unliked. A node's
 ``deletion_total`` (the distinct tweets it deleted, over all its records) is
-computed only for the accounts that end up as nodes; its ``role_ratio``
-follows from the two totals. With ``min_unlikes=1`` and ``min_component=1``
-nothing is filtered, and ``detect_coordination`` returns the whole
-projection.
+counted as each account's records pass, so the deletion records must come
+grouped by account, as the daily deletion file holds them; of each account
+only the count is kept, not its tweets. A node's ``role_ratio`` follows from
+the two totals. With ``min_unlikes=1`` and ``min_component=1`` nothing is
+filtered, and ``detect_coordination`` returns the whole projection.
 
 ``build_tripartite``, ``filter_unlikers``, ``project_bipartite`` and
 ``filter_components`` are the same pipeline one step at a time, over the
@@ -298,8 +299,15 @@ def detect_coordination(
     min_unlikes=1, min_component=1)`` is the whole unfiltered projection,
     ``project_bipartite(build_tripartite(daily_deletions, unlikes))``: the
     library's way to get it. Reads ``unlikes`` first, then
-    ``daily_deletions`` once; a deletion record's tweets are looked at one
-    by one only if one of them has an unlike record.
+    ``daily_deletions`` once; either may be a one-shot iterator. A deletion
+    record's tweets are looked at one by one only if one of them has an
+    unlike record.
+
+    ``daily_deletions`` must be grouped by account, as ``read_daily_records``
+    and every ``aggregate_*`` give them: each account's distinct deleted
+    tweets are counted as its records pass, and only the count is kept. A
+    record of an account whose records another account's came between
+    raises ValueError naming the account.
     """
     check_at_least("min_unlikes", min_unlikes, 1)
     check_at_least("min_nodes", min_component, 1)
@@ -312,10 +320,19 @@ def detect_coordination(
     unliked = unlikers_of.keys()
 
     deleters_of: dict[int, set[int]] = {}
-    tweets_of: dict[int, list[tuple[int, ...]]] = {}
+    totals: dict[int, int] = {}  # distinct deleted tweets, by account
+    account, tweets = None, set()  # the current account's
     for record in daily_deletions:
         account_id, tweet_ids = record.account_id, record.tweet_ids
-        tweets_of.setdefault(account_id, []).append(tweet_ids)
+        if account_id != account:
+            if account_id in totals:
+                raise ValueError(
+                    f"the daily records are not grouped by account: account "
+                    f"{account_id} recurs after account {account}'s"
+                )
+            account, tweets = account_id, set()
+        tweets.update(tweet_ids)
+        totals[account_id] = len(tweets)
         if unliked.isdisjoint(tweet_ids):
             continue
         for tweet_id in tweet_ids:
@@ -336,10 +353,7 @@ def detect_coordination(
     )
 
     def deletion_totals(node_ids: Iterable[int]) -> dict[int, int]:
-        return {
-            node_id: len(set().union(*tweets_of.get(node_id, ())))
-            for node_id in node_ids
-        }
+        return {node_id: totals.get(node_id, 0) for node_id in node_ids}
 
     graph = _project(deleters_of, kept, deletion_totals, min_component)
     return replace(graph, funnel=funnel)

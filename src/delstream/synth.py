@@ -16,11 +16,13 @@ Each spec record refuses, naming it, a field of the wrong type or range when
 built, so a spec built in the library is refused as a spec file is; a
 ``post_rate`` or ``delete_rate`` past ``POISSON_RATE_MAX`` is out of range,
 as numpy draws no Poisson count from it, and so is a field asking more than
-``MAX_DAILY_EVENTS`` of one account-day. ``spec_from_dict`` only converts.
-``generate`` refuses a seed that is not an int >= 0, and otherwise raises
-only for what its draws decide: an ``initial_count`` too small, a tweet age
-past what an int64 count of milliseconds holds (``age_median_days``), or
-legacy IDs running out.
+``MAX_DAILY_EVENTS`` of one account-day; a spec whose cohorts ask for more
+than ``MAX_SPEC_ROWS`` rows in all is refused too. ``spec_from_dict`` only
+converts. ``generate`` refuses a seed that is not an int >= 0, and otherwise
+raises only for what its draws decide: a day's deletions drawn past
+``MAX_DAILY_EVENTS`` (``delete_rate``), an ``initial_count`` too small, a
+tweet age past what an int64 count of milliseconds holds
+(``age_median_days``), or legacy IDs running out.
 
 ``generate`` makes each account's draws in turn, then builds the events and
 snapshots as numpy columns in one pass over every account. ``write_dataset``
@@ -111,6 +113,12 @@ POISSON_RATE_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 #: unliked: about 40 times the paper's largest flooders (26,000 tweets a day).
 MAX_DAILY_EVENTS = 10**6
 
+#: The most rows a spec may ask for over its window: its accounts' snapshots
+#: and deletions and its spokes' unlikes, each Poisson draw at its mean. About
+#: 40 times the 1.3 million of the full-scale spec in ROADMAP.md; ``generate``
+#: peaks near 100 bytes a row, so about 5 GB at the ceiling.
+MAX_SPEC_ROWS = 5 * 10**7
+
 
 @dataclass(frozen=True)
 class BehaviorProfile:
@@ -170,6 +178,26 @@ class BehaviorProfile:
                                  f"got {volume!r:.40}")
 
 
+def _asked_rows(profile: BehaviorProfile, days: int) -> int:
+    """The rows one account of ``profile`` asks for over ``days`` days, as
+    ``_plan_activity`` plans them, each Poisson draw at its mean rounded up
+    and no mass deletion capped: a snapshot a day, its deletions and, for a
+    hub, its spokes' unlikes."""
+    kind = profile.kind
+    if kind is ProfileKind.LIKE_FARM_HUB:
+        events = (max(profile.min_daily_deletions, profile.farm_tweets)
+                  + profile.farm_size * profile.spoke_unlikes)
+    else:
+        flood_days = set(profile.flood_days) if kind is ProfileKind.FLOODER else set()
+        deleting = set()
+        if kind is not ProfileKind.IDLE and profile.delete_rate > 0:
+            days_asked = range(days) if profile.delete_days is None else profile.delete_days
+            deleting = set(days_asked) - flood_days
+        events = (len(deleting) * max(profile.min_daily_deletions, math.ceil(profile.delete_rate))
+                  + len(flood_days) * profile.cycle_posts * (profile.cycles_per_day - 1))
+    return days + events
+
+
 @dataclass(frozen=True)
 class Cohort:
     profile: BehaviorProfile
@@ -209,6 +237,10 @@ class PopulationSpec:
                         raise ValueError(f"{name} index {index} outside window of {days} days")
             if profile.kind is ProfileKind.LIKE_FARM_HUB and profile.farm_day >= days:
                 raise ValueError(f"farm_day {profile.farm_day} outside window of {days} days")
+        rows = sum(cohort.count * _asked_rows(cohort.profile, days) for cohort in self.cohorts)
+        if rows > MAX_SPEC_ROWS:
+            raise ValueError(f"'cohorts' must ask for <= {MAX_SPEC_ROWS} rows over "
+                             f"{days} days, got {rows!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -394,6 +426,12 @@ def _plan_activity(account: _Account, rng: np.random.Generator, days: int) -> No
             drawn = max(profile.min_daily_deletions, int(rng.poisson(profile.delete_rate)))
             if kind is ProfileKind.MASS_DELETER:
                 drawn = min(TIMELINE_RETRIEVAL_CAP, drawn)
+            if drawn > MAX_DAILY_EVENTS:
+                raise ValueError(
+                    f"delete_rate {profile.delete_rate!r:.40} drew {drawn} deletions of "
+                    f"account {account.account_id} on one day, past the {MAX_DAILY_EVENTS} "
+                    "events a day"
+                )
             account.deletions[day] = drawn
 
 

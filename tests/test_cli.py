@@ -139,6 +139,8 @@ _ON_TIMELINES = [[stage, "--timelines", "timelines.ndjson", "--out", out]
                                     ("detect-flooding", "out.csv"))]
 _VIOLATIONS = ("account_id,day,count_diff,deletions,total_posted,stale_suspect\n"
                "1,2021-04-26,10,2500,2510,0\n{},2021-04-26,10,2500,2510,0\n")
+_GOOD_DAILY = json.dumps(_GOOD_RECORDS["daily.ndjson"]) + "\n"
+_GOOD_UNLIKE = json.dumps(_GOOD_RECORDS["unlikes.ndjson"]) + "\n"
 _STATS_ON_VIOLATIONS = [["stats", "--timelines", "timelines.ndjson", "--violations",
                          "v.csv", "--out", "out"]]
 
@@ -564,6 +566,41 @@ class TestExitCodes:
         else:
             buckets = Path("out/buckets.csv").read_text().splitlines()
             assert len(buckets) == 1 + (window or 30)
+
+    @pytest.mark.parametrize(
+        "files, argv, code, error",
+        [
+            ({"daily.ndjson": "{}\n", "unlikes.ndjson": _GOOD_UNLIKE + '{"liker_id":0}\n'},
+             _COORDINATION[0], 3,
+             "invalid input: line 2: bad unlike record: 'liker_id' must be an integer >= 1, "
+             "got 0"),
+            ({"unlikes.ndjson": '{"liker_id":0}\n'}, _COORDINATION[0], 2,
+             "cannot open: [Errno 2] No such file or directory: 'daily.ndjson'"),
+            ({"daily.ndjson": _GOOD_DAILY + "{}\n", "unlikes.ndjson": _GOOD_UNLIKE},
+             [*_COORDINATION[0], "--min-unlikes", "0"], 3,
+             "invalid input: min_unlikes must be >= 1, got 0"),
+            ({"timelines.ndjson": "{}\n", "v.csv": "x\n"}, _STATS_ON_VIOLATIONS[0], 3,
+             "invalid input: line 1: bad timeline: 'snapshots' must be a list of "
+             "[day, status, statuses_count] rows"),
+            ({"timelines.ndjson": "{}\n"}, [*_STATS_ON_VIOLATIONS[0], "--window", "0"], 3,
+             "invalid input: line 1: bad timeline: 'snapshots' must be a list of "
+             "[day, status, statuses_count] rows"),
+        ],
+        ids=["both-coordination-inputs", "coordination-daily-missing",
+             "coordination-threshold", "both-stats-inputs", "stats-window"],
+    )
+    def test_of_two_faults_the_one_read_first_is_reported(
+        self, tmp_path, monkeypatch, capsys, files, argv, code, error
+    ):
+        # detect-coordination opens the daily file, reads the unlike file,
+        # checks its thresholds, then reads the daily file; stats reads the
+        # timelines before the violations and checks --window after both.
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        assert run(*argv) == code
+        assert capsys.readouterr().err == f"delstream: {error}\n"
+        assert not Path("out").exists()
 
     @pytest.mark.parametrize(
         "stage, name",
@@ -1073,6 +1110,41 @@ class TestPipeline:
         assert messages == [
             "the timelines span 1 day, fewer than the window of 30: "
             "no account can be labelled thirty_day"
+        ]
+
+    def test_stats_reads_each_accounts_last_snapshot_and_description(
+        self, tmp_path, monkeypatch
+    ):
+        """An account's final status is its last snapshot's: account 1 was
+        active, then suspended. Account 3 never deleted, so it is counted in
+        no category, and its description in no group's terms."""
+        monkeypatch.chdir(tmp_path)
+        lines = [
+            {"account_id": 1, "snapshots": [["2021-01-01", "active", 50],
+                                            ["2021-01-02", "suspended", None]],
+             "description": "promo deals", "deletion_days": [["2021-01-01", 10]],
+             "median_deleted_age_days": 3},
+            {"account_id": 2, "snapshots": [["2021-01-02", "active", 5]],
+             "description": "coffee", "deletion_days": [["2021-01-01", 12],
+                                                         ["2021-01-03", 12]],
+             "median_deleted_age_days": None},
+            {"account_id": 3, "snapshots": [["2021-01-04", "suspended", None]],
+             "description": "promo promo", "deletion_days": [],
+             "median_deleted_age_days": None},
+        ]
+        Path("timelines.ndjson").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        Path("v.csv").write_text(_VIOLATIONS.splitlines()[0] + "\n1,2021-01-01,10,2500,2510,0\n")
+        assert run("stats", "--timelines", "timelines.ndjson", "--violations", "v.csv",
+                   "--out", "stats") == 0
+        assert Path("stats/suspensions.csv").read_text().splitlines() == [
+            "category,suspended,total,unknown,fraction",
+            "one_day,0,0,0,0.0",
+            "thirty_day,0,0,0,0.0",
+            "suspicious,1,1,0,1.0",
+            "other,0,1,0,0.0",
+        ]
+        assert Path("stats/terms.csv").read_text().splitlines() == [
+            "group,term,count", "suspicious,deals,1", "suspicious,promo,1",
         ]
 
     def test_unknown_config_key_exit_3(self, workspace):

@@ -229,14 +229,20 @@ def test_spec_rate_past_the_largest_float_exit_3(tmp_path, capsys):
     ({"delete_rate": 10**12}, "delete_rate must be <= 1000000 events a day, got 1000000000000"),
     ({"kind": "like_farm_hub", "farm_size": 10**12},
      "farm_size * spoke_unlikes must be <= 1000000 events a day, got 5000000000000"),
+    ({"delete_rate": 10**6, "count": 10**6},
+     "'cohorts' must ask for <= 50000000 rows over 2 days, got 2000002000000"),
+    ({"delete_rate": 10**6, "delete_days": [0]},
+     "delete_rate 1000000 drew 1000033 deletions of account 1 on one day, past the 1000000 "
+     "events a day"),
 ], ids=["age-median", "delete-rate", "post-rate", "min-daily-deletions", "daily-events",
-        "farm-unlikes"])
+        "farm-unlikes", "spec-rows", "drawn-deletions"])
 def test_spec_past_what_the_draws_hold_exit_3_naming_the_field(
     tmp_path, capsys, profile, message
 ):
     spec = {"days": 2, "cohorts": [{"kind": "normal_deleter", "count": 1, **profile}]}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
-    assert run("generate", "--spec", tmp_path / "spec.json", "--out", tmp_path / "out") == 3
+    assert run("generate", "--spec", tmp_path / "spec.json", "--seed", 1,
+               "--out", tmp_path / "out") == 3
     assert f"delstream: invalid input: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
@@ -20,6 +21,10 @@ def deletion(account_id: int, tweet_ids) -> DailyDeletionRecord:
 
 def unlike(liker_id: int, tweet_id: int, count: int) -> UnlikeRecord:
     return UnlikeRecord(liker_id, tweet_id, count)
+
+
+def by_account(records):
+    return sorted(records, key=lambda record: (record.account_id, record.day))
 
 
 def random_instance(seed: int, accounts=40, tweets=60, unlikers=50):
@@ -320,7 +325,7 @@ class TestPipelineEqualsSteps:
         expected = c.filter_components(c.project_bipartite(filtered), min_component)
         # one-shot iterators: each input is read once
         got = c.detect_coordination(
-            iter(records), iter(unlikes), min_unlikes, min_component
+            iter(by_account(records)), iter(unlikes), min_unlikes, min_component
         )
         if min_unlikes == min_component == 1:
             assert got == c.project_bipartite(net)
@@ -332,6 +337,39 @@ class TestPipelineEqualsSteps:
             len(filtered.liker_edges),
             len(net.likers()),
             len(filtered.likers()),
+        )
+
+    @given(
+        records=_deletion_records,
+        unlikes=_unlike_records,
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_record_order_once_grouped(self, records, unlikes, order):
+        shuffled = list(records)
+        order.shuffle(shuffled)
+        expected = c.project_bipartite(c.build_tripartite(shuffled, unlikes))
+        assert c.detect_coordination(by_account(shuffled), unlikes, 1, 1) == expected
+        # grouped, the accounts in descending order and each one's days as shuffled
+        grouped = sorted(shuffled, key=lambda record: -record.account_id)
+        assert c.detect_coordination(iter(grouped), unlikes, 1, 1) == expected
+        accounts = [record.account_id for record in shuffled]
+        runs = [a for index, a in enumerate(accounts) if index == 0 or accounts[index - 1] != a]
+        if len(runs) > len(set(runs)):
+            with pytest.raises(ValueError, match="not grouped by account"):
+                c.detect_coordination(shuffled, unlikes, 1, 1)
+
+    def test_ungrouped_records_raise_naming_the_account(self):
+        records = [
+            deletion(1, [10]),
+            deletion(2, [11]),
+            DailyDeletionRecord(1, DAY0 + timedelta(days=1), (12,)),
+        ]
+        with pytest.raises(ValueError) as raised:
+            c.detect_coordination(records, [unlike(3, 10, 5)], 1, 1)
+        assert str(raised.value) == (
+            "the daily records are not grouped by account: account 1 recurs after "
+            "account 2's"
         )
 
     def test_deletion_total_counts_distinct_tweets_over_all_records(self):
@@ -355,3 +393,36 @@ class TestPipelineEqualsSteps:
     def test_invalid_thresholds(self, thresholds):
         with pytest.raises(ValueError):
             c.detect_coordination([], [], **thresholds)
+
+
+class TestMemory:
+    """``detect_coordination`` keeps a count per deleting account, not its
+    records: each extra account adds a few dozen bytes to the peak, where
+    holding its 100 tweet IDs would add about 4.4 KB."""
+
+    @staticmethod
+    def records(accounts: int):
+        for account_id in range(1, accounts + 1):
+            for day in range(5):
+                first = (account_id * 5 + day) * 20
+                yield DailyDeletionRecord(
+                    account_id, DAY0 + timedelta(days=day), tuple(range(first, first + 20))
+                )
+
+    def test_peak_does_not_follow_the_accounts(self):
+        # 500 likers of tweets that the first five accounts delete: the same
+        # graph, and the same unlike-side working set, at either size
+        unlikes = [unlike(10**6 + i, 100 + i, 5) for i in range(500)]
+
+        def peak(accounts: int) -> int:
+            tracemalloc.start()
+            try:
+                c.detect_coordination(self.records(accounts), unlikes)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # the first call's one-off allocations
+        small, large = peak(1_000), peak(4_000)
+        assert large < 2 * small
+        assert (large - small) / 3_000 < 1_000  # bytes per extra account

@@ -406,6 +406,53 @@ class TestValidation:
             f"{name} must be <= {synth.MAX_DAILY_EVENTS} events a day, got {volume!r}"
         )
 
+    @pytest.mark.parametrize("kind, count, params, days, rows", [
+        # the per-day ceiling on every day of every account
+        ("normal_deleter", 10**6, {"delete_rate": 10**6}, 30, 10**6 * 30 * (10**6 + 1)),
+        ("normal_deleter", 10**4, {"delete_rate": 10**6, "delete_days": [0, 1]}, 30,
+         10**4 * (30 + 2 * 10**6)),
+        ("flooder", 100, {"cycle_posts": 10**6, "cycles_per_day": 2, "flood_days": [3]}, 30,
+         100 * (30 + 10**6)),
+        ("like_farm_hub", 100, {"farm_size": 10**6, "spoke_unlikes": 1}, 30,
+         100 * (30 + 10 + 10**6)),
+        ("idle", synth.MAX_SPEC_ROWS + 1, {"delete_rate": 10**6}, 1, synth.MAX_SPEC_ROWS + 1),
+        ("idle", 10**400, {}, 1, 10**400),  # past what a float holds
+    ])
+    def test_spec_rows_past_the_ceiling_rejected(self, kind, count, params, days, rows):
+        """Only values refused before anything is drawn or allocated."""
+        with pytest.raises(ValueError) as err:
+            synth.PopulationSpec((cohort(synth.ProfileKind(kind), count, **params),), days)
+        assert str(err.value) == (
+            f"'cohorts' must ask for <= {synth.MAX_SPEC_ROWS} rows over {days} days, "
+            f"got {rows!r:.40}"
+        )
+
+    def test_spec_rows_at_the_ceiling_accepted(self):
+        ceiling = synth.MAX_SPEC_ROWS
+        synth.PopulationSpec((cohort(synth.ProfileKind.IDLE, ceiling),), days=1)
+        synth.PopulationSpec((  # 2 snapshots and a mean rounded up to 49,998 deletions
+            cohort(synth.ProfileKind.NORMAL_DELETER, 1000, delete_rate=49_997.5,
+                   delete_days=[1]),
+        ), days=2)
+        # the rows of a profile are what its kind plans: a hub deletes on its
+        # farm day only, whatever its delete_rate
+        synth.PopulationSpec((
+            cohort(synth.ProfileKind.LIKE_FARM_HUB, ceiling // 40, delete_rate=10**6),
+        ), days=30)
+
+    def test_deletions_drawn_past_the_ceiling_rejected(self):
+        """A mean at the ceiling draws past it about every other day; the
+        draw is refused before the account's tweets are allocated."""
+        spec = synth.PopulationSpec((
+            cohort(synth.ProfileKind.NORMAL_DELETER, 1, delete_rate=synth.MAX_DAILY_EVENTS),
+        ), days=1)
+        with pytest.raises(ValueError) as err:
+            synth.generate(spec, 1)
+        assert str(err.value) == (
+            "delete_rate 1000000 drew 1000033 deletions of account 1 on one day, past the "
+            "1000000 events a day"
+        )
+
     def test_daily_events_at_the_ceiling_accepted(self):
         ceiling = synth.MAX_DAILY_EVENTS
         for kind, params in [
